@@ -28,3 +28,29 @@ def raw_monthly_asset(asset_id, amounts, dollar_age=None, start=Month(2019, 1)):
     if dollar_age is None:
         dollar_age = len(amounts) / 12.0
     return RawAsset(asset_id, dollar_age, monthly_records(asset_id, amounts, start))
+
+
+# The CLI command list of acceptance criterion C8; tests/test_golden.py runs
+# the same list and compares its outputs with the committed bytes.
+C8_SPEC = {
+    "seed": 81,
+    "groups": [
+        {"count": 5, "annual_growth": -0.2, "noise_sigma": 0.1, "age_years": 5, "initial_revenue": 24000.0},
+        {"count": 5, "annual_growth": -0.3, "noise_sigma": 0.0, "age_years": 9, "initial_revenue": 36000.0},
+    ],
+}
+
+
+def c8_commands(spec_path, out):
+    """argv lists: synth into `out`, then every command on what synth wrote."""
+    data = str(out)
+    inputs = ["--cashflows", f"{data}/cashflows.csv", "--assets", f"{data}/assets.csv"]
+    return [
+        ["--out", data, "synth", "--spec", str(spec_path)],
+        ["--out", data, "validate", *inputs],
+        ["--out", data, "curves", *inputs, "--age", "1"],
+        ["--out", data, "--format", "json", "curves", *inputs, "--age", "2"],
+        ["--out", data, "multipliers", *inputs, "--age", "1", "--durations", "4"],
+        ["value", *inputs, "--age", "1", "--ltm", "12345", "--duration", "4"],
+        ["--out", data, "compare", *inputs, "--quotes", f"{data}/quotes.csv"],
+    ]

@@ -13,7 +13,7 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import monthly_records, quarterly_records
+from conftest import C8_SPEC, c8_commands, monthly_records, quarterly_records
 from royaltyval.cli import main
 from royaltyval.curves import build_surface, percentile
 from royaltyval.ingest import (
@@ -266,31 +266,12 @@ def test_c8_cli_determinism(tmp_path, capsys):
     # run-to-run byte equality is what gets exercised here.
     with criterion("C8 CLI commands are byte-identical across runs"):
         spec_path = tmp_path / "population.json"
-        spec_path.write_text(
-            json.dumps(
-                {
-                    "seed": 81,
-                    "groups": [
-                        {"count": 5, "annual_growth": -0.2, "noise_sigma": 0.1, "age_years": 5, "initial_revenue": 24000.0},
-                        {"count": 5, "annual_growth": -0.3, "noise_sigma": 0.0, "age_years": 9, "initial_revenue": 36000.0},
-                    ],
-                }
-            )
-        )
+        spec_path.write_text(json.dumps(C8_SPEC))
         stdouts = {}
         for run in ("a", "b"):
             out = tmp_path / run
-            data = str(out)
             transcripts = []
-            commands = [
-                ["--out", data, "synth", "--spec", str(spec_path)],
-                ["--out", data, "validate", "--cashflows", f"{data}/cashflows.csv", "--assets", f"{data}/assets.csv"],
-                ["--out", data, "curves", "--cashflows", f"{data}/cashflows.csv", "--assets", f"{data}/assets.csv", "--age", "1"],
-                ["--out", data, "--format", "json", "curves", "--cashflows", f"{data}/cashflows.csv", "--assets", f"{data}/assets.csv", "--age", "2"],
-                ["--out", data, "multipliers", "--cashflows", f"{data}/cashflows.csv", "--assets", f"{data}/assets.csv", "--age", "1", "--durations", "4"],
-                ["value", "--cashflows", f"{data}/cashflows.csv", "--assets", f"{data}/assets.csv", "--age", "1", "--ltm", "12345", "--duration", "4"],
-                ["--out", data, "compare", "--cashflows", f"{data}/cashflows.csv", "--assets", f"{data}/assets.csv", "--quotes", f"{data}/quotes.csv"],
-            ]
+            commands = c8_commands(spec_path, out)
             for argv in commands:
                 assert main(argv) == 0
                 transcripts.append(capsys.readouterr().out)
