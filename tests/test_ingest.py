@@ -82,6 +82,50 @@ class TestParseCashflows:
         assert [r.asset_id for r in records] == ["B", "A"]
 
 
+# (rows after the header, exact error text, line); text and line are part of
+# the interface, since the CLI prints them for the user to find the row.
+PARSE_ERRORS = [
+    (["A1,2019-13,1,10.00"], "line 2: month out of range: 13", 2),
+    (["A1,2019-00,1,10.00"], "line 2: month out of range: 0", 2),
+    (["A1,201901,1,10.00"], "line 2: period_start must be YYYY-MM, got '201901'", 2),
+    (["A1,2019-01,1,10.00", " ,2019-02,1,10.00"], "line 3: empty asset_id", 3),
+    (["A1,2019-01,1"], "line 2: expected 4 fields, got 3", 2),
+    (["A1,2019-01,2,10.00"], "line 2: unknown frequency '2' (period_months must be 1 or 3)", 2),
+    (["A1,2019-01,1,10.005"], "line 2: bad amount '10.005' (decimal with <= 2 fraction digits)", 2),
+    (["A1,2019-01,1,1e3"], "line 2: bad amount '1e3' (decimal with <= 2 fraction digits)", 2),
+    (["A1,2019-01,1,-5"], "line 2: NEGATIVE_AMOUNT: amount '-5' is negative", 2),
+    (
+        ["A1,2019-01,1,10.00", "B1,2019-01,1,1.00", "A1,2019-01,3,5.00"],
+        "line 4: duplicate record for A1 at 2019-01",
+        4,
+    ),
+]
+
+
+@pytest.mark.parametrize("rows,message,line", PARSE_ERRORS)
+def test_parse_cashflows_error_text_and_line(rows, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_cashflows(cashflows_csv(*rows))
+    assert str(err.value) == message
+    assert err.value.line == line
+
+
+def test_parse_cashflows_strips_padded_fields():
+    padded = parse_cashflows(cashflows_csv(" A1 , 2019-01 , 3 , 10.00 "))
+    assert padded == parse_cashflows(cashflows_csv("A1,2019-01,3,10.00"))
+
+
+@pytest.mark.parametrize(
+    "amount,expected",
+    [("7", Decimal("7")), ("10.5", Decimal("10.50")), ("-0.00", Decimal(0)), ("-0", Decimal(0))],
+)
+def test_parse_cashflows_accepted_amounts_sum_exactly(amount, expected):
+    rows = [f"A1,2019-01,1,{amount}"] + [f"A1,2019-{m:02d},1,1" for m in range(2, 13)]
+    raw = assemble_raw_assets(parse_cashflows(cashflows_csv(*rows)), {"A1": 1.0})
+    accepted, _ = build_dataset(raw)
+    assert accepted[0].series.amounts == (expected + 11,)
+
+
 class TestParseAssets:
     def test_basic(self):
         stream = io.StringIO("asset_id,dollar_age\nA1,2.5\n")
