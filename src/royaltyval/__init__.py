@@ -7,7 +7,6 @@ multiplier bands, and compare the bands against market bid/ask quotes.
 
 from .curves import Cohort, build_cohort, build_surface, observed_share, percentile
 from .ingest import (
-    CashflowRecord,
     FilterReport,
     RawAsset,
     RejectReason,

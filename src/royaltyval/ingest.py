@@ -1,10 +1,13 @@
 """Cashflow ingestion: CSV parsing, annualization, and the acceptance filters.
 
-Amounts travel as exact decimals (cent precision) through this module, so
-annual bucket sums conserve input revenue exactly; conversion to binary
-floats happens downstream where shares are formed. Filtering applies a
-fixed check order per asset and the first failing check wins, which keeps
-rejection reports reproducible.
+A cashflow record is a plain tuple of integers,
+``(month_index, period_months, cents)``, where ``month_index`` is
+``year * 12 + month - 1``. Amounts travel as integer cents through this
+module, so annual bucket sums conserve input revenue exactly; each bucket
+becomes a ``Decimal`` once, and conversion to binary floats happens
+downstream where shares are formed. Filtering applies a fixed check order
+per asset and the first failing check wins, which keeps rejection reports
+reproducible.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO, Union
@@ -28,30 +31,35 @@ REPORT_HEADER = ("asset_id", "status", "reason")
 DEFAULT_ZERO_FLOOR = 0.0
 DEFAULT_AGE_TOLERANCE = 0.30
 
-_AMOUNT_RE = re.compile(r"^-?\d+(\.\d{1,2})?$")
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+# [0-9], not \d: \d also matches non-ASCII digits such as Arabic-Indic ones,
+# which int() reads as their ASCII values.
+_AMOUNT_RE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]{1,2}))?")
+_MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
 Source = Union[str, Path, TextIO]
+# One cashflow: (month_index, period_months, cents).
+Record = tuple[int, int, int]
 
 __all__ = [
     "ASSETS_HEADER",
     "CASHFLOWS_HEADER",
     "AnnualizeError",
-    "CashflowRecord",
     "FilterDecision",
     "FilterReport",
-    "Month",
     "ParseError",
     "RawAsset",
+    "Record",
     "RejectReason",
     "annualize",
     "assemble_raw_assets",
     "build_dataset",
     "filter_dollar_age",
     "filter_zero_years",
+    "month_text",
     "oldest_cashflow_age",
     "parse_assets",
     "parse_cashflows",
+    "parse_number",
     "write_assets_csv",
     "write_cashflows_csv",
     "write_filter_report_csv",
@@ -91,87 +99,42 @@ class AnnualizeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Raw record types
+# Raw records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Month:
-    """A calendar month; ordering follows calendar order."""
-
-    year: int
-    month: int
-
-    def __post_init__(self):
-        if not 1 <= self.month <= 12:
-            raise ValueError(f"month out of range: {self.month}")
-
-    @property
-    def index(self) -> int:
-        """Months since year 0, a convenient integer timeline."""
-        return self.year * 12 + (self.month - 1)
-
-    def plus(self, months: int) -> "Month":
-        idx = self.index + months
-        return Month(idx // 12, idx % 12 + 1)
-
-    def __str__(self) -> str:
-        return f"{self.year:04d}-{self.month:02d}"
-
-    @classmethod
-    def parse(cls, text: str) -> "Month":
-        m = _MONTH_RE.match(text)
-        if not m:
-            raise ValueError(f"period_start must be YYYY-MM, got {text!r}")
-        return cls(int(m.group(1)), int(m.group(2)))
+def month_text(month_index: int) -> str:
+    """YYYY-MM form of a month index."""
+    return f"{month_index // 12:04d}-{month_index % 12 + 1:02d}"
 
 
-@dataclass(frozen=True)
-class CashflowRecord:
-    """One revenue observation covering one or three consecutive months.
-
-    Amounts may be negative here; validity is enforced at parse time for
-    file input and during dataset construction for records built in code.
-    """
-
-    asset_id: str
-    period_start: Month
-    period_months: int
-    amount: Decimal
-
-    def __post_init__(self):
-        if self.period_months not in (1, 3):
-            raise ValueError(f"period_months must be 1 or 3, got {self.period_months}")
-        if not self.amount.is_finite():
-            raise ValueError(f"{self.asset_id}: non-finite amount")
-
-    @property
-    def start_index(self) -> int:
-        return self.period_start.index
-
-    @property
-    def end_index(self) -> int:
-        """Exclusive index of the first month after this record's coverage."""
-        return self.period_start.index + self.period_months
+def _cents_text(cents: int) -> str:
+    whole, frac = divmod(abs(cents), 100)
+    return f"{'-' if cents < 0 else ''}{whole}.{frac:02d}"
 
 
 @dataclass(frozen=True)
 class RawAsset:
-    """An unfiltered asset: dollar age plus its sorted cashflow records."""
+    """An unfiltered asset: dollar age plus its cashflow records sorted by
+    month. Cents may be negative here; validity is enforced at parse time
+    for file input and during dataset construction for records built in
+    code."""
 
     asset_id: str
     dollar_age: float
-    records: tuple[CashflowRecord, ...]
+    records: tuple[Record, ...]
 
     def __post_init__(self):
         if not self.records:
             raise ValueError(f"{self.asset_id}: no cashflow records")
         if not self.dollar_age > 0:
             raise ValueError(f"{self.asset_id}: dollar_age must be > 0")
-        for prev, cur in zip(self.records, self.records[1:]):
-            if cur.start_index < prev.end_index:
-                raise ValueError(
-                    f"{self.asset_id}: records overlap at {cur.period_start}"
-                )
+        end = None
+        for start, months, _ in self.records:
+            if months != 1 and months != 3:
+                raise ValueError(f"period_months must be 1 or 3, got {months}")
+            if end is not None and start < end:
+                raise ValueError(f"{self.asset_id}: records overlap at {month_text(start)}")
+            end = start + months
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +157,20 @@ def _check_header(row: list[str] | None, expected: tuple[str, ...], path: str | 
         )
 
 
-def parse_amount(text: str) -> Decimal:
-    """Parse a currency amount with up to two fractional digits."""
-    raw = text.strip()
-    if not _AMOUNT_RE.match(raw):
-        raise ValueError(f"bad amount {text!r} (decimal with <= 2 fraction digits)")
-    value = Decimal(raw)
-    if value < 0:
-        raise ValueError(f"NEGATIVE_AMOUNT: amount {text!r} is negative")
-    return value
+def parse_number(text: str, kind: type = float):
+    """kind(text) for a number written in ASCII without underscores.
+
+    float() and int() also read non-ASCII digits (``٣`` is 3) and digit
+    group underscores (``1_0`` is 10); an input file should hold neither.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"bad number {text!r} (ASCII digits only, no underscores)")
+    return kind(text)
 
 
-def parse_cashflows(source: Source) -> list[CashflowRecord]:
-    """Read cashflows.csv; ordering preserved as read.
+def parse_cashflows(source: Source) -> list[tuple[str, int, int, int]]:
+    """Read cashflows.csv into (asset_id, month_index, period_months, cents)
+    tuples; ordering preserved as read.
 
     Raises ParseError with a 1-based line number for malformed rows,
     unknown frequencies, negative amounts, and duplicate
@@ -217,35 +181,57 @@ def parse_cashflows(source: Source) -> list[CashflowRecord]:
         reader = csv.reader(handle)
         rows = iter(reader)
         _check_header(next(rows, None), CASHFLOWS_HEADER, path)
-        records: list[CashflowRecord] = []
+        records: list[tuple[str, int, int, int]] = []
         seen: set[tuple[str, int]] = set()
+        # every asset repeats the same months: check each distinct text once
+        months_by_text: dict[str, int] = {}
         for line, row in enumerate(rows, start=2):
             if len(row) != len(CASHFLOWS_HEADER):
                 raise ParseError(f"expected 4 fields, got {len(row)}", line=line, path=path)
-            asset_id, start_text, months_text, amount_text = (f.strip() for f in row)
+            asset_id, start_text, months_text, amount_text = map(str.strip, row)
             if not asset_id:
                 raise ParseError("empty asset_id", line=line, path=path)
-            try:
-                start = Month.parse(start_text)
-            except ValueError as exc:
-                raise ParseError(str(exc), line=line, path=path) from None
-            if months_text not in ("1", "3"):
+            start = months_by_text.get(start_text)
+            if start is None:
+                m = _MONTH_RE.fullmatch(start_text)
+                if not m:
+                    raise ParseError(
+                        f"period_start must be YYYY-MM, got {start_text!r}", line=line, path=path
+                    )
+                month = int(m.group(2))
+                if not 1 <= month <= 12:
+                    raise ParseError(f"month out of range: {month}", line=line, path=path)
+                start = months_by_text[start_text] = int(m.group(1)) * 12 + month - 1
+            if months_text == "1":
+                months = 1
+            elif months_text == "3":
+                months = 3
+            else:
                 raise ParseError(
                     f"unknown frequency {months_text!r} (period_months must be 1 or 3)",
                     line=line,
                     path=path,
                 )
-            try:
-                amount = parse_amount(amount_text)
-            except ValueError as exc:
-                raise ParseError(str(exc), line=line, path=path) from None
-            key = (asset_id, start.index)
+            m = _AMOUNT_RE.fullmatch(amount_text)
+            if not m:
+                raise ParseError(
+                    f"bad amount {amount_text!r} (decimal with <= 2 fraction digits)",
+                    line=line,
+                    path=path,
+                )
+            sign, whole, frac = m.groups()
+            cents = int(whole + (frac or "").ljust(2, "0"))
+            if sign and cents:
+                raise ParseError(
+                    f"NEGATIVE_AMOUNT: amount {amount_text!r} is negative", line=line, path=path
+                )
+            key = (asset_id, start)
             if key in seen:
                 raise ParseError(
-                    f"duplicate record for {asset_id} at {start}", line=line, path=path
+                    f"duplicate record for {asset_id} at {start_text}", line=line, path=path
                 )
             seen.add(key)
-            records.append(CashflowRecord(asset_id, start, int(months_text), amount))
+            records.append((asset_id, start, months, cents))
         return records
     finally:
         if close:
@@ -269,7 +255,7 @@ def parse_assets(source: Source) -> dict[str, float]:
             if asset_id in ages:
                 raise ParseError(f"duplicate asset {asset_id}", line=line, path=path)
             try:
-                age = float(age_text)
+                age = parse_number(age_text)
             except ValueError:
                 raise ParseError(f"bad dollar_age {age_text!r}", line=line, path=path) from None
             if not (math.isfinite(age) and age > 0):
@@ -286,7 +272,7 @@ def parse_assets(source: Source) -> dict[str, float]:
 
 
 def assemble_raw_assets(
-    records: Iterable[CashflowRecord], dollar_ages: Mapping[str, float]
+    records: Iterable[tuple[str, int, int, int]], dollar_ages: Mapping[str, float]
 ) -> list[RawAsset]:
     """Join parsed cashflows with dollar ages into RawAssets, sorted by id.
 
@@ -294,9 +280,12 @@ def assemble_raw_assets(
     at least one cashflow; anything else is a ParseError, since the two
     files are inconsistent rather than merely containing a bad asset.
     """
-    grouped: dict[str, list[CashflowRecord]] = {}
-    for rec in records:
-        grouped.setdefault(rec.asset_id, []).append(rec)
+    grouped: dict[str, list[Record]] = {}
+    for asset_id, start, months, cents in records:
+        group = grouped.get(asset_id)
+        if group is None:
+            group = grouped[asset_id] = []
+        group.append((start, months, cents))
 
     unknown = sorted(set(grouped) - set(dollar_ages))
     if unknown:
@@ -307,7 +296,8 @@ def assemble_raw_assets(
 
     assets = []
     for asset_id in sorted(grouped):
-        recs = sorted(grouped[asset_id], key=lambda r: r.start_index)
+        recs = grouped[asset_id]
+        recs.sort()
         try:
             assets.append(RawAsset(asset_id, dollar_ages[asset_id], tuple(recs)))
         except ValueError as exc:
@@ -319,48 +309,53 @@ def assemble_raw_assets(
 # Annualization and filters
 # ---------------------------------------------------------------------------
 
-def oldest_cashflow_age(records: Sequence[CashflowRecord]) -> float:
+def oldest_cashflow_age(records: Sequence[Record]) -> float:
     """Age in years of the oldest cashflow: months spanned from the first
     period start to the end of the last covered period, divided by 12."""
     if not records:
         raise ValueError("no records")
-    first = min(r.start_index for r in records)
-    last = max(r.end_index for r in records)
+    first = min(start for start, _, _ in records)
+    last = max(start + months for start, months, _ in records)
     return (last - first) / 12.0
 
 
-def annualize(records: Sequence[CashflowRecord]) -> AnnualSeries:
+def annualize(asset_id: str, records: Sequence[Record]) -> AnnualSeries:
     """Sum gap-free monthly/quarterly records into whole song-age years.
 
     Buckets run forward from the first covered month: bucket k holds
     coverage months 12(k-1)+1 .. 12k, so bucket index equals song-age
     year. Records are attributed to the bucket containing their first
     covered month. A trailing bucket with fewer than 12 covered months
-    is dropped.
+    is dropped. Buckets are summed in integer cents, so each equals its
+    records' total exactly.
     """
     if not records:
         raise ValueError("no records")
-    recs = sorted(records, key=lambda r: r.start_index)
-    for prev, cur in zip(recs, recs[1:]):
-        if cur.start_index != prev.end_index:
+    recs = sorted(records)
+    origin = end = recs[0][0]
+    buckets: list[int] = []
+    for start, months, cents in recs:
+        if start != end:
             raise AnnualizeError(
                 RejectReason.GAP_IN_HISTORY,
-                f"{recs[0].asset_id}: coverage gap before {cur.period_start}",
+                f"{asset_id}: coverage gap before {month_text(start)}",
             )
-    origin = recs[0].start_index
-    total_months = recs[-1].end_index - origin
+        k = (start - origin) // 12
+        if k == len(buckets):
+            buckets.append(cents)
+        else:
+            buckets[k] += cents
+        end = start + months
+    total_months = end - origin
     complete_years = total_months // 12
     if complete_years < 1:
         raise AnnualizeError(
             RejectReason.INSUFFICIENT_HISTORY,
-            f"{recs[0].asset_id}: only {total_months} months of coverage",
+            f"{asset_id}: only {total_months} months of coverage",
         )
-    buckets = [Decimal(0)] * complete_years
-    for rec in recs:
-        k = (rec.start_index - origin) // 12
-        if k < complete_years:
-            buckets[k] += rec.amount
-    return AnnualSeries(recs[0].asset_id, tuple(buckets))
+    return AnnualSeries(
+        asset_id, tuple(Decimal(c).scaleb(-2) for c in buckets[:complete_years])
+    )
 
 
 def filter_zero_years(series: AnnualSeries, zero_floor: float = DEFAULT_ZERO_FLOOR) -> bool:
@@ -463,10 +458,10 @@ def build_dataset(
 def _apply_filters(
     raw: RawAsset, zero_floor: float, tolerance: float
 ) -> tuple[AnnualSeries | None, RejectReason | None]:
-    if any(rec.amount < 0 for rec in raw.records):
+    if any(cents < 0 for _, _, cents in raw.records):
         return None, RejectReason.NEGATIVE_AMOUNT
     try:
-        series = annualize(raw.records)
+        series = annualize(raw.asset_id, raw.records)
     except AnnualizeError as exc:
         return None, exc.reason
     if not filter_zero_years(series, zero_floor):
@@ -489,12 +484,11 @@ def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequenc
 
 
 def write_cashflows_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> None:
-    rows = []
-    for asset in sorted(raw_assets, key=lambda a: a.asset_id):
-        for rec in asset.records:
-            rows.append(
-                (rec.asset_id, str(rec.period_start), str(rec.period_months), f"{rec.amount:.2f}")
-            )
+    rows = [
+        (asset.asset_id, month_text(start), str(months), _cents_text(cents))
+        for asset in sorted(raw_assets, key=lambda a: a.asset_id)
+        for start, months, cents in asset.records
+    ]
     _write_csv(path, CASHFLOWS_HEADER, rows)
 
 

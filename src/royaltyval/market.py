@@ -283,7 +283,7 @@ def aggregate_plot_data(
 
 def parse_quotes(source: Union[str, Path, TextIO]) -> list[MarketQuote]:
     """Read quotes.csv; an empty best_bid field means no bid was posted."""
-    from .ingest import ParseError
+    from .ingest import ParseError, parse_number
 
     if isinstance(source, (str, Path)):
         handle = open(source, "r", encoding="utf-8-sig", newline="")
@@ -311,11 +311,11 @@ def parse_quotes(source: Union[str, Path, TextIO]) -> list[MarketQuote]:
                 quotes.append(
                     MarketQuote(
                         asset_id=asset_id,
-                        ltm=float(ltm),
-                        best_bid=float(bid) if bid else None,
-                        ask=float(ask),
-                        duration_years=int(duration),
-                        dollar_age=float(age),
+                        ltm=parse_number(ltm),
+                        best_bid=parse_number(bid) if bid else None,
+                        ask=parse_number(ask),
+                        duration_years=parse_number(duration, int),
+                        dollar_age=parse_number(age),
                     )
                 )
             except ValueError as exc:

@@ -20,11 +20,11 @@ from statistics import NormalDist
 from typing import Iterable, Sequence
 
 from .curves import DEFAULT_MIN_COHORT, build_surface
-from .ingest import CashflowRecord, Month, RawAsset
+from .ingest import RawAsset
 from .market import BAND_LEVELS, MarketQuote, round_half_up
 from .model import Asset, multiplier_table
 
-START_MONTH = Month(2015, 1)
+START_MONTH = 2015 * 12  # month index of 2015-01
 
 _NORMAL = NormalDist()
 
@@ -162,9 +162,12 @@ def monthly_split(annual_total: Decimal) -> tuple[Decimal, ...]:
     cents = int(annual_total.scaleb(2))
     if Decimal(cents).scaleb(-2) != annual_total:
         raise ValueError(f"annual total {annual_total} is not cent-precise")
+    return tuple(Decimal(m).scaleb(-2) for m in _split_cents(cents))
+
+
+def _split_cents(cents: int) -> list[int]:
     base = cents // 12
-    months = [base] * 11 + [cents - 11 * base]
-    return tuple(Decimal(m).scaleb(-2) for m in months)
+    return [base] * 11 + [cents - 11 * base]
 
 
 def gen_asset(
@@ -174,7 +177,7 @@ def gen_asset(
     annual_growth: float,
     noise_sigma: float,
     asset_id: str | None = None,
-    start: Month = START_MONTH,
+    start: int = START_MONTH,
 ) -> RawAsset:
     """One synthetic asset with monthly records and exact integer dollar age.
 
@@ -194,10 +197,9 @@ def gen_asset(
         level = spec.initial_revenue * (1.0 + spec.annual_growth) ** (k - 1)
         if eps:
             level *= math.exp(eps)
-        annual = Decimal(round(level * 100)).scaleb(-2)
-        for piece in monthly_split(annual):
-            records.append(CashflowRecord(asset_id, month, 1, piece))
-            month = month.plus(1)
+        for cents in _split_cents(round(level * 100)):
+            records.append((month, 1, cents))
+            month += 1
     return RawAsset(asset_id, float(spec.age_years), tuple(records))
 
 

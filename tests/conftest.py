@@ -1,33 +1,42 @@
 from decimal import Decimal
 
-from royaltyval.ingest import CashflowRecord, Month, RawAsset
+from royaltyval.ingest import RawAsset
 
 
-def monthly_records(asset_id, amounts, start=Month(2019, 1)):
-    """Consecutive monthly records from `start`, one per amount."""
-    records = []
-    month = start
-    for amount in amounts:
-        records.append(CashflowRecord(asset_id, month, 1, Decimal(str(amount))))
-        month = month.plus(1)
-    return tuple(records)
+def month(year, m):
+    """Month index of calendar month m (1..12) of year."""
+    return year * 12 + m - 1
 
 
-def quarterly_records(asset_id, amounts, start=Month(2019, 1)):
-    """Consecutive quarterly records from `start`, one per amount."""
-    records = []
-    month = start
-    for amount in amounts:
-        records.append(CashflowRecord(asset_id, month, 3, Decimal(str(amount))))
-        month = month.plus(3)
-    return tuple(records)
+def cents(amount):
+    """Exact integer cents of an int, float, str or Decimal amount."""
+    value = Decimal(str(amount)).scaleb(2)
+    if value != value.to_integral_value():
+        raise ValueError(f"{amount!r} is not cent-precise")
+    return int(value)
 
 
-def raw_monthly_asset(asset_id, amounts, dollar_age=None, start=Month(2019, 1)):
+def monthly_records(amounts, start=month(2019, 1)):
+    """Consecutive monthly (month_index, 1, cents) records from `start`."""
+    return tuple((start + k, 1, cents(a)) for k, a in enumerate(amounts))
+
+
+def quarterly_records(amounts, start=month(2019, 1)):
+    """Consecutive quarterly (month_index, 3, cents) records from `start`."""
+    return tuple((start + 3 * k, 3, cents(a)) for k, a in enumerate(amounts))
+
+
+def tagged(asset_id, records):
+    """Records in the (asset_id, month_index, period_months, cents) form
+    that parse_cashflows returns."""
+    return tuple((asset_id, *rec) for rec in records)
+
+
+def raw_monthly_asset(asset_id, amounts, dollar_age=None, start=month(2019, 1)):
     """RawAsset with monthly records; dollar age defaults to the span."""
     if dollar_age is None:
         dollar_age = len(amounts) / 12.0
-    return RawAsset(asset_id, dollar_age, monthly_records(asset_id, amounts, start))
+    return RawAsset(asset_id, dollar_age, monthly_records(amounts, start))
 
 
 # The CLI command list of acceptance criterion C8; tests/test_golden.py runs

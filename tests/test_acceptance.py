@@ -13,12 +13,10 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import C8_SPEC, c8_commands, monthly_records, quarterly_records
+from conftest import C8_SPEC, c8_commands, month, monthly_records, quarterly_records
 from royaltyval.cli import main
 from royaltyval.curves import build_surface, percentile
 from royaltyval.ingest import (
-    CashflowRecord,
-    Month,
     RawAsset,
     RejectReason,
     annualize,
@@ -148,10 +146,10 @@ def test_c4_surface_invariants_on_randomized_datasets():
 
 def test_c5_filter_fixture_and_boundaries():
     with criterion("C5 rejection fixture counts and boundary rules"):
-        neg_records = monthly_records("NEG", [100] * 12)
+        neg_records = monthly_records([100] * 12)
         neg_records = (
             neg_records[:5]
-            + (CashflowRecord("NEG", neg_records[5].period_start, 1, Decimal("-5.00")),)
+            + ((neg_records[5][0], 1, -500),)
             + neg_records[6:]
         )
         fixture = [
@@ -159,14 +157,14 @@ def test_c5_filter_fixture_and_boundaries():
             RawAsset(
                 "GAP",
                 1.2,
-                monthly_records("GAP", [1] * 6)
-                + monthly_records("GAP", [1] * 8, start=Month(2019, 8)),
+                monthly_records([1] * 6)
+                + monthly_records([1] * 8, start=month(2019, 8)),
             ),
-            RawAsset("SHORT", 0.5, monthly_records("SHORT", [1] * 6)),
-            RawAsset("ZERO", 2.0, monthly_records("ZERO", [100] * 12 + [0] * 12)),
-            RawAsset("FAR", 3.0, monthly_records("FAR", [50] * 24)),
-            RawAsset("OK1", 2.0, monthly_records("OK1", [80] * 24)),
-            RawAsset("OK2", 2.5, monthly_records("OK2", [10] * 36)),
+            RawAsset("SHORT", 0.5, monthly_records([1] * 6)),
+            RawAsset("ZERO", 2.0, monthly_records([100] * 12 + [0] * 12)),
+            RawAsset("FAR", 3.0, monthly_records([50] * 24)),
+            RawAsset("OK1", 2.0, monthly_records([80] * 24)),
+            RawAsset("OK2", 2.5, monthly_records([10] * 36)),
         ]
         accepted, report = build_dataset(fixture)
         assert [a.asset_id for a in accepted] == ["OK1", "OK2"]
@@ -292,20 +290,20 @@ def test_c9_annualization_conserves_revenue_exactly():
             freq = rng.choice([1, 3])
             if freq == 1:
                 amounts = [Decimal(rng.randint(0, 500000)).scaleb(-2) for _ in range(rng.randint(12, 40))]
-                records = monthly_records(f"R{i}", amounts)
+                records = monthly_records(amounts)
             else:
                 amounts = [Decimal(rng.randint(0, 500000)).scaleb(-2) for _ in range(rng.randint(4, 14))]
-                records = quarterly_records(f"R{i}", amounts)
-            series = annualize(records)
-            origin = records[0].start_index
+                records = quarterly_records(amounts)
+            series = annualize(f"R{i}", records)
+            origin = records[0][0]
             complete_months = 12 * len(series)
             covered = Decimal(0)
-            for rec in records:
+            for start, months, amount_cents in records:
                 inside = [
                     m - origin < complete_months
-                    for m in range(rec.start_index, rec.end_index)
+                    for m in range(start, start + months)
                 ]
                 assert all(inside) or not any(inside)
                 if all(inside):
-                    covered += rec.amount
+                    covered += Decimal(amount_cents).scaleb(-2)
             assert sum(series.amounts) == covered

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import monthly_records, quarterly_records, raw_monthly_asset
+from conftest import cents, month, monthly_records, quarterly_records, raw_monthly_asset, tagged
 from royaltyval.ingest import (
     AnnualizeError,
-    CashflowRecord,
-    Month,
     ParseError,
     RawAsset,
     RejectReason,
@@ -37,7 +35,7 @@ class TestParseCashflows:
 
     def test_single_row(self):
         [rec] = parse_cashflows(cashflows_csv("A1,2019-03,1,100.00"))
-        assert rec == CashflowRecord("A1", Month(2019, 3), 1, Decimal("100.00"))
+        assert rec == ("A1", month(2019, 3), 1, 10000)
 
     def test_negative_amount_is_parse_error_with_line(self):
         with pytest.raises(ParseError) as err:
@@ -79,7 +77,7 @@ class TestParseCashflows:
         records = parse_cashflows(
             cashflows_csv("B,2020-01,1,1.00", "A,2019-01,1,2.00")
         )
-        assert [r.asset_id for r in records] == ["B", "A"]
+        assert [r[0] for r in records] == ["B", "A"]
 
 
 # (rows after the header, exact error text, line); text and line are part of
@@ -93,6 +91,9 @@ PARSE_ERRORS = [
     (["A1,2019-01,2,10.00"], "line 2: unknown frequency '2' (period_months must be 1 or 3)", 2),
     (["A1,2019-01,1,10.005"], "line 2: bad amount '10.005' (decimal with <= 2 fraction digits)", 2),
     (["A1,2019-01,1,1e3"], "line 2: bad amount '1e3' (decimal with <= 2 fraction digits)", 2),
+    # non-ASCII digits are not read as their ASCII counterparts
+    (["A1,٢٠١٩-٠١,1,10.00"], "line 2: period_start must be YYYY-MM, got '٢٠١٩-٠١'", 2),
+    (["A1,2019-01,1,٣٣.٥"], "line 2: bad amount '٣٣.٥' (decimal with <= 2 fraction digits)", 2),
     (["A1,2019-01,1,-5"], "line 2: NEGATIVE_AMOUNT: amount '-5' is negative", 2),
     (
         ["A1,2019-01,1,10.00", "B1,2019-01,1,1.00", "A1,2019-01,3,5.00"],
@@ -141,24 +142,34 @@ class TestParseAssets:
         with pytest.raises(ParseError, match="duplicate"):
             parse_assets(stream)
 
+    @pytest.mark.parametrize("age", ["٣", "1_0", "２.５"])
+    def test_rejects_non_ascii_and_underscored_numbers(self, tmp_path, age):
+        path = tmp_path / "assets.csv"
+        path.write_text(f"asset_id,dollar_age\nA1,2.5\nA2,{age}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            parse_assets(path)
+        assert str(err.value) == f"{path}:line 3: bad dollar_age {age!r}"
+
 
 class TestAssembleRawAssets:
     def test_sorts_and_groups(self):
-        records = monthly_records("B", [1] * 12) + monthly_records("A", [2] * 12)
+        records = tagged("B", monthly_records([1] * 12)) + tagged("A", monthly_records([2] * 12))
         assets = assemble_raw_assets(records, {"A": 1.0, "B": 1.0})
         assert [a.asset_id for a in assets] == ["A", "B"]
 
     def test_unknown_asset_in_cashflows(self):
         with pytest.raises(ParseError, match="unknown"):
-            assemble_raw_assets(monthly_records("X", [1] * 12), {"A": 1.0})
+            assemble_raw_assets(tagged("X", monthly_records([1] * 12)), {"A": 1.0})
 
     def test_asset_without_cashflows(self):
         with pytest.raises(ParseError, match="no cashflows"):
-            assemble_raw_assets(monthly_records("A", [1] * 12), {"A": 1.0, "B": 2.0})
+            assemble_raw_assets(tagged("A", monthly_records([1] * 12)), {"A": 1.0, "B": 2.0})
 
     def test_overlapping_records(self):
-        overlap = quarterly_records("A", [10], start=Month(2019, 1)) + monthly_records(
-            "A", [5], start=Month(2019, 2)
+        overlap = tagged(
+            "A",
+            quarterly_records([10], start=month(2019, 1))
+            + monthly_records([5], start=month(2019, 2)),
         )
         with pytest.raises(ParseError, match="overlap"):
             assemble_raw_assets(overlap, {"A": 1.0})
@@ -166,16 +177,16 @@ class TestAssembleRawAssets:
 
 class TestOldestCashflowAge:
     def test_single_monthly_record(self):
-        records = monthly_records("A", [10])
+        records = monthly_records([10])
         assert oldest_cashflow_age(records) == pytest.approx(1 / 12)
 
     def test_two_years_monthly(self):
-        assert oldest_cashflow_age(monthly_records("A", [1] * 24)) == 2.0
+        assert oldest_cashflow_age(monthly_records([1] * 24)) == 2.0
 
     def test_two_years_quarterly(self):
         # count-months oracle: 8 quarters cover 24 months
-        records = quarterly_records("A", [1] * 8)
-        covered = sum(r.period_months for r in records)
+        records = quarterly_records([1] * 8)
+        covered = sum(months for _, months, _ in records)
         assert oldest_cashflow_age(records) == covered / 12 == 2.0
 
     def test_empty_rejected(self):
@@ -185,35 +196,35 @@ class TestOldestCashflowAge:
 
 class TestAnnualize:
     def test_twelve_months(self):
-        series = annualize(monthly_records("A", [10.0] * 12))
+        series = annualize("A", monthly_records([10.0] * 12))
         assert series.amounts == (Decimal("120.0"),)
 
     def test_partial_trailing_year_dropped(self):
-        series = annualize(monthly_records("A", [1.0] * 30))
+        series = annualize("A", monthly_records([1.0] * 30))
         assert series.amounts == (Decimal("12.0"), Decimal("12.0"))
 
     def test_quarterly_buckets(self):
         # hand-summed: 5+5+5+5 then 7+7+7+7
-        series = annualize(quarterly_records("A", [5, 5, 5, 5, 7, 7, 7, 7]))
+        series = annualize("A", quarterly_records([5, 5, 5, 5, 7, 7, 7, 7]))
         assert series.amounts == (Decimal(20), Decimal(28))
 
     def test_gap_detected(self):
-        records = monthly_records("A", [1] * 6) + monthly_records(
-            "A", [1] * 8, start=Month(2019, 8)
+        records = monthly_records([1] * 6) + monthly_records(
+            [1] * 8, start=month(2019, 8)
         )
         with pytest.raises(AnnualizeError) as err:
-            annualize(records)
+            annualize("A", records)
         assert err.value.reason is RejectReason.GAP_IN_HISTORY
 
     def test_insufficient_history(self):
         with pytest.raises(AnnualizeError) as err:
-            annualize(monthly_records("A", [1] * 11))
+            annualize("A", monthly_records([1] * 11))
         assert err.value.reason is RejectReason.INSUFFICIENT_HISTORY
 
     def test_gap_wins_over_short_history(self):
-        records = monthly_records("A", [1]) + monthly_records("A", [1], start=Month(2019, 3))
+        records = monthly_records([1]) + monthly_records([1], start=month(2019, 3))
         with pytest.raises(AnnualizeError) as err:
-            annualize(records)
+            annualize("A", records)
         assert err.value.reason is RejectReason.GAP_IN_HISTORY
 
 
@@ -250,19 +261,19 @@ class TestBuildDataset:
         assert accepted[0].series.amounts == (Decimal(120), Decimal(120))
 
     def test_each_reason_trips_once(self):
-        neg = monthly_records("NEG", [100] * 12)
-        neg = neg[:5] + (CashflowRecord("NEG", neg[5].period_start, 1, Decimal("-5.00")),) + neg[6:]
+        neg = monthly_records([100] * 12)
+        neg = neg[:5] + ((neg[5][0], 1, -500),) + neg[6:]
         fixtures = [
             RawAsset("NEG", 1.0, neg),
             RawAsset(
                 "GAP",
                 1.0,
-                monthly_records("GAP", [1] * 6)
-                + monthly_records("GAP", [1] * 8, start=Month(2019, 8)),
+                monthly_records([1] * 6)
+                + monthly_records([1] * 8, start=month(2019, 8)),
             ),
-            RawAsset("SHORT", 0.5, monthly_records("SHORT", [1] * 6)),
-            RawAsset("ZERO", 2.0, monthly_records("ZERO", [100] * 12 + [0] * 12)),
-            RawAsset("FAR", 3.0, monthly_records("FAR", [50] * 24)),
+            RawAsset("SHORT", 0.5, monthly_records([1] * 6)),
+            RawAsset("ZERO", 2.0, monthly_records([100] * 12 + [0] * 12)),
+            RawAsset("FAR", 3.0, monthly_records([50] * 24)),
         ]
         accepted, report = build_dataset(fixtures)
         assert accepted == []
@@ -319,22 +330,22 @@ class TestConservation:
             n_periods = max(n_periods, 12)
         amounts = [Decimal(rng.randint(0, 500000)).scaleb(-2) for _ in range(n_periods)]
         maker = monthly_records if freq == 1 else quarterly_records
-        records = maker("A", amounts)
+        records = maker(amounts)
 
-        series = annualize(records)
-        origin = records[0].start_index
+        series = annualize("A", records)
+        origin = records[0][0]
         complete_months = 12 * len(series)
         # month-level oracle: a record counts iff all its months fall in
         # complete buckets (never split for single-frequency data)
         covered = Decimal(0)
-        for rec in records:
+        for start, months, amount_cents in records:
             months_in = [
                 m - origin < complete_months
-                for m in range(rec.start_index, rec.end_index)
+                for m in range(start, start + months)
             ]
             assert all(months_in) or not any(months_in)
             if all(months_in):
-                covered += rec.amount
+                covered += Decimal(amount_cents).scaleb(-2)
         assert sum(series.amounts) == covered
 
 
@@ -352,11 +363,11 @@ class TestIdempotence:
         reserialized = []
         for asset in accepted:
             records = []
-            month = Month(2015, 1)
+            start = month(2015, 1)
             for annual in asset.series.amounts:
                 for piece in monthly_split(annual):
-                    records.append(CashflowRecord(asset.asset_id, month, 1, piece))
-                    month = month.plus(1)
+                    records.append((start, 1, cents(piece)))
+                    start += 1
             reserialized.append(RawAsset(asset.asset_id, asset.dollar_age, tuple(records)))
 
         accepted2, report2 = build_dataset(reserialized)
@@ -368,13 +379,20 @@ class TestCsvWriters:
     def test_cashflows_roundtrip(self, tmp_path):
         assets = [
             raw_monthly_asset("B", ["10.25"] * 12),
-            RawAsset("A", 1.0, quarterly_records("A", ["7.00", "8.50", "9.00", "11.75"])),
+            RawAsset("A", 1.0, quarterly_records(["7.00", "8.50", "9.00", "11.75"])),
         ]
         path = tmp_path / "cashflows.csv"
         write_cashflows_csv(path, assets)
         records = parse_cashflows(path)
         regrouped = assemble_raw_assets(records, {"A": 1.0, "B": 1.0})
         assert [a.records for a in regrouped] == [assets[1].records, assets[0].records]
+
+    def test_cashflows_negative_cents_keep_their_sign(self, tmp_path):
+        records = monthly_records(["-5.50", "-0.05", "12.00"])
+        path = tmp_path / "cashflows.csv"
+        write_cashflows_csv(path, [RawAsset("A", 1.0, records)])
+        amounts = [line.split(",")[3] for line in path.read_text().splitlines()[1:]]
+        assert amounts == ["-5.50", "-0.05", "12.00"]
 
     def test_assets_roundtrip(self, tmp_path):
         assets = [raw_monthly_asset("A", [1] * 12, dollar_age=1.25)]

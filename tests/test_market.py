@@ -225,3 +225,25 @@ class TestQuotesCsv:
         with pytest.raises(ParseError) as err:
             parse_quotes(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "row,bad",
+        [
+            ("Q1,١٠٠,,450,5,3.0", "١٠٠"),
+            ("Q1,100,2_00,450,5,3.0", "2_00"),
+            ("Q1,100,,450,٥,3.0", "٥"),
+            ("Q1,100,,450,1_0,3.0", "1_0"),
+            ("Q1,100,,450,5,٣", "٣"),
+        ],
+    )
+    def test_rejects_non_ascii_and_underscored_numbers(self, tmp_path, row, bad):
+        from royaltyval.ingest import ParseError
+
+        path = tmp_path / "quotes.csv"
+        path.write_text(
+            "asset_id,ltm,best_bid,ask,duration_years,dollar_age\nQ0,100,,450,5,3.0\n" + row + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as err:
+            parse_quotes(path)
+        assert str(err.value) == f"{path}:line 3: bad number {bad!r} (ASCII digits only, no underscores)"

@@ -48,12 +48,12 @@ class TestMonthlySplit:
 class TestGenAsset:
     def test_flat_noise_free(self):
         asset = gen_asset(123, 3, 1200.0, 0.0, 0.0)
-        assert annualize(asset.records).amounts == (Decimal("1200.00"),) * 3
+        assert annualize(asset.asset_id, asset.records).amounts == (Decimal("1200.00"),) * 3
         assert asset.dollar_age == 3.0
 
     def test_halving(self):
         asset = gen_asset(99, 3, 1200.0, -0.5, 0.0)
-        assert annualize(asset.records).amounts == (
+        assert annualize(asset.asset_id, asset.records).amounts == (
             Decimal("1200.00"),
             Decimal("600.00"),
             Decimal("300.00"),
@@ -69,12 +69,12 @@ class TestGenAsset:
 
     def test_noise_keeps_amounts_positive(self):
         asset = gen_asset(3, 8, 50.0, -0.4, 0.8)
-        assert all(rec.amount >= 0 for rec in asset.records)
+        assert all(amount_cents >= 0 for _, _, amount_cents in asset.records)
 
     def test_monthly_coverage_is_gap_free(self):
         asset = gen_asset(11, 4, 2400.0, 0.1, 0.3)
         assert len(asset.records) == 48
-        spans = [r.start_index for r in asset.records]
+        spans = [start for start, _, _ in asset.records]
         assert spans == list(range(spans[0], spans[0] + 48))
 
 
