@@ -76,12 +76,25 @@ def load_config_file(path: str | Path) -> dict:
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
-    if "percentile_levels" in data:
-        levels = data["percentile_levels"]
-        if not isinstance(levels, list):
-            raise ValueError(f"{path}: percentile_levels must be a list")
-        data["percentile_levels"] = tuple(sorted(float(p) for p in levels))
+    for key, value in data.items():
+        if key == "percentile_levels":
+            if not isinstance(value, list) or not all(map(_is_number, value)):
+                raise ValueError(f"{path}: percentile_levels must be a list of numbers")
+            data[key] = tuple(sorted(float(p) for p in value))
+        elif key == "output_format":
+            if not isinstance(value, str):
+                raise ValueError(f"{path}: output_format must be a string, got {value!r}")
+        elif key in ("min_cohort", "max_duration"):
+            if not (_is_number(value) and (isinstance(value, int) or value.is_integer())):
+                raise ValueError(f"{path}: {key} must be an integer, got {value!r}")
+            data[key] = int(value)
+        elif not _is_number(value):
+            raise ValueError(f"{path}: {key} must be a number, got {value!r}")
     return data
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _resolve_config(args: argparse.Namespace) -> Config:

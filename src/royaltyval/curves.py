@@ -218,15 +218,22 @@ def surface_to_json_dict(surface: ShareSurface) -> dict:
 
 
 def surface_from_json_dict(data: dict) -> ShareSurface:
+    if not isinstance(data, dict):
+        raise ValueError("bad surface JSON: expected an object")
+    if not isinstance(data.get("counts"), dict):
+        raise ValueError("bad surface JSON: counts must be an object")
+    cells = data.get("cells")
+    if not isinstance(cells, list) or not all(isinstance(cell, dict) for cell in cells):
+        raise ValueError("bad surface JSON: cells must be a list of objects")
     try:
         base_age = int(data["base_age"])
         levels = tuple(float(p) for p in data["levels"])
         counts = {int(i): int(n) for i, n in data["counts"].items()}
         values = {
             (int(cell["horizon"]), float(cell["level"])): float(cell["share"])
-            for cell in data["cells"]
+            for cell in cells
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad surface JSON: {exc}") from None
     return ShareSurface(base_age, levels, values, counts)
 

@@ -272,6 +272,31 @@ class TestValue:
         assert code == 1
         assert "--ltm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"counts": [1]}, "counts must be an object"),
+            ({"cells": [1]}, "cells must be a list of objects"),
+            ({"cells": {"horizon": 1}}, "cells must be a list of objects"),
+            ({"base_age": float("inf")}, "cannot convert float infinity to integer"),
+        ],
+    )
+    def test_malformed_surface_json_exits_one(self, tmp_path, capsys, change, message):
+        surface = write_flat_surface(tmp_path / "surface.json")
+        payload = json.loads(surface.read_text())
+        payload.update(change)
+        surface.write_text(json.dumps(payload))
+        code = main(["value", "--surface", str(surface), "--ltm", "1", "--duration", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: bad surface JSON: {message}\n"
+
+    def test_non_object_surface_json_exits_one(self, tmp_path, capsys):
+        surface = tmp_path / "surface.json"
+        surface.write_text("[1, 2]")
+        code = main(["value", "--surface", str(surface), "--ltm", "1", "--duration", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: bad surface JSON: expected an object\n"
+
 
 class TestCompare:
     def _dataset_files(self, tmp_path):
@@ -448,6 +473,36 @@ class TestConfigPrecedence:
         )
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"rate": "0.1"}, "rate must be a number, got '0.1'"),
+            ({"zero_floor": True}, "zero_floor must be a number, got True"),
+            ({"min_bid_ask_ratio": None}, "min_bid_ask_ratio must be a number, got None"),
+            ({"min_cohort": 2.5}, "min_cohort must be an integer, got 2.5"),
+            ({"max_duration": "10"}, "max_duration must be an integer, got '10'"),
+            ({"min_cohort": float("inf")}, "min_cohort must be an integer, got inf"),
+            ({"percentile_levels": [10, "50"]}, "percentile_levels must be a list of numbers"),
+            ({"percentile_levels": 50}, "percentile_levels must be a list of numbers"),
+            ({"output_format": 1}, "output_format must be a string, got 1"),
+        ],
+    )
+    def test_wrong_config_value_type_exits_one(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        surface = write_flat_surface(tmp_path / "surface.json")
+        code = main(
+            ["--config", str(path), "value", "--surface", str(surface), "--ltm", "1", "--duration", "2"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_integral_float_config_value_accepted(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_duration": 4.0}))
+        loaded = load_config_file(config)
+        assert loaded == {"max_duration": 4} and type(loaded["max_duration"]) is int
 
     def test_defaults(self):
         cfg = Config()
