@@ -55,7 +55,6 @@ __all__ = [
     "build_dataset",
     "filter_dollar_age",
     "filter_zero_years",
-    "month_text",
     "oldest_cashflow_age",
     "parse_assets",
     "parse_cashflows",
@@ -102,7 +101,7 @@ class AnnualizeError(ValueError):
 # Raw records
 # ---------------------------------------------------------------------------
 
-def month_text(month_index: int) -> str:
+def _month_text(month_index: int) -> str:
     """YYYY-MM form of a month index."""
     return f"{month_index // 12:04d}-{month_index % 12 + 1:02d}"
 
@@ -133,7 +132,7 @@ class RawAsset:
             if months != 1 and months != 3:
                 raise ValueError(f"period_months must be 1 or 3, got {months}")
             if end is not None and start < end:
-                raise ValueError(f"{self.asset_id}: records overlap at {month_text(start)}")
+                raise ValueError(f"{self.asset_id}: records overlap at {_month_text(start)}")
             end = start + months
 
 
@@ -338,7 +337,7 @@ def annualize(asset_id: str, records: Sequence[Record]) -> AnnualSeries:
         if start != end:
             raise AnnualizeError(
                 RejectReason.GAP_IN_HISTORY,
-                f"{asset_id}: coverage gap before {month_text(start)}",
+                f"{asset_id}: coverage gap before {_month_text(start)}",
             )
         k = (start - origin) // 12
         if k == len(buckets):
@@ -485,7 +484,7 @@ def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequenc
 
 def write_cashflows_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> None:
     rows = [
-        (asset.asset_id, month_text(start), str(months), _cents_text(cents))
+        (asset.asset_id, _month_text(start), str(months), _cents_text(cents))
         for asset in sorted(raw_assets, key=lambda a: a.asset_id)
         for start, months, cents in asset.records
     ]

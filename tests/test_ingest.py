@@ -174,6 +174,15 @@ class TestAssembleRawAssets:
         with pytest.raises(ParseError, match="overlap"):
             assemble_raw_assets(overlap, {"A": 1.0})
 
+    def test_error_texts(self):
+        overlap = tagged("A", quarterly_records([10]) + monthly_records([5], start=month(2019, 3)))
+        with pytest.raises(ParseError) as err:
+            assemble_raw_assets(overlap, {"A": 1.0})
+        assert str(err.value) == "A: records overlap at 2019-03"
+        with pytest.raises(ParseError) as err:
+            assemble_raw_assets(tagged("X", monthly_records([1])), {"B": 1.0, "X": 1.0, "A": 1.0})
+        assert str(err.value) == "assets have no cashflows: A, B"
+
 
 class TestOldestCashflowAge:
     def test_single_monthly_record(self):
@@ -215,6 +224,7 @@ class TestAnnualize:
         with pytest.raises(AnnualizeError) as err:
             annualize("A", records)
         assert err.value.reason is RejectReason.GAP_IN_HISTORY
+        assert str(err.value) == "A: coverage gap before 2019-08"
 
     def test_insufficient_history(self):
         with pytest.raises(AnnualizeError) as err:
