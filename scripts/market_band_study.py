@@ -9,9 +9,10 @@ that would back the usual scatter plots.
 
 import argparse
 import csv
+import math
 from pathlib import Path
 
-from royaltyval.curves import build_surface
+from royaltyval.curves import build_surfaces
 from royaltyval.ingest import build_dataset
 from royaltyval.market import (
     PLOT_HEADER,
@@ -77,12 +78,9 @@ def main():
     accepted, rejected = filter_quotes(quotes)
     print(f"quotes: {len(accepted)} usable, {len(rejected)} filtered out")
 
-    ages = sorted({round(a.dollar_age) for a in dataset})
-    surfaces = {}
-    for t in ages:
-        surface = build_surface(dataset, t, LEVELS, max_horizon=10, min_cohort=5)
-        if surface.cell_horizons():
-            surfaces[t] = surface
+    top_age = math.ceil(max(a.dollar_age for a in dataset))
+    surfaces = build_surfaces(dataset, range(1, top_age + 1), LEVELS, max_horizon=10, min_cohort=5)
+    surfaces = {t: s for t, s in surfaces.items() if s.cell_horizons()}
 
     rows, errors = compare(accepted, surfaces, RATE)
     print(f"comparison: {len(rows)} rows, {len(errors)} row errors")

@@ -5,7 +5,7 @@ percentile revenue-share curves per base age, discount them into
 multiplier bands, and compare the bands against market bid/ask quotes.
 """
 
-from .curves import Cohort, build_cohort, build_surface, observed_share, percentile
+from .curves import build_surface, build_surfaces, observed_share, percentile
 from .ingest import (
     FilterReport,
     RawAsset,

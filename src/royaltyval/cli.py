@@ -80,7 +80,10 @@ def load_config_file(path: str | Path) -> dict:
         if key == "percentile_levels":
             if not isinstance(value, list) or not all(map(_is_number, value)):
                 raise ValueError(f"{path}: percentile_levels must be a list of numbers")
-            data[key] = tuple(sorted(float(p) for p in value))
+            levels = tuple(sorted(float(p) for p in value))
+            if len(set(levels)) != len(levels):
+                raise ValueError(f"{path}: percentile_levels must be unique")
+            data[key] = levels
         elif key == "output_format":
             if not isinstance(value, str):
                 raise ValueError(f"{path}: output_format must be a string, got {value!r}")
@@ -194,25 +197,6 @@ def _multiplier_csv_rows(table: MultiplierTable) -> list[tuple[str, ...]]:
     ]
 
 
-def _band_surfaces(dataset, cfg: Config) -> dict[int, ShareSurface]:
-    """Usable m10/m50/m90 surfaces for every integer age the data reaches."""
-    surfaces: dict[int, ShareSurface] = {}
-    if not dataset:
-        return surfaces
-    top_age = math.ceil(max(a.dollar_age for a in dataset))
-    for t in range(1, top_age + 1):
-        surface = curves_mod.build_surface(
-            dataset,
-            t,
-            market.BAND_LEVELS,
-            max_horizon=cfg.max_duration,
-            min_cohort=cfg.min_cohort,
-        )
-        if surface.cell_horizons():
-            surfaces[t] = surface
-    return surfaces
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -302,7 +286,15 @@ def _cmd_compare(args, cfg: Config) -> int:
     accepted, rejected = market.filter_quotes(
         quotes, cfg.max_duration, cfg.min_bid_ask_ratio
     )
-    surfaces = _band_surfaces(dataset, cfg)
+    top_age = math.ceil(max((a.dollar_age for a in dataset), default=0))
+    surfaces = curves_mod.build_surfaces(
+        dataset,
+        range(1, top_age + 1),
+        market.BAND_LEVELS,
+        max_horizon=cfg.max_duration,
+        min_cohort=cfg.min_cohort,
+    )
+    surfaces = {t: s for t, s in surfaces.items() if s.cell_horizons()}
     rows, errors = market.compare(accepted, surfaces, cfg.rate)
 
     _write_csv(

@@ -8,13 +8,12 @@ exist at both years; surfaces store chosen percentiles of those cohorts.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO, Union
 
+from .ingest import read_csv
 from .model import Asset, ShareSurface
 
 DEFAULT_LEVELS = (10.0, 50.0, 90.0)
@@ -26,9 +25,8 @@ __all__ = [
     "DEFAULT_LEVELS",
     "DEFAULT_MIN_COHORT",
     "SURFACE_HEADER",
-    "Cohort",
-    "build_cohort",
     "build_surface",
+    "build_surfaces",
     "load_surface",
     "observed_share",
     "parse_surface_csv",
@@ -38,28 +36,6 @@ __all__ = [
     "surface_rows_to_surface",
     "surface_to_json_dict",
 ]
-
-
-@dataclass(frozen=True)
-class Cohort:
-    """Assets contributing an observed share at one (base age, horizon)."""
-
-    base_age: int
-    horizon: int
-    member_ids: tuple[str, ...]
-    shares: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.member_ids) != len(self.shares):
-            raise ValueError("member_ids and shares must align")
-        if list(self.member_ids) != sorted(self.member_ids):
-            raise ValueError("member_ids must be sorted")
-        for s in self.shares:
-            if not math.isfinite(s) or s <= 0.0:
-                raise ValueError("cohort shares must be finite and > 0")
-
-    def __len__(self) -> int:
-        return len(self.shares)
 
 
 def observed_share(asset: Asset, base_age: int, horizon: int) -> float | None:
@@ -100,22 +76,6 @@ def percentile(values: Sequence[float], level: float) -> float:
     return v[lo] + frac * (v[lo + 1] - v[lo])
 
 
-def build_cohort(dataset: Iterable[Asset], base_age: int, horizon: int) -> Cohort:
-    """Collect every observed share at (base_age, horizon), ids sorted."""
-    members = []
-    for asset in dataset:
-        share = observed_share(asset, base_age, horizon)
-        if share is not None:
-            members.append((asset.asset_id, share))
-    members.sort(key=lambda pair: pair[0])
-    return Cohort(
-        base_age,
-        horizon,
-        tuple(asset_id for asset_id, _ in members),
-        tuple(share for _, share in members),
-    )
-
-
 def build_surface(
     dataset: Iterable[Asset],
     base_age: int,
@@ -123,28 +83,59 @@ def build_surface(
     max_horizon: int = 10,
     min_cohort: int = DEFAULT_MIN_COHORT,
 ) -> ShareSurface:
-    """Percentile shares for horizons 1..max_horizon at one base age.
+    """Percentile shares for horizons 1..max_horizon at one base age."""
+    return build_surfaces(dataset, (base_age,), levels, max_horizon, min_cohort)[base_age]
 
-    Cohort sizes are recorded for every horizon; cells are emitted only
-    where the cohort reaches min_cohort, so thin tails stay blank rather
-    than producing meaningless percentiles.
+
+def build_surfaces(
+    dataset: Iterable[Asset],
+    base_ages: Iterable[int],
+    levels: Sequence[float] = DEFAULT_LEVELS,
+    max_horizon: int = 10,
+    min_cohort: int = DEFAULT_MIN_COHORT,
+) -> dict[int, ShareSurface]:
+    """Percentile shares for horizons 1..max_horizon at every base age.
+
+    One walk over the dataset appends each observed share to its
+    (base age, horizon) cohort; each cohort is then sorted once and every
+    level read from it. Cohort sizes are recorded for every horizon; cells
+    are emitted only where the cohort reaches min_cohort, so thin tails
+    stay blank rather than producing meaningless percentiles.
     """
     if max_horizon < 1:
         raise ValueError("max_horizon must be >= 1")
     if min_cohort < 1:
         raise ValueError("min_cohort must be >= 1")
     level_tuple = tuple(float(p) for p in levels)
-    assets = list(dataset)
+    ages = sorted(set(base_ages))
+    cohorts = {t: [[] for _ in range(max_horizon)] for t in ages}
 
-    values: dict[tuple[int, float], float] = {}
-    counts: dict[int, int] = {}
-    for horizon in range(1, max_horizon + 1):
-        cohort = build_cohort(assets, base_age, horizon)
-        counts[horizon] = len(cohort)
-        if len(cohort) >= min_cohort:
-            for p in level_tuple:
-                values[(horizon, p)] = percentile(cohort.shares, p)
-    return ShareSurface(base_age, level_tuple, values, counts)
+    # A share absent at horizon i stays absent at every later horizon, and
+    # one absent at horizon 1 stays absent at every later base age.
+    for asset in dataset:
+        for t in ages:
+            for i, cohort in enumerate(cohorts[t], start=1):
+                share = observed_share(asset, t, i)
+                if share is None:
+                    break
+                cohort.append(share)
+            if share is None and i == 1:
+                break
+
+    surfaces: dict[int, ShareSurface] = {}
+    for t in ages:
+        values: dict[tuple[int, float], float] = {}
+        counts: dict[int, int] = {}
+        for i, cohort in enumerate(cohorts[t], start=1):
+            cohort.sort()
+            if cohort and not (cohort[0] > 0.0 and math.isfinite(cohort[-1])):
+                raise ValueError("cohort shares must be finite and > 0")
+            counts[i] = len(cohort)
+            if len(cohort) >= min_cohort:
+                for p in level_tuple:
+                    values[(i, p)] = percentile(cohort, p)
+        surfaces[t] = ShareSurface(t, level_tuple, values, counts)
+    return surfaces
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +184,8 @@ def surface_rows_to_surface(rows: Iterable[Sequence[str]]) -> ShareSurface:
 
 
 def parse_surface_csv(source: Union[str, Path, TextIO]) -> ShareSurface:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-            rows = list(csv.reader(handle))
-    else:
-        rows = list(csv.reader(source))
+    with read_csv(source) as (_, reader):
+        rows = list(reader)
     if not rows or tuple(rows[0]) != SURFACE_HEADER:
         raise ValueError(f"bad surface header, expected {','.join(SURFACE_HEADER)}")
     return surface_rows_to_surface(rows[1:])

@@ -13,14 +13,16 @@ reproducible.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
 from .model import AnnualSeries, Asset
 
@@ -59,6 +61,7 @@ __all__ = [
     "parse_assets",
     "parse_cashflows",
     "parse_number",
+    "read_csv",
     "write_assets_csv",
     "write_cashflows_csv",
     "write_filter_report_csv",
@@ -140,11 +143,33 @@ class RawAsset:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _open_rows(source: Source):
+@contextmanager
+def read_csv(source: Source) -> Iterator[tuple[str | None, Iterator[list[str]]]]:
+    """(path, rows) of a CSV file or open stream; a file opened here is
+    closed when the block exits.
+
+    A row the csv module cannot read, such as one with a field over its
+    size limit, raises ParseError at that row's line, counting the header
+    as line 1 as every reader's errors do.
+    """
     if isinstance(source, (str, Path)):
-        handle = open(source, "r", encoding="utf-8-sig", newline="")
-        return handle, str(source), True
-    return source, getattr(source, "name", None), False
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
+            yield str(source), _csv_rows(handle, str(source))
+    else:
+        path = getattr(source, "name", None)
+        yield path, _csv_rows(source, path)
+
+
+def _csv_rows(handle: TextIO, path: str | None) -> Iterator[list[str]]:
+    reader = csv.reader(handle)
+    for line in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=line, path=path) from None
+        yield row
 
 
 def _check_header(row: list[str] | None, expected: tuple[str, ...], path: str | None):
@@ -175,10 +200,7 @@ def parse_cashflows(source: Source) -> list[tuple[str, int, int, int]]:
     unknown frequencies, negative amounts, and duplicate
     (asset_id, period_start) pairs.
     """
-    handle, path, close = _open_rows(source)
-    try:
-        reader = csv.reader(handle)
-        rows = iter(reader)
+    with read_csv(source) as (path, rows):
         _check_header(next(rows, None), CASHFLOWS_HEADER, path)
         records: list[tuple[str, int, int, int]] = []
         seen: set[tuple[str, int]] = set()
@@ -232,17 +254,11 @@ def parse_cashflows(source: Source) -> list[tuple[str, int, int, int]]:
             seen.add(key)
             records.append((asset_id, start, months, cents))
         return records
-    finally:
-        if close:
-            handle.close()
 
 
 def parse_assets(source: Source) -> dict[str, float]:
     """Read assets.csv into an asset_id -> dollar_age mapping."""
-    handle, path, close = _open_rows(source)
-    try:
-        reader = csv.reader(handle)
-        rows = iter(reader)
+    with read_csv(source) as (path, rows):
         _check_header(next(rows, None), ASSETS_HEADER, path)
         ages: dict[str, float] = {}
         for line, row in enumerate(rows, start=2):
@@ -265,9 +281,6 @@ def parse_assets(source: Source) -> dict[str, float]:
                 )
             ages[asset_id] = age
         return ages
-    finally:
-        if close:
-            handle.close()
 
 
 def assemble_raw_assets(

@@ -15,7 +15,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO, Union
 
-from .model import MissingCellError, ShareSurface, multiplier_table
+from .ingest import ParseError, parse_number, read_csv
+from .model import MissingCellError, MultiplierTable, ShareSurface, multiplier_table
 
 QUOTES_HEADER = ("asset_id", "ltm", "best_bid", "ask", "duration_years", "dollar_age")
 COMPARISON_HEADER = (
@@ -180,9 +181,11 @@ def compare(
     The quote's dollar age is rounded to an integer base age, then clamped
     into the range of ages that have surfaces; a hole inside that range or
     a surface without enough horizons yields a row-level error rather than
-    failing the run. Rows and errors come back sorted by asset_id.
+    failing the run. Each (base age, duration) table is built once per
+    call. Rows and errors come back sorted by asset_id.
     """
     available = sorted(surfaces_by_age)
+    tables: dict[tuple[int, int], MultiplierTable] = {}
     rows: list[ComparisonRow] = []
     errors: list[ComparisonError] = []
     for quote in sorted(quotes, key=lambda q: q.asset_id):
@@ -197,8 +200,11 @@ def compare(
                 ComparisonError(quote.asset_id, f"no surface for base age {t}")
             )
             continue
+        key = (t, quote.duration_years)
         try:
-            table = multiplier_table(surface, rate, quote.duration_years)
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = multiplier_table(surface, rate, quote.duration_years)
             m10 = table.entry(quote.duration_years, 10.0)
             m50 = table.entry(quote.duration_years, 50.0)
             m90 = table.entry(quote.duration_years, 90.0)
@@ -283,16 +289,7 @@ def aggregate_plot_data(
 
 def parse_quotes(source: Union[str, Path, TextIO]) -> list[MarketQuote]:
     """Read quotes.csv; an empty best_bid field means no bid was posted."""
-    from .ingest import ParseError, parse_number
-
-    if isinstance(source, (str, Path)):
-        handle = open(source, "r", encoding="utf-8-sig", newline="")
-        path: str | None = str(source)
-        close = True
-    else:
-        handle, path, close = source, getattr(source, "name", None), False
-    try:
-        reader = iter(csv.reader(handle))
+    with read_csv(source) as (path, reader):
         header = next(reader, None)
         if header is None or tuple(f.strip() for f in header) != QUOTES_HEADER:
             raise ParseError(
@@ -321,9 +318,6 @@ def parse_quotes(source: Union[str, Path, TextIO]) -> list[MarketQuote]:
             except ValueError as exc:
                 raise ParseError(str(exc), line=line, path=path) from None
         return quotes
-    finally:
-        if close:
-            handle.close()
 
 
 def write_quotes_csv(path: Union[str, Path], quotes: Iterable[MarketQuote]) -> None:

@@ -19,7 +19,7 @@ from decimal import Decimal
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
-from .curves import DEFAULT_MIN_COHORT, build_surface
+from .curves import DEFAULT_MIN_COHORT, build_surfaces
 from .ingest import RawAsset
 from .market import BAND_LEVELS, MarketQuote, round_half_up
 from .model import Asset, multiplier_table
@@ -99,6 +99,8 @@ class PopulationSpec:
             raw_groups = data["groups"]
         except KeyError as exc:
             raise ValueError(f"population spec missing {exc.args[0]!r}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"seed: {exc}") from None
         if not isinstance(raw_groups, list) or not raw_groups:
             raise ValueError("groups must be a non-empty list")
         groups = []
@@ -122,7 +124,7 @@ class PopulationSpec:
                         initial_revenue=float(g["initial_revenue"]),
                     )
                 )
-            except ValueError as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"groups[{idx}]: {exc}") from None
         return cls(tuple(groups), seed)
 
@@ -264,13 +266,14 @@ def gen_quotes(
         raise ValueError("noise must be in [0, 1)")
 
     assets = sorted(dataset, key=lambda a: a.asset_id)
-    surfaces = {}
-    for asset in assets:
-        t = round_half_up(asset.dollar_age)
-        if t >= 1 and t not in surfaces:
-            surfaces[t] = build_surface(
-                assets, t, BAND_LEVELS, max_horizon=max_duration, min_cohort=min_cohort
-            )
+    ages = {round_half_up(asset.dollar_age) for asset in assets}
+    surfaces = build_surfaces(
+        assets,
+        [t for t in ages if t >= 1],
+        BAND_LEVELS,
+        max_horizon=max_duration,
+        min_cohort=min_cohort,
+    )
 
     quotes = []
     for asset in assets:

@@ -108,6 +108,36 @@ class TestValidate:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["cashflows", "assets", "quotes", "surface"])
+    def test_oversized_field_exits_one_with_line(self, tmp_path, capsys, kind):
+        big = "1" * 200_000
+        files = {
+            "cashflows": "asset_id,period_start,period_months,amount\nA,2019-01,1,10.00\n",
+            "assets": "asset_id,dollar_age\nA,1.0\n",
+            "quotes": "asset_id,ltm,best_bid,ask,duration_years,dollar_age\nQ,1,1,2,1,1.0\n",
+            "surface": "base_age,horizon,level,share,cohort_size\n1,1,10,1.0,5\n",
+        }
+        files[kind] += {
+            "cashflows": f"A,2019-02,1,{big}\n",
+            "assets": f"B,{big}\n",
+            "quotes": f"R,{big},1,2,1,1.0\n",
+            "surface": f"1,1,50,{big},5\n",
+        }[kind]
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(text)
+        if kind == "surface":
+            argv = ["multipliers", "--surface", str(paths["surface"])]
+        else:
+            argv = ["compare", "--quotes", str(paths["quotes"])]
+            argv += ["--cashflows", str(paths["cashflows"]), "--assets", str(paths["assets"])]
+        code = main(["--out", str(tmp_path / "out")] + argv)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {paths[kind]}:line 3: field larger than field limit (131072)\n"
+        )
+
 
 class TestCurves:
     def test_flat_population_gives_unit_shares(self, tmp_path):
@@ -423,6 +453,27 @@ class TestSynthCommand:
         assert code == 1
         assert "groups[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"seed": None}, "seed: int() argument must be a string, a bytes-like object "
+             "or a real number, not 'NoneType'"),
+            ({"count": [1]}, "groups[0]: int() argument must be a string, a bytes-like object "
+             "or a real number, not 'list'"),
+            ({"age_years": float("inf")}, "groups[0]: cannot convert float infinity to integer"),
+        ],
+        ids=["seed_null", "count_list", "age_inf"],
+    )
+    def test_wrong_spec_value_type_exits_one(self, tmp_path, capsys, change, message):
+        group = {"count": 1, "annual_growth": 0, "noise_sigma": 0, "age_years": 3, "initial_revenue": 10}
+        spec = {"seed": 1, "groups": [group]}
+        (spec if "seed" in change else group).update(change)
+        path = tmp_path / "population.json"
+        path.write_text(json.dumps(spec))
+        code = main(["--out", str(tmp_path), "synth", "--spec", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_flat_spec_reproduces_initial(self, tmp_path):
         path = tmp_path / "population.json"
         path.write_text(
@@ -486,6 +537,7 @@ class TestConfigPrecedence:
             ({"percentile_levels": [10, "50"]}, "percentile_levels must be a list of numbers"),
             ({"percentile_levels": 50}, "percentile_levels must be a list of numbers"),
             ({"output_format": 1}, "output_format must be a string, got 1"),
+            ({"percentile_levels": [50, 10, 50.0]}, "percentile_levels must be unique"),
         ],
     )
     def test_wrong_config_value_type_exits_one(self, tmp_path, capsys, config, message):

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from royaltyval.curves import (
-    Cohort,
-    build_cohort,
     build_surface,
+    build_surfaces,
     observed_share,
     parse_surface_csv,
     percentile,
@@ -116,10 +115,12 @@ class TestPercentile:
 
 
 class TestBuildCohort:
+    """Cohort membership and the share check, read through build_surfaces."""
+
     def test_everyone_too_young(self):
         dataset = [asset("A", [10, 5], 1.5), asset("B", [8, 8], 1.9)]
-        cohort = build_cohort(dataset, 1, 1)
-        assert len(cohort) == 0
+        surface = build_surfaces(dataset, [1], max_horizon=1, min_cohort=1)[1]
+        assert surface.counts == {1: 0}
 
     def test_share_ratios(self):
         dataset = [
@@ -127,24 +128,86 @@ class TestBuildCohort:
             asset("B", [8, 8], 2.0),
             asset("C", [4, 6], 2.0),
         ]
-        cohort = build_cohort(dataset, 1, 1)
+        surface = build_surfaces(dataset, [1], max_horizon=1, min_cohort=3)[1]
         # per-asset ratio oracle: 5/10, 8/8, 6/4
-        assert cohort.member_ids == ("A", "B", "C")
-        assert cohort.shares == (0.5, 1.0, 1.5)
+        assert surface.counts == {1: 3}
+        for p in surface.levels:
+            assert surface.values[(1, p)] == percentile([0.5, 1.0, 1.5], p)
 
     def test_excludes_missing_bucket_despite_age(self):
         # old enough on dollar age, but the trailing year was dropped
         dataset = [asset("A", [10, 5], 3.0), asset("B", [9, 9, 9], 3.0)]
-        cohort = build_cohort(dataset, 1, 2)
-        assert cohort.member_ids == ("B",)
+        surface = build_surfaces(dataset, [1], max_horizon=2, min_cohort=1)[1]
+        assert surface.counts == {1: 2, 2: 1}
+        assert surface.values[(2, 50.0)] == 1.0
 
     def test_cohort_validation(self):
-        with pytest.raises(ValueError):
-            Cohort(1, 1, ("A",), (0.5, 1.0))
-        with pytest.raises(ValueError):
-            Cohort(1, 1, ("B", "A"), (0.5, 1.0))
-        with pytest.raises(ValueError):
-            Cohort(1, 1, ("A",), (0.0,))
+        # a zero later year gives share 0; 1e300 / 1e-300 overflows to inf
+        for amounts in ([10.0, 0.0], [1e-300, 1e300]):
+            dataset = [asset("A", amounts, 2.0), asset("B", [10.0, 5.0], 2.0)]
+            with pytest.raises(ValueError, match="cohort shares must be finite and > 0"):
+                build_surfaces(dataset, [1], max_horizon=1, min_cohort=1)
+
+    def test_bad_arguments_keep_their_messages(self):
+        dataset = [asset("A", [10, 5], 2.0)]
+        with pytest.raises(ValueError, match="base_age and horizon must be >= 1"):
+            build_surfaces(dataset, [0, 1])
+        with pytest.raises(ValueError, match="base_age must be >= 1"):
+            build_surfaces([], [0])
+        with pytest.raises(ValueError, match="max_horizon must be >= 1"):
+            build_surfaces(dataset, [1], max_horizon=0)
+        with pytest.raises(ValueError, match="min_cohort must be >= 1"):
+            build_surfaces(dataset, [1], min_cohort=0)
+
+    def test_one_surface_per_distinct_age(self):
+        dataset = [asset(f"A{k}", [10.0, 8.0, 6.0, 4.0], 4.0) for k in range(5)]
+        surfaces = build_surfaces(dataset, [3, 1, 3, 2], max_horizon=3)
+        assert list(surfaces) == [1, 2, 3]
+        assert surfaces[2] == build_surface(dataset, 2, max_horizon=3)
+        assert surfaces[3].counts == {1: 5, 2: 0, 3: 0}
+
+
+def brute_force_cohort(dataset, base_age, horizon):
+    shares = (observed_share(a, base_age, horizon) for a in dataset)
+    return [s for s in shares if s is not None]
+
+
+class TestBuildSurfacesOracle:
+    @given(
+        data=st.data(),
+        series=st.lists(
+            st.tuples(
+                st.lists(st.floats(min_value=0.5, max_value=100.0), min_size=1, max_size=9),
+                st.floats(min_value=0.5, max_value=11.0),
+            ),
+            max_size=12,
+        ),
+        base_ages=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=5),
+        max_horizon=st.integers(min_value=1, max_value=6),
+        min_cohort=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_cell_cohorts(self, data, series, base_ages, max_horizon, min_cohort):
+        # dollar ages are drawn apart from series lengths, so some series
+        # stop short of their dollar age and others run past it
+        dataset = [
+            asset(f"A{k:02d}", amounts, dollar_age)
+            for k, (amounts, dollar_age) in enumerate(series)
+        ]
+        levels = (10.0, 37.5, 50.0, 90.0)
+        surfaces = build_surfaces(dataset, base_ages, levels, max_horizon, min_cohort)
+        assert sorted(surfaces) == sorted(set(base_ages))
+        for t, surface in surfaces.items():
+            for i in range(1, max_horizon + 1):
+                cohort = brute_force_cohort(dataset, t, i)
+                assert surface.counts[i] == len(cohort)
+                for p in levels:
+                    if len(cohort) >= min_cohort:
+                        assert surface.values[(i, p)] == percentile(cohort, p)
+                    else:
+                        assert (i, p) not in surface.values
+        shuffled = data.draw(st.permutations(dataset))
+        assert build_surfaces(shuffled, base_ages, levels, max_horizon, min_cohort) == surfaces
 
 
 class TestBuildSurface:
@@ -241,6 +304,7 @@ class TestCohortShrinkageProperty:
             )
             for idx, age in enumerate(ages)
         ]
-        for t in (1, 2):
-            sizes = [len(build_cohort(dataset, t, i)) for i in range(1, 8)]
+        surfaces = build_surfaces(dataset, (1, 2), max_horizon=7, min_cohort=1)
+        for surface in surfaces.values():
+            sizes = [surface.counts[i] for i in range(1, 8)]
             assert sizes == sorted(sizes, reverse=True)

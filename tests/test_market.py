@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from royaltyval import market
 from royaltyval.market import (
     ComparisonRow,
     MarketQuote,
@@ -17,7 +18,7 @@ from royaltyval.market import (
     round_half_up,
     write_quotes_csv,
 )
-from royaltyval.model import ShareSurface
+from royaltyval.model import ShareSurface, multiplier_table
 
 
 def quote(asset_id="Q1", ltm=100.0, bid=300.0, ask=500.0, duration=5, age=3.0):
@@ -145,6 +146,43 @@ class TestCompare:
         rows, errors = compare([quote(duration=6)], surfaces, 0.10)
         assert rows == []
         assert "horizon=5" in errors[0].message
+
+    def test_quotes_sharing_terms_share_one_table(self, monkeypatch):
+        levels = (10.0, 50.0, 90.0)
+        surfaces = {
+            t: ShareSurface(
+                t,
+                levels,
+                {
+                    (i, p): (0.9 - 0.1 * t) ** i * (0.5 + p / 100.0)
+                    for i in range(1, 5)
+                    for p in levels
+                },
+                {i: 5 for i in range(1, 5)},
+            )
+            for t in (3, 4)
+        }
+        terms = [(2, 3.0), (2, 3.2), (3, 2.6), (2, 4.0), (2, 3.4), (6, 3.0), (6, 2.9)]
+        quotes = [quote(asset_id=f"Q{k}", duration=d, age=a) for k, (d, a) in enumerate(terms)]
+        built = []
+
+        def counting_table(surface, rate, duration):
+            built.append((surface.base_age, duration))
+            return multiplier_table(surface, rate, duration)
+
+        monkeypatch.setattr(market, "multiplier_table", counting_table)
+        rows, errors = compare(quotes, surfaces, 0.10)
+        # one build per (age, duration) table; the missing cell is rebuilt per quote
+        assert sorted(built) == [(3, 2), (3, 3), (3, 6), (3, 6), (4, 2)]
+        for row in rows:
+            table = multiplier_table(surfaces[round_half_up(row.dollar_age)], 0.10, row.duration)
+            band = tuple(table.entry(row.duration, p) for p in levels)
+            assert (row.model_m10, row.model_m50, row.model_m90) == band
+        assert [r.asset_id for r in rows] == ["Q0", "Q1", "Q2", "Q3", "Q4"]
+        assert [(e.asset_id, e.message) for e in errors] == [
+            ("Q5", "base age 3: surface has no cell at horizon=5, level=10"),
+            ("Q6", "base age 3: surface has no cell at horizon=5, level=10"),
+        ]
 
     def test_rows_sorted_and_permutation_invariant(self):
         quotes = [quote(asset_id=f"Q{i}", duration=2) for i in (3, 1, 2)]
