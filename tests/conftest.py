@@ -62,4 +62,6 @@ def c8_commands(spec_path, out):
         ["--out", data, "multipliers", *inputs, "--age", "1", "--durations", "4"],
         ["value", *inputs, "--age", "1", "--ltm", "12345", "--duration", "4"],
         ["--out", data, "compare", *inputs, "--quotes", f"{data}/quotes.csv"],
+        ["--out", f"{data}/json", "--format", "json", "multipliers", *inputs, "--age", "1", "--durations", "4"],
+        ["--out", f"{data}/json", "--format", "json", "compare", *inputs, "--quotes", f"{data}/quotes.csv"],
     ]

@@ -276,8 +276,8 @@ def test_c8_cli_determinism(tmp_path, capsys):
             stdouts[run] = transcripts
 
         assert stdouts["a"] == stdouts["b"]
-        files_a = sorted(p.name for p in (tmp_path / "a").iterdir())
-        files_b = sorted(p.name for p in (tmp_path / "b").iterdir())
+        files_a = sorted(str(p.relative_to(tmp_path / "a")) for p in (tmp_path / "a").rglob("*") if p.is_file())
+        files_b = sorted(str(p.relative_to(tmp_path / "b")) for p in (tmp_path / "b").rglob("*") if p.is_file())
         assert files_a == files_b and files_a
         for name in files_a:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -571,3 +572,37 @@ class TestConfigPrecedence:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"rate": 0.2, "min_cohort": 3}))
         assert load_config_file(config) == {"rate": 0.2, "min_cohort": 3}
+
+
+class TestHelp:
+    OPTIONS = {
+        "validate": {"--assets", "--cashflows", "--help", "--tolerance"},
+        "curves": {
+            "--age", "--assets", "--cashflows", "--help", "--max-duration", "--min-cohort",
+            "--tolerance",
+        },
+        "multipliers": {
+            "--age", "--assets", "--cashflows", "--durations", "--help", "--max-duration",
+            "--min-cohort", "--rate", "--surface", "--tolerance",
+        },
+        "value": {
+            "--age", "--assets", "--cashflows", "--duration", "--help", "--ltm",
+            "--max-duration", "--min-cohort", "--rate", "--surface", "--tolerance",
+        },
+        "compare": {
+            "--assets", "--cashflows", "--help", "--max-duration", "--min-bid-ask-ratio",
+            "--min-cohort", "--quotes", "--rate", "--tolerance",
+        },
+        "synth": {
+            "--help", "--max-duration", "--min-cohort", "--rate", "--seed", "--spec",
+            "--tolerance",
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_subcommand_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert options == self.OPTIONS[command]

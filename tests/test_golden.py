@@ -33,11 +33,16 @@ def run_c8(workdir: Path) -> dict[str, str]:
     return stdouts
 
 
+def _files(root: Path) -> list[str]:
+    """Every file under root, as sorted POSIX paths relative to it."""
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+
 def test_c8_outputs_match_golden_bytes(tmp_path):
     stdouts = run_c8(tmp_path)
     out = tmp_path / "out"
-    written = sorted(p.name for p in out.iterdir())
-    golden = sorted(p.name for p in GOLDEN.iterdir() if p.is_file())
+    written = _files(out)
+    golden = [name for name in _files(GOLDEN) if not name.startswith("stdout/")]
     assert written == golden
     for name in written:
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
