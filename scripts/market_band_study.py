@@ -8,10 +8,10 @@ that would back the usual scatter plots.
 """
 
 import argparse
-import csv
 import math
 from pathlib import Path
 
+from royaltyval._io import write_csv
 from royaltyval.curves import build_surfaces
 from royaltyval.ingest import build_dataset
 from royaltyval.market import (
@@ -39,13 +39,6 @@ def population(seed):
         ),
         seed=seed,
     )
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def print_table(title, groups):

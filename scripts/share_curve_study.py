@@ -9,9 +9,9 @@ older catalogs interesting to value.
 """
 
 import argparse
-import csv
 from pathlib import Path
 
+from royaltyval._io import write_csv
 from royaltyval.curves import SURFACE_HEADER, build_surface, surface_csv_rows
 from royaltyval.ingest import build_dataset
 from royaltyval.synth import GroupSpec, PopulationSpec, gen_population
@@ -44,10 +44,7 @@ def run(name, spec, base_age, max_horizon, out_dir):
     surface = build_surface(dataset, base_age, LEVELS, max_horizon=max_horizon, min_cohort=5)
 
     path = out_dir / f"{name}_age{base_age}_surface.csv"
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SURFACE_HEADER)
-        writer.writerows(surface_csv_rows(surface))
+    write_csv(path, SURFACE_HEADER, surface_csv_rows(surface))
 
     print(f"\n{name}: {report.accepted_count} assets, base age {base_age}")
     print("horizon  " + "  ".join(f"p{int(p):<8}" for p in LEVELS))

@@ -9,16 +9,15 @@ run twice on the same inputs produces byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import curves as curves_mod
 from . import ingest, market, synth
+from ._io import json_number, read_json, write_csv, write_json
 from .model import MissingCellError, MultiplierTable, ShareSurface, multiplier_table, price
 
 MULTIPLIERS_HEADER = ("base_age", "duration", "level", "multiplier")
@@ -40,17 +39,17 @@ class Config:
     output_format: str = "csv"
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError("rate must be finite and >= 0")
         if not self.percentile_levels:
             raise ValueError("percentile_levels must be non-empty")
         for p in self.percentile_levels:
             if not 0.0 < p < 100.0:
                 raise ValueError(f"percentile level {p!r} outside (0, 100)")
-        if self.dollar_age_tolerance < 0:
-            raise ValueError("dollar_age_tolerance must be >= 0")
-        if self.zero_floor < 0:
-            raise ValueError("zero_floor must be >= 0")
+        if not 0 <= self.dollar_age_tolerance < math.inf:
+            raise ValueError("dollar_age_tolerance must be finite and >= 0")
+        if not 0 <= self.zero_floor < math.inf:
+            raise ValueError("zero_floor must be finite and >= 0")
         if self.min_cohort < 1:
             raise ValueError("min_cohort must be >= 1")
         if self.max_duration < 1:
@@ -63,78 +62,60 @@ class Config:
 
 _CONFIG_FIELDS = {f.name for f in fields(Config)}
 
+# The flags that override a config value: flag -> (Config field, type, help).
+_CONFIG_FLAGS = {
+    "--rate": ("rate", float, "discount rate (default 0.10)"),
+    "--tolerance": ("dollar_age_tolerance", float, "dollar-age tolerance (default 0.30)"),
+    "--min-cohort": ("min_cohort", int, "smallest cohort that gets cells (default 5)"),
+    "--max-duration": ("max_duration", int, "longest horizon and quote duration (default 10)"),
+    "--min-bid-ask-ratio": ("min_bid_ask_ratio", float, "lowest bid/ask kept (default 0.5)"),
+}
+
 
 def load_config_file(path: str | Path) -> dict:
     """Read a flat JSON config; unknown keys are an error to catch typos."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
-    for key, value in data.items():
-        if key == "percentile_levels":
-            if not isinstance(value, list) or not all(map(_is_number, value)):
-                raise ValueError(f"{path}: percentile_levels must be a list of numbers")
-            levels = tuple(sorted(float(p) for p in value))
-            if len(set(levels)) != len(levels):
-                raise ValueError(f"{path}: percentile_levels must be unique")
-            data[key] = levels
-        elif key == "output_format":
-            if not isinstance(value, str):
-                raise ValueError(f"{path}: output_format must be a string, got {value!r}")
-        elif key in ("min_cohort", "max_duration"):
-            if not (_is_number(value) and (isinstance(value, int) or value.is_integer())):
-                raise ValueError(f"{path}: {key} must be an integer, got {value!r}")
-            data[key] = int(value)
-        elif not _is_number(value):
-            raise ValueError(f"{path}: {key} must be a number, got {value!r}")
+    try:
+        for key, value in data.items():
+            if key == "percentile_levels":
+                try:
+                    levels = tuple(sorted(float(json_number(key, p)) for p in value))
+                except (TypeError, ValueError):  # TypeError: not a list
+                    raise ValueError("percentile_levels must be a list of numbers") from None
+                if len(set(levels)) != len(levels):
+                    raise ValueError("percentile_levels must be unique")
+                data[key] = levels
+            elif key == "output_format":
+                if not isinstance(value, str):
+                    raise ValueError(f"output_format must be a string, got {value!r}")
+            else:
+                data[key] = json_number(key, value, key in ("min_cohort", "max_duration"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return data
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _resolve_config(args: argparse.Namespace) -> Config:
     overrides: dict = {}
     if args.config is not None:
         overrides.update(load_config_file(args.config))
-    if getattr(args, "format", None) is not None:
+    if args.format is not None:
         overrides["output_format"] = args.format
-    for flag, field in (
-        ("rate", "rate"),
-        ("tolerance", "dollar_age_tolerance"),
-        ("min_cohort", "min_cohort"),
-        ("max_duration", "max_duration"),
-        ("min_bid_ask_ratio", "min_bid_ask_ratio"),
-    ):
-        value = getattr(args, flag, None)
+    for field, _, _ in _CONFIG_FLAGS.values():
+        value = getattr(args, field, None)
         if value is not None:
             overrides[field] = value
     return replace(Config(), **overrides)
 
 
 # ---------------------------------------------------------------------------
-# Output helpers
+# Shared steps
 # ---------------------------------------------------------------------------
-
-def _write_csv(path: Path, header: tuple[str, ...], rows: Iterable[Sequence[str]]):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
 
 def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
@@ -145,10 +126,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     return out
 
-
-# ---------------------------------------------------------------------------
-# Shared pipeline steps
-# ---------------------------------------------------------------------------
 
 def _load_dataset(args, cfg: Config):
     records = ingest.parse_cashflows(args.cashflows)
@@ -205,21 +182,14 @@ def _cmd_validate(args, cfg: Config) -> int:
     out = _out_dir(args)
     _, report = _load_dataset(args, cfg)
     ingest.write_filter_report_csv(out / "filter_report.csv", report)
-    _write_json(out / "filter_summary.json", report.summary())
+    write_json(out / "filter_summary.json", report.summary())
     print(f"accepted {report.accepted_count} of {report.total} assets")
     return 0 if report.accepted_count >= 1 else 2
 
 
 def _cmd_curves(args, cfg: Config) -> int:
     out = _out_dir(args)
-    dataset, _ = _load_dataset(args, cfg)
-    surface = curves_mod.build_surface(
-        dataset,
-        args.age,
-        cfg.percentile_levels,
-        max_horizon=cfg.max_duration,
-        min_cohort=cfg.min_cohort,
-    )
+    surface = _surface_for(args, cfg, cfg.percentile_levels)
     if not surface.cell_horizons():
         _fail(
             f"no cohort of at least {cfg.min_cohort} assets at any horizon "
@@ -227,9 +197,9 @@ def _cmd_curves(args, cfg: Config) -> int:
         )
         return 2
     if cfg.output_format == "json":
-        _write_json(out / f"surface_age{args.age}.json", curves_mod.surface_to_json_dict(surface))
+        write_json(out / f"surface_age{args.age}.json", curves_mod.surface_to_json_dict(surface))
     else:
-        _write_csv(
+        write_csv(
             out / f"surface_age{args.age}.csv",
             curves_mod.SURFACE_HEADER,
             curves_mod.surface_csv_rows(surface),
@@ -247,9 +217,9 @@ def _cmd_multipliers(args, cfg: Config) -> int:
         _fail(str(exc))
         return 2
     if cfg.output_format == "json":
-        _write_json(out / f"multipliers_age{table.base_age}.json", _multiplier_json(table))
+        write_json(out / f"multipliers_age{table.base_age}.json", _multiplier_json(table))
     else:
-        _write_csv(
+        write_csv(
             out / f"multipliers_age{table.base_age}.csv",
             MULTIPLIERS_HEADER,
             _multiplier_csv_rows(table),
@@ -297,12 +267,12 @@ def _cmd_compare(args, cfg: Config) -> int:
     surfaces = {t: s for t, s in surfaces.items() if s.cell_horizons()}
     rows, errors = market.compare(accepted, surfaces, cfg.rate)
 
-    _write_csv(
+    write_csv(
         out / "rejected_quotes.csv",
         REJECTED_QUOTES_HEADER,
         [(q.asset_id, reason.value) for q, reason in rejected],
     )
-    _write_csv(
+    write_csv(
         out / "comparison_errors.csv",
         COMPARE_ERRORS_HEADER,
         [(e.asset_id, e.message) for e in errors],
@@ -310,72 +280,33 @@ def _cmd_compare(args, cfg: Config) -> int:
     by_duration = market.aggregate_plot_data(rows, "duration")
     by_age = market.aggregate_plot_data(rows, "dollar_age_bucket")
     if cfg.output_format == "json":
-        _write_json(out / "comparison.json", _comparison_json(rows, errors))
-        _write_json(out / "by_duration.json", _plot_json("duration", by_duration))
-        _write_json(out / "by_dollar_age.json", _plot_json("dollar_age_bucket", by_age))
+        write_json(out / "comparison.json", {
+            "rows": [asdict(r) for r in rows],
+            "errors": [{"asset_id": e.asset_id, "error": e.message} for e in errors],
+        })
+        write_json(out / "by_duration.json", _plot_json("duration", by_duration))
+        write_json(out / "by_dollar_age.json", _plot_json("dollar_age_bucket", by_age))
     else:
-        _write_csv(out / "comparison.csv", market.COMPARISON_HEADER, market.comparison_csv_rows(rows))
-        _write_csv(out / "by_duration.csv", market.PLOT_HEADER, market.plot_csv_rows(by_duration))
-        _write_csv(out / "by_dollar_age.csv", market.PLOT_HEADER, market.plot_csv_rows(by_age))
+        write_csv(out / "comparison.csv", market.COMPARISON_HEADER, market.comparison_csv_rows(rows))
+        write_csv(out / "by_duration.csv", market.PLOT_HEADER, market.plot_csv_rows(by_duration))
+        write_csv(out / "by_dollar_age.csv", market.PLOT_HEADER, market.plot_csv_rows(by_age))
     return 0 if rows else 2
 
 
-def _comparison_json(rows, errors) -> dict:
-    return {
-        "rows": [
-            {
-                "asset_id": r.asset_id,
-                "duration": r.duration,
-                "dollar_age": r.dollar_age,
-                "bid_multiplier": r.bid_multiplier,
-                "ask_multiplier": r.ask_multiplier,
-                "model_m10": r.model_m10,
-                "model_m50": r.model_m50,
-                "model_m90": r.model_m90,
-                "bid_gap_to_m10": r.bid_gap_to_m10,
-                "ask_gap_to_m50": r.ask_gap_to_m50,
-            }
-            for r in rows
-        ],
-        "errors": [{"asset_id": e.asset_id, "error": e.message} for e in errors],
-    }
-
-
 def _plot_json(axis: str, groups) -> dict:
-    return {
-        "axis": axis,
-        "groups": [
-            {
-                "axis_value": g.axis_value,
-                "n": g.n,
-                "mean_bid_mult": g.mean_bid_mult,
-                "mean_ask_mult": g.mean_ask_mult,
-                "mean_m10": g.mean_m10,
-                "mean_m50": g.mean_m50,
-                "mean_m90": g.mean_m90,
-            }
-            for g in groups
-        ],
-    }
+    return {"axis": axis, "groups": [asdict(g) for g in groups]}
 
 
 def _cmd_synth(args, cfg: Config) -> int:
     out = _out_dir(args)
-    with open(args.spec, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            _fail(f"{args.spec}: invalid JSON: {exc}")
-            return 1
+    data = read_json(args.spec)
     try:
         spec = synth.PopulationSpec.from_json_dict(data)
+        if args.seed is not None:
+            spec = replace(spec, seed=args.seed)
+        population = synth.gen_population(spec)
     except ValueError as exc:
-        _fail(f"{args.spec}: {exc}")
-        return 1
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-
-    population = synth.gen_population(spec)
+        raise ValueError(f"{args.spec}: {exc}") from None
     ingest.write_cashflows_csv(out / "cashflows.csv", population)
     ingest.write_assets_csv(out / "assets.csv", population)
 
@@ -412,64 +343,50 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory (default: .)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_data_flags(p, required=True):
-        p.add_argument("--cashflows", required=required, help="cashflows.csv path")
-        p.add_argument("--assets", required=required, help="assets.csv path")
+    def add_command(name, handler, help, config_flags, data=None):
+        """A subcommand with the given config-override flags, plus the data
+        paths when `data` says whether they are required."""
+        p = sub.add_parser(name, help=help)
+        if data is not None:
+            p.add_argument("--cashflows", required=data, help="cashflows.csv path")
+            p.add_argument("--assets", required=data, help="assets.csv path")
+        for flag in config_flags:
+            field, kind, flag_help = _CONFIG_FLAGS[flag]
+            p.add_argument(flag, dest=field, type=kind, help=flag_help)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("validate", help="run the ingest filters, write a report")
-    add_data_flags(p)
-    p.add_argument("--tolerance", type=float, help="dollar-age tolerance (default 0.30)")
-    p.set_defaults(handler=_cmd_validate)
+    def add_surface_flags(p):
+        p.add_argument("--surface", help="surface .csv/.json (alternative to data paths)")
+        p.add_argument("--age", type=int, help="base age when building from data")
 
-    p = sub.add_parser("curves", help="build a percentile share surface")
-    add_data_flags(p)
+    add_command("validate", _cmd_validate, "run the ingest filters, write a report",
+                ["--tolerance"], data=True)
+
+    p = add_command("curves", _cmd_curves, "build a percentile share surface",
+                    ["--tolerance", "--min-cohort", "--max-duration"], data=True)
     p.add_argument("--age", type=int, required=True, help="base age in years")
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--min-cohort", dest="min_cohort", type=int)
-    p.add_argument("--max-duration", dest="max_duration", type=int)
-    p.set_defaults(handler=_cmd_curves)
 
-    p = sub.add_parser("multipliers", help="discount a surface into multiplier bands")
-    add_data_flags(p, required=False)
-    p.add_argument("--surface", help="surface .csv/.json (alternative to data paths)")
-    p.add_argument("--age", type=int, help="base age when building from data")
-    p.add_argument("--rate", type=float, help="discount rate (default 0.10)")
+    p = add_command("multipliers", _cmd_multipliers, "discount a surface into multiplier bands",
+                    ["--rate", "--tolerance", "--min-cohort", "--max-duration"], data=False)
+    add_surface_flags(p)
     p.add_argument("--durations", type=int, help="longest duration to tabulate")
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--min-cohort", dest="min_cohort", type=int)
-    p.add_argument("--max-duration", dest="max_duration", type=int)
-    p.set_defaults(handler=_cmd_multipliers)
 
-    p = sub.add_parser("value", help="price an LTM figure with the model band")
-    add_data_flags(p, required=False)
-    p.add_argument("--surface")
-    p.add_argument("--age", type=int)
+    p = add_command("value", _cmd_value, "price an LTM figure with the model band",
+                    ["--rate", "--tolerance", "--min-cohort", "--max-duration"], data=False)
+    add_surface_flags(p)
     p.add_argument("--ltm", type=float, required=True, help="last-twelve-months revenue")
     p.add_argument("--duration", type=int, required=True, help="contract duration in years")
-    p.add_argument("--rate", type=float)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--min-cohort", dest="min_cohort", type=int)
-    p.add_argument("--max-duration", dest="max_duration", type=int)
-    p.set_defaults(handler=_cmd_value)
 
-    p = sub.add_parser("compare", help="compare market quotes against model bands")
-    add_data_flags(p)
+    p = add_command("compare", _cmd_compare, "compare market quotes against model bands",
+                    ["--rate", "--tolerance", "--min-cohort", "--max-duration",
+                     "--min-bid-ask-ratio"], data=True)
     p.add_argument("--quotes", required=True, help="quotes.csv path")
-    p.add_argument("--rate", type=float)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--min-cohort", dest="min_cohort", type=int)
-    p.add_argument("--max-duration", dest="max_duration", type=int)
-    p.add_argument("--min-bid-ask-ratio", dest="min_bid_ask_ratio", type=float)
-    p.set_defaults(handler=_cmd_compare)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset with quotes")
+    p = add_command("synth", _cmd_synth, "generate a synthetic dataset with quotes",
+                    ["--rate", "--tolerance", "--min-cohort", "--max-duration"])
     p.add_argument("--spec", required=True, help="population spec JSON")
     p.add_argument("--seed", type=int, help="override the spec's seed")
-    p.add_argument("--rate", type=float)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--min-cohort", dest="min_cohort", type=int)
-    p.add_argument("--max-duration", dest="max_duration", type=int)
-    p.set_defaults(handler=_cmd_synth)
 
     return parser
 
@@ -479,13 +396,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.handler(args, cfg)
-    except ingest.ParseError as exc:
-        _fail(str(exc))
-        return 1
-    except OSError as exc:
-        _fail(str(exc))
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
         _fail(str(exc))
         return 1
 

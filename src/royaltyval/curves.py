@@ -8,12 +8,11 @@ exist at both years; surfaces store chosen percentiles of those cohorts.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Iterable, Sequence, Union
 
-from .ingest import read_csv
+from ._io import ParseError, Source, parse_number, read_json, read_table
 from .model import Asset, ShareSurface
 
 DEFAULT_LEVELS = (10.0, 50.0, 90.0)
@@ -33,7 +32,6 @@ __all__ = [
     "percentile",
     "surface_csv_rows",
     "surface_from_json_dict",
-    "surface_rows_to_surface",
     "surface_to_json_dict",
 ]
 
@@ -159,36 +157,32 @@ def surface_csv_rows(surface: ShareSurface) -> list[tuple[str, str, str, str, st
     return rows
 
 
-def surface_rows_to_surface(rows: Iterable[Sequence[str]]) -> ShareSurface:
-    """Rebuild a surface from its CSV rows (celled horizons only)."""
+def parse_surface_csv(source: Source) -> ShareSurface:
+    """Rebuild a surface from its CSV form (celled horizons only)."""
     base_age = None
     levels: set[float] = set()
     values: dict[tuple[int, float], float] = {}
     counts: dict[int, int] = {}
-    for row in rows:
-        if len(row) != len(SURFACE_HEADER):
-            raise ValueError(f"expected {len(SURFACE_HEADER)} fields, got {row!r}")
-        t, horizon, level, share, n = row
-        t = int(t)
+    with read_table(source, SURFACE_HEADER) as (path, rows):
+        for line, (t, horizon, level, share, n) in rows:
+            try:
+                t = parse_number(t, int)
+                if base_age is None:
+                    base_age = t
+                elif t != base_age:
+                    raise ValueError("surface rows mix base ages")
+                i, p = parse_number(horizon, int), parse_number(level)
+                levels.add(p)
+                values[(i, p)] = parse_number(share)
+                counts[i] = parse_number(n, int)
+            except ValueError as exc:
+                raise ParseError(str(exc), line=line, path=path) from None
+    try:
         if base_age is None:
-            base_age = t
-        elif t != base_age:
-            raise ValueError("surface rows mix base ages")
-        i, p = int(horizon), float(level)
-        levels.add(p)
-        values[(i, p)] = float(share)
-        counts[i] = int(n)
-    if base_age is None:
-        raise ValueError("no surface rows")
-    return ShareSurface(base_age, tuple(sorted(levels)), values, counts)
-
-
-def parse_surface_csv(source: Union[str, Path, TextIO]) -> ShareSurface:
-    with read_csv(source) as (_, reader):
-        rows = list(reader)
-    if not rows or tuple(rows[0]) != SURFACE_HEADER:
-        raise ValueError(f"bad surface header, expected {','.join(SURFACE_HEADER)}")
-    return surface_rows_to_surface(rows[1:])
+            raise ValueError("no surface rows")
+        return ShareSurface(base_age, tuple(sorted(levels)), values, counts)
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from None
 
 
 def surface_to_json_dict(surface: ShareSurface) -> dict:
@@ -229,7 +223,10 @@ def surface_from_json_dict(data: dict) -> ShareSurface:
 def load_surface(path: Union[str, Path]) -> ShareSurface:
     """Load a surface from .json (lossless) or .csv (display precision)."""
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        with open(path, "r", encoding="utf-8") as handle:
-            return surface_from_json_dict(json.load(handle))
-    return parse_surface_csv(path)
+    if path.suffix.lower() != ".json":
+        return parse_surface_csv(path)
+    data = read_json(path)
+    try:
+        return surface_from_json_dict(data)
+    except ValueError as exc:
+        raise ParseError(str(exc), path=str(path)) from None

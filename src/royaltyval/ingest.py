@@ -12,18 +12,16 @@ reproducible.
 
 from __future__ import annotations
 
-import csv
-import itertools
 import math
 import re
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO, Union
+from typing import Iterable, Mapping, Sequence
 
+from ._io import ParseError, Source, parse_number, read_table, write_csv
 from .model import AnnualSeries, Asset
 
 CASHFLOWS_HEADER = ("asset_id", "period_start", "period_months", "amount")
@@ -38,7 +36,6 @@ DEFAULT_AGE_TOLERANCE = 0.30
 _AMOUNT_RE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]{1,2}))?")
 _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
-Source = Union[str, Path, TextIO]
 # One cashflow: (month_index, period_months, cents).
 Record = tuple[int, int, int]
 
@@ -61,25 +58,10 @@ __all__ = [
     "parse_assets",
     "parse_cashflows",
     "parse_number",
-    "read_csv",
     "write_assets_csv",
     "write_cashflows_csv",
     "write_filter_report_csv",
 ]
-
-
-class ParseError(ValueError):
-    """Malformed input; carries the 1-based line number when known."""
-
-    def __init__(self, message: str, *, line: int | None = None, path: str | None = None):
-        prefix = ""
-        if path is not None:
-            prefix += f"{path}:"
-        if line is not None:
-            prefix += f"line {line}: "
-        super().__init__(prefix + message)
-        self.line = line
-        self.path = path
 
 
 class RejectReason(str, Enum):
@@ -143,55 +125,6 @@ class RawAsset:
 # Parsing
 # ---------------------------------------------------------------------------
 
-@contextmanager
-def read_csv(source: Source) -> Iterator[tuple[str | None, Iterator[list[str]]]]:
-    """(path, rows) of a CSV file or open stream; a file opened here is
-    closed when the block exits.
-
-    A row the csv module cannot read, such as one with a field over its
-    size limit, raises ParseError at that row's line, counting the header
-    as line 1 as every reader's errors do.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-            yield str(source), _csv_rows(handle, str(source))
-    else:
-        path = getattr(source, "name", None)
-        yield path, _csv_rows(source, path)
-
-
-def _csv_rows(handle: TextIO, path: str | None) -> Iterator[list[str]]:
-    reader = csv.reader(handle)
-    for line in itertools.count(1):
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise ParseError(str(exc), line=line, path=path) from None
-        yield row
-
-
-def _check_header(row: list[str] | None, expected: tuple[str, ...], path: str | None):
-    if row is None:
-        raise ParseError("file is empty, expected a header row", line=1, path=path)
-    if tuple(field.strip() for field in row) != expected:
-        raise ParseError(
-            f"bad header {row!r}, expected {','.join(expected)}", line=1, path=path
-        )
-
-
-def parse_number(text: str, kind: type = float):
-    """kind(text) for a number written in ASCII without underscores.
-
-    float() and int() also read non-ASCII digits (``٣`` is 3) and digit
-    group underscores (``1_0`` is 10); an input file should hold neither.
-    """
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"bad number {text!r} (ASCII digits only, no underscores)")
-    return kind(text)
-
-
 def parse_cashflows(source: Source) -> list[tuple[str, int, int, int]]:
     """Read cashflows.csv into (asset_id, month_index, period_months, cents)
     tuples; ordering preserved as read.
@@ -200,16 +133,12 @@ def parse_cashflows(source: Source) -> list[tuple[str, int, int, int]]:
     unknown frequencies, negative amounts, and duplicate
     (asset_id, period_start) pairs.
     """
-    with read_csv(source) as (path, rows):
-        _check_header(next(rows, None), CASHFLOWS_HEADER, path)
+    with read_table(source, CASHFLOWS_HEADER) as (path, rows):
         records: list[tuple[str, int, int, int]] = []
         seen: set[tuple[str, int]] = set()
         # every asset repeats the same months: check each distinct text once
         months_by_text: dict[str, int] = {}
-        for line, row in enumerate(rows, start=2):
-            if len(row) != len(CASHFLOWS_HEADER):
-                raise ParseError(f"expected 4 fields, got {len(row)}", line=line, path=path)
-            asset_id, start_text, months_text, amount_text = map(str.strip, row)
+        for line, (asset_id, start_text, months_text, amount_text) in rows:
             if not asset_id:
                 raise ParseError("empty asset_id", line=line, path=path)
             start = months_by_text.get(start_text)
@@ -258,13 +187,9 @@ def parse_cashflows(source: Source) -> list[tuple[str, int, int, int]]:
 
 def parse_assets(source: Source) -> dict[str, float]:
     """Read assets.csv into an asset_id -> dollar_age mapping."""
-    with read_csv(source) as (path, rows):
-        _check_header(next(rows, None), ASSETS_HEADER, path)
+    with read_table(source, ASSETS_HEADER) as (path, rows):
         ages: dict[str, float] = {}
-        for line, row in enumerate(rows, start=2):
-            if len(row) != len(ASSETS_HEADER):
-                raise ParseError(f"expected 2 fields, got {len(row)}", line=line, path=path)
-            asset_id, age_text = (f.strip() for f in row)
+        for line, (asset_id, age_text) in rows:
             if not asset_id:
                 raise ParseError("empty asset_id", line=line, path=path)
             if asset_id in ages:
@@ -488,20 +413,13 @@ def _apply_filters(
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequence[str]]):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_cashflows_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> None:
     rows = [
         (asset.asset_id, _month_text(start), str(months), _cents_text(cents))
         for asset in sorted(raw_assets, key=lambda a: a.asset_id)
         for start, months, cents in asset.records
     ]
-    _write_csv(path, CASHFLOWS_HEADER, rows)
+    write_csv(path, CASHFLOWS_HEADER, rows)
 
 
 def write_assets_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> None:
@@ -509,7 +427,7 @@ def write_assets_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> None:
         (a.asset_id, f"{a.dollar_age:.6f}")
         for a in sorted(raw_assets, key=lambda a: a.asset_id)
     ]
-    _write_csv(path, ASSETS_HEADER, rows)
+    write_csv(path, ASSETS_HEADER, rows)
 
 
 def write_filter_report_csv(path: str | Path, report: FilterReport) -> None:
@@ -517,4 +435,4 @@ def write_filter_report_csv(path: str | Path, report: FilterReport) -> None:
         (d.asset_id, d.status, d.reason.value if d.reason else "")
         for d in report.decisions
     ]
-    _write_csv(path, REPORT_HEADER, rows)
+    write_csv(path, REPORT_HEADER, rows)

@@ -8,14 +8,13 @@ quote's age and contract duration.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO, Union
+from typing import Iterable, Mapping, Sequence, Union
 
-from .ingest import ParseError, parse_number, read_csv
+from ._io import ParseError, Source, parse_number, read_table, write_csv
 from .model import MissingCellError, MultiplierTable, ShareSurface, multiplier_table
 
 QUOTES_HEADER = ("asset_id", "ltm", "best_bid", "ask", "duration_years", "dollar_age")
@@ -287,23 +286,11 @@ def aggregate_plot_data(
 # Serialization
 # ---------------------------------------------------------------------------
 
-def parse_quotes(source: Union[str, Path, TextIO]) -> list[MarketQuote]:
+def parse_quotes(source: Source) -> list[MarketQuote]:
     """Read quotes.csv; an empty best_bid field means no bid was posted."""
-    with read_csv(source) as (path, reader):
-        header = next(reader, None)
-        if header is None or tuple(f.strip() for f in header) != QUOTES_HEADER:
-            raise ParseError(
-                f"bad header, expected {','.join(QUOTES_HEADER)}", line=1, path=path
-            )
+    with read_table(source, QUOTES_HEADER) as (path, rows):
         quotes = []
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(QUOTES_HEADER):
-                raise ParseError(
-                    f"expected {len(QUOTES_HEADER)} fields, got {len(row)}",
-                    line=line,
-                    path=path,
-                )
-            asset_id, ltm, bid, ask, duration, age = (f.strip() for f in row)
+        for line, (asset_id, ltm, bid, ask, duration, age) in rows:
             try:
                 quotes.append(
                     MarketQuote(
@@ -322,22 +309,18 @@ def parse_quotes(source: Union[str, Path, TextIO]) -> list[MarketQuote]:
 
 def write_quotes_csv(path: Union[str, Path], quotes: Iterable[MarketQuote]) -> None:
     """Write quotes with full-precision prices (repr round-trips floats)."""
-    rows = []
-    for q in sorted(quotes, key=lambda q: q.asset_id):
-        rows.append(
-            (
-                q.asset_id,
-                repr(q.ltm),
-                "" if q.best_bid is None else repr(q.best_bid),
-                repr(q.ask),
-                str(q.duration_years),
-                repr(q.dollar_age),
-            )
+    rows = [
+        (
+            q.asset_id,
+            repr(q.ltm),
+            "" if q.best_bid is None else repr(q.best_bid),
+            repr(q.ask),
+            str(q.duration_years),
+            repr(q.dollar_age),
         )
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(QUOTES_HEADER)
-        writer.writerows(rows)
+        for q in sorted(quotes, key=lambda q: q.asset_id)
+    ]
+    write_csv(path, QUOTES_HEADER, rows)
 
 
 def comparison_csv_rows(rows: Sequence[ComparisonRow]) -> list[tuple[str, ...]]:

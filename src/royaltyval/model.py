@@ -124,7 +124,7 @@ class ShareSurface:
             raise ValueError("levels must be strictly increasing")
 
         horizons = sorted(self.counts)
-        if horizons and horizons != list(range(1, horizons[-1] + 1)):
+        if horizons != list(range(1, len(horizons) + 1)):
             raise ValueError("counts must cover horizons 1..H contiguously")
         prev = None
         for i in horizons:

@@ -19,10 +19,11 @@ from decimal import Decimal
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
+from ._io import json_number
 from .curves import DEFAULT_MIN_COHORT, build_surfaces
 from .ingest import RawAsset
 from .market import BAND_LEVELS, MarketQuote, round_half_up
-from .model import Asset, multiplier_table
+from .model import Asset, MultiplierTable, multiplier_table
 
 START_MONTH = 2015 * 12  # month index of 2015-01
 
@@ -95,12 +96,10 @@ class PopulationSpec:
         if unknown:
             raise ValueError(f"unknown population spec keys: {sorted(unknown)}")
         try:
-            seed = int(data["seed"])
+            seed = json_number("seed", data["seed"], integral=True)
             raw_groups = data["groups"]
         except KeyError as exc:
             raise ValueError(f"population spec missing {exc.args[0]!r}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"seed: {exc}") from None
         if not isinstance(raw_groups, list) or not raw_groups:
             raise ValueError("groups must be a non-empty list")
         groups = []
@@ -115,16 +114,9 @@ class PopulationSpec:
             if missing:
                 raise ValueError(f"groups[{idx}]: missing keys {sorted(missing)}")
             try:
-                groups.append(
-                    GroupSpec(
-                        count=int(g["count"]),
-                        annual_growth=float(g["annual_growth"]),
-                        noise_sigma=float(g["noise_sigma"]),
-                        age_years=int(g["age_years"]),
-                        initial_revenue=float(g["initial_revenue"]),
-                    )
-                )
-            except (TypeError, ValueError, OverflowError) as exc:
+                values = {k: json_number(k, g[k], k in ("count", "age_years")) for k in g}
+                groups.append(GroupSpec(**values))
+            except ValueError as exc:
                 raise ValueError(f"groups[{idx}]: {exc}") from None
         return cls(tuple(groups), seed)
 
@@ -196,11 +188,15 @@ def gen_asset(
     month = start
     for k in range(1, spec.age_years + 1):
         eps = _normal(rng, spec.noise_sigma) if spec.noise_sigma > 0 else 0.0
-        level = spec.initial_revenue * (1.0 + spec.annual_growth) ** (k - 1)
-        if eps:
-            level *= math.exp(eps)
-        for cents in _split_cents(round(level * 100)):
-            records.append((month, 1, cents))
+        try:
+            level = spec.initial_revenue * (1.0 + spec.annual_growth) ** (k - 1)
+            if eps:
+                level *= math.exp(eps)
+            cents = round(level * 100)
+        except OverflowError:
+            raise ValueError(f"{asset_id}: revenue in year {k} is too large") from None
+        for part in _split_cents(cents):
+            records.append((month, 1, part))
             month += 1
     return RawAsset(asset_id, float(spec.age_years), tuple(records))
 
@@ -209,17 +205,20 @@ def gen_population(spec: PopulationSpec) -> list[RawAsset]:
     """All groups' assets, ids G<group>A<index>, each from its own stream."""
     assets = []
     for gi, group in enumerate(spec.groups):
-        for ai in range(group.count):
-            assets.append(
-                gen_asset(
-                    seed=derive_seed(spec.seed, "asset", gi, ai),
-                    age_years=group.age_years,
-                    initial_revenue=group.initial_revenue,
-                    annual_growth=group.annual_growth,
-                    noise_sigma=group.noise_sigma,
-                    asset_id=f"G{gi:02d}A{ai:03d}",
+        try:
+            for ai in range(group.count):
+                assets.append(
+                    gen_asset(
+                        seed=derive_seed(spec.seed, "asset", gi, ai),
+                        age_years=group.age_years,
+                        initial_revenue=group.initial_revenue,
+                        annual_growth=group.annual_growth,
+                        noise_sigma=group.noise_sigma,
+                        asset_id=f"G{gi:02d}A{ai:03d}",
+                    )
                 )
-            )
+        except ValueError as exc:
+            raise ValueError(f"groups[{gi}]: {exc}") from None
     return assets
 
 
@@ -275,6 +274,7 @@ def gen_quotes(
         min_cohort=min_cohort,
     )
 
+    tables: dict[tuple[int, int], MultiplierTable] = {}
     quotes = []
     for asset in assets:
         t = round_half_up(asset.dollar_age)
@@ -286,7 +286,9 @@ def gen_quotes(
             continue
         rng = _stream(seed, "quote", asset.asset_id)
         duration = rng.randint(1, min(max_duration, celled[-1]))
-        table = multiplier_table(surface, rate, duration)
+        table = tables.get((t, duration))
+        if table is None:
+            table = tables[(t, duration)] = multiplier_table(surface, rate, duration)
         ltm = float(asset.series.last_year)
         bid_mult = table.entry(duration, bid_level)
         ask_mult = table.entry(duration, ask_level)

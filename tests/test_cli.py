@@ -41,6 +41,9 @@ def flat_population_files(tmp_path, count=5, age=6):
     return cashflows, assets
 
 
+SURFACE_CSV_HEADER = "base_age,horizon,level,share,cohort_size\n"
+
+
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
@@ -319,14 +322,44 @@ class TestValue:
         surface.write_text(json.dumps(payload))
         code = main(["value", "--surface", str(surface), "--ltm", "1", "--duration", "2"])
         assert code == 1
-        assert capsys.readouterr().err == f"error: bad surface JSON: {message}\n"
+        assert capsys.readouterr().err == f"error: {surface}: bad surface JSON: {message}\n"
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("", "line 1: file is empty, expected a header row"),
+            (
+                "base_age,horizon,level,share\n",
+                "line 1: bad header ['base_age', 'horizon', 'level', 'share'], "
+                "expected base_age,horizon,level,share,cohort_size",
+            ),
+            (SURFACE_CSV_HEADER + "1,1,10,1.0\n", "line 2: expected 5 fields, got 4"),
+            (SURFACE_CSV_HEADER + "1,1,10,x,5\n", "line 2: could not convert string to float: 'x'"),
+            (
+                SURFACE_CSV_HEADER + "1,1,10,0.\u0665,5\n",
+                "line 2: bad number '0.\u0665' (ASCII digits only, no underscores)",
+            ),
+            (SURFACE_CSV_HEADER + "1,1,10,1.0,5\n2,1,10,1.0,5\n", "line 3: surface rows mix base ages"),
+            (
+                SURFACE_CSV_HEADER + "1,10000000000,10,1.0,5\n",
+                " counts must cover horizons 1..H contiguously",
+            ),
+        ],
+        ids=["empty", "header", "fields", "number", "arabic_digit", "mixed_ages", "huge_horizon"],
+    )
+    def test_malformed_surface_csv_exits_one(self, tmp_path, capsys, body, message):
+        surface = tmp_path / "surface.csv"
+        surface.write_text(body, encoding="utf-8")
+        code = main(["value", "--surface", str(surface), "--ltm", "1", "--duration", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {surface}:{message}\n"
 
     def test_non_object_surface_json_exits_one(self, tmp_path, capsys):
         surface = tmp_path / "surface.json"
         surface.write_text("[1, 2]")
         code = main(["value", "--surface", str(surface), "--ltm", "1", "--duration", "2"])
         assert code == 1
-        assert capsys.readouterr().err == "error: bad surface JSON: expected an object\n"
+        assert capsys.readouterr().err == f"error: {surface}: bad surface JSON: expected an object\n"
 
 
 class TestCompare:
@@ -457,13 +490,25 @@ class TestSynthCommand:
     @pytest.mark.parametrize(
         "change,message",
         [
-            ({"seed": None}, "seed: int() argument must be a string, a bytes-like object "
-             "or a real number, not 'NoneType'"),
-            ({"count": [1]}, "groups[0]: int() argument must be a string, a bytes-like object "
-             "or a real number, not 'list'"),
-            ({"age_years": float("inf")}, "groups[0]: cannot convert float infinity to integer"),
+            ({"seed": None}, "seed must be an integer, got None"),
+            ({"count": [1]}, "groups[0]: count must be an integer, got [1]"),
+            ({"age_years": float("inf")}, "groups[0]: age_years must be an integer, got inf"),
+            ({"count": 2.7}, "groups[0]: count must be an integer, got 2.7"),
+            ({"age_years": 3.9}, "groups[0]: age_years must be an integer, got 3.9"),
+            ({"count": "3"}, "groups[0]: count must be an integer, got '3'"),
+            ({"count": True}, "groups[0]: count must be an integer, got True"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"initial_revenue": float("inf")}, "groups[0]: initial_revenue must be finite, got inf"),
+            ({"initial_revenue": 1e307},
+             "groups[0]: G00A000: revenue in year 1 is too large"),
+            ({"annual_growth": 1e300}, "groups[0]: G00A000: revenue in year 3 is too large"),
+            ({"noise_sigma": 1e6}, "groups[0]: G00A000: revenue in year 1 is too large"),
         ],
-        ids=["seed_null", "count_list", "age_inf"],
+        ids=[
+            "seed_null", "count_list", "age_inf", "count_fraction", "age_fraction", "count_string",
+            "count_bool", "seed_fraction", "revenue_inf", "revenue_1e307", "growth_1e300",
+            "sigma_1e6",
+        ],
     )
     def test_wrong_spec_value_type_exits_one(self, tmp_path, capsys, change, message):
         group = {"count": 1, "annual_growth": 0, "noise_sigma": 0, "age_years": 3, "initial_revenue": 10}
@@ -539,6 +584,8 @@ class TestConfigPrecedence:
             ({"percentile_levels": 50}, "percentile_levels must be a list of numbers"),
             ({"output_format": 1}, "output_format must be a string, got 1"),
             ({"percentile_levels": [50, 10, 50.0]}, "percentile_levels must be unique"),
+            ({"rate": float("inf")}, "rate must be finite, got inf"),
+            ({"zero_floor": float("nan")}, "zero_floor must be finite, got nan"),
         ],
     )
     def test_wrong_config_value_type_exits_one(self, tmp_path, capsys, config, message):
@@ -556,6 +603,11 @@ class TestConfigPrecedence:
         config.write_text(json.dumps({"max_duration": 4.0}))
         loaded = load_config_file(config)
         assert loaded == {"max_duration": 4} and type(loaded["max_duration"]) is int
+
+    def test_config_may_start_with_bom(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"rate": 0.2}).encode())
+        assert load_config_file(config) == {"rate": 0.2}
 
     def test_defaults(self):
         cfg = Config()
@@ -606,3 +658,39 @@ class TestHelp:
         assert exc.value.code == 0
         options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
         assert options == self.OPTIONS[command]
+
+
+@pytest.mark.parametrize(
+    "kind", ["cashflows", "assets", "quotes", "surface_csv", "surface_json", "config", "spec"]
+)
+def test_non_utf8_input_exits_one_with_line(tmp_path, capsys, kind):
+    cashflows, assets = flat_population_files(tmp_path)
+    paths = {"cashflows": cashflows, "assets": assets}
+    texts = {
+        "quotes": "asset_id,ltm,best_bid,ask,duration_years,dollar_age\nQ,1,1,2,1,1.0\nR,1,1,2,1,1.0\n",
+        "surface_csv": SURFACE_CSV_HEADER + "1,1,50,1.0,5\n1,2,50,1.0,5\n",
+        "surface_json": json.dumps(json.loads(write_flat_surface(tmp_path / "s.json").read_text()), indent=1),
+        "config": json.dumps({"rate": 0.1, "min_cohort": 5}, indent=1),
+        "spec": json.dumps({"seed": 1, "groups": []}, indent=1),
+    }
+    for name, text in texts.items():
+        suffix = ".json" if name in ("surface_json", "config", "spec") else ".csv"
+        paths[name] = tmp_path / f"{name}{suffix}"
+        paths[name].write_text(text)
+    lines = paths[kind].read_bytes().split(b"\n")
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+    paths[kind].write_bytes(b"\n".join(lines))
+    commands = {
+        "surface_csv": ["value", "--surface", str(paths["surface_csv"]), "--ltm", "1", "--duration", "1"],
+        "surface_json": ["value", "--surface", str(paths["surface_json"]), "--ltm", "1", "--duration", "1"],
+        "config": ["--config", str(paths["config"]), "validate", "--cashflows", str(cashflows),
+                   "--assets", str(assets)],
+        "spec": ["synth", "--spec", str(paths["spec"])],
+    }
+    argv = commands.get(kind, ["compare", "--cashflows", str(cashflows), "--assets", str(assets),
+                               "--quotes", str(paths["quotes"])])
+    code = main(["--out", str(tmp_path / "out"), *argv])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {paths[kind]}:line 3: not UTF-8: b'\\xff' (invalid start byte)\n"
+    )
