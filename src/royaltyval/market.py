@@ -309,17 +309,18 @@ def parse_quotes(source: Source) -> list[MarketQuote]:
 
 def write_quotes_csv(path: Union[str, Path], quotes: Iterable[MarketQuote]) -> None:
     """Write quotes with full-precision prices (repr round-trips floats)."""
-    rows = [
-        (
-            q.asset_id,
-            repr(q.ltm),
-            "" if q.best_bid is None else repr(q.best_bid),
-            repr(q.ask),
-            str(q.duration_years),
-            repr(q.dollar_age),
+    rows = []
+    for q in sorted(quotes, key=lambda q: q.asset_id):
+        rows.append(
+            (
+                q.asset_id,
+                repr(q.ltm),
+                "" if q.best_bid is None else repr(q.best_bid),
+                repr(q.ask),
+                str(q.duration_years),
+                repr(q.dollar_age),
+            )
         )
-        for q in sorted(quotes, key=lambda q: q.asset_id)
-    ]
     write_csv(path, QUOTES_HEADER, rows)
 
 
