@@ -604,6 +604,12 @@ class TestConfigPrecedence:
         loaded = load_config_file(config)
         assert loaded == {"max_duration": 4} and type(loaded["max_duration"]) is int
 
+    def test_nan_rate_flag_exits_one(self, tmp_path, capsys):
+        surface = write_flat_surface(tmp_path / "surface.json")
+        code = main(["value", "--surface", str(surface), "--ltm", "1", "--duration", "2", "--rate", "nan"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: rate must be finite and >= 0\n"
+
     def test_config_may_start_with_bom(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"rate": 0.2}).encode())
