@@ -98,8 +98,10 @@ def _table_rows(
     handle: TextIO, path: str | None, header: tuple[str, ...]
 ) -> Iterator[tuple[int, Iterator[str]]]:
     reader = csv.reader(handle)
+    line = 0  # the line of the last row read
     try:
         first = next(reader, None)
+        line = 1
         if first is None:
             raise ParseError("file is empty, expected a header row", line=1, path=path)
         if tuple(map(str.strip, first)) != header:
@@ -112,7 +114,7 @@ def _table_rows(
                 raise ParseError(f"expected {width} fields, got {len(row)}", line=line, path=path)
             yield line, map(str.strip, row)
     except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num, path=path) from None
+        raise ParseError(str(exc), line=line + 1, path=path) from None
     except UnicodeDecodeError as exc:
         raise _not_utf8(exc, path) from None
 

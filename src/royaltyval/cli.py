@@ -39,17 +39,14 @@ class Config:
     output_format: str = "csv"
 
     def __post_init__(self):
-        if not 0 <= self.rate < math.inf:
-            raise ValueError("rate must be finite and >= 0")
+        for name in ("rate", "dollar_age_tolerance", "zero_floor"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if not self.percentile_levels:
             raise ValueError("percentile_levels must be non-empty")
         for p in self.percentile_levels:
             if not 0.0 < p < 100.0:
                 raise ValueError(f"percentile level {p!r} outside (0, 100)")
-        if not 0 <= self.dollar_age_tolerance < math.inf:
-            raise ValueError("dollar_age_tolerance must be finite and >= 0")
-        if not 0 <= self.zero_floor < math.inf:
-            raise ValueError("zero_floor must be finite and >= 0")
         if self.min_cohort < 1:
             raise ValueError("min_cohort must be >= 1")
         if self.max_duration < 1:
@@ -84,8 +81,10 @@ def load_config_file(path: str | Path) -> dict:
         for key, value in data.items():
             if key == "percentile_levels":
                 try:
+                    if not isinstance(value, list):
+                        raise ValueError
                     levels = tuple(sorted(float(json_number(key, p)) for p in value))
-                except (TypeError, ValueError):  # TypeError: not a list
+                except ValueError:
                     raise ValueError("percentile_levels must be a list of numbers") from None
                 if len(set(levels)) != len(levels):
                     raise ValueError("percentile_levels must be unique")

@@ -586,6 +586,8 @@ class TestConfigPrecedence:
             ({"percentile_levels": [50, 10, 50.0]}, "percentile_levels must be unique"),
             ({"rate": float("inf")}, "rate must be finite, got inf"),
             ({"zero_floor": float("nan")}, "zero_floor must be finite, got nan"),
+            ({"percentile_levels": ""}, "percentile_levels must be a list of numbers"),
+            ({"percentile_levels": {}}, "percentile_levels must be a list of numbers"),
         ],
     )
     def test_wrong_config_value_type_exits_one(self, tmp_path, capsys, config, message):

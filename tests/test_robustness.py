@@ -101,7 +101,7 @@ def test_arbitrary_bytes_in_input(valid_inputs, kind, at, drop, junk):
 
 
 def small_if_integral(value) -> bool:
-    """False for a number that would pass as a count or age above 12."""
+    """False for a number that would pass as a count, age or duration above 12."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return True
     return not (math.isfinite(value) and float(value).is_integer() and abs(value) > 12)
@@ -133,6 +133,8 @@ def test_spec_value_swapped(valid_inputs, key, value):
 @given(key=st.sampled_from(sorted(CONFIG) + ["dollar_age_tolerance", "zero_floor"]), value=JSON_VALUES)
 @FUZZ
 def test_config_value_swapped(valid_inputs, key, value):
+    # a large max_duration is valid but allocates cohorts for every horizon
+    assume(key != "max_duration" or small_if_integral(value))
     files = {"config": json.dumps({**CONFIG, key: value}).encode()}
     files.update((k, v) for k, v in valid_inputs.items() if k not in files)
     assert run(files) in (0, 1, 2)
