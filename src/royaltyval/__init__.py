@@ -24,7 +24,6 @@ from .market import (
     implied_multipliers,
 )
 from .model import (
-    AnnualSeries,
     Asset,
     MultiplierTable,
     ShareSurface,

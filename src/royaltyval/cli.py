@@ -51,6 +51,10 @@ class Config:
             raise ValueError("min_cohort must be >= 1")
         if self.max_duration < 1:
             raise ValueError("max_duration must be >= 1")
+        # Copyright runs for the author's life plus 70 years, so no contract
+        # is longer; the bound also caps the per-horizon cohort lists.
+        if self.max_duration > 1000:
+            raise ValueError("max_duration must be <= 1000")
         if not 0.0 <= self.min_bid_ask_ratio <= 1.0:
             raise ValueError("min_bid_ask_ratio must be in [0, 1]")
         if self.output_format not in ("csv", "json"):
@@ -94,6 +98,7 @@ def load_config_file(path: str | Path) -> dict:
                     raise ValueError(f"output_format must be a string, got {value!r}")
             else:
                 data[key] = json_number(key, value, key in ("min_cohort", "max_duration"))
+        Config(**data)  # the range checks, so their errors name this file too
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return data
@@ -129,7 +134,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def _load_dataset(args, cfg: Config):
     records = ingest.parse_cashflows(args.cashflows)
     ages = ingest.parse_assets(args.assets)
-    raw = ingest.assemble_raw_assets(records, ages)
+    try:
+        raw = ingest.assemble_raw_assets(records, ages)
+    except ValueError as exc:  # the two files disagree: name both
+        raise ValueError(f"{args.cashflows}, {args.assets}: {exc}") from None
     return ingest.build_dataset(
         raw,
         zero_floor=cfg.zero_floor,

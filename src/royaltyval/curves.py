@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from ._io import ParseError, Source, parse_number, read_json, read_table
+from ._io import ParseError, Source, json_number, parse_number, read_json, read_table
 from .model import Asset, ShareSurface
 
 DEFAULT_LEVELS = (10.0, 50.0, 90.0)
@@ -47,11 +47,9 @@ def observed_share(asset: Asset, base_age: int, horizon: int) -> float | None:
     target = base_age + horizon
     if asset.dollar_age < target:
         return None
-    if len(asset.series) < target:
+    if len(asset.amounts) < target:
         return None
-    base = float(asset.series.amount_in_year(base_age))
-    later = float(asset.series.amount_in_year(target))
-    return later / base
+    return float(asset.amounts[target - 1]) / float(asset.amounts[base_age - 1])
 
 
 def percentile(values: Sequence[float], level: float) -> float:
@@ -200,6 +198,9 @@ def surface_to_json_dict(surface: ShareSurface) -> dict:
 
 
 def surface_from_json_dict(data: dict) -> ShareSurface:
+    """Inverse of surface_to_json_dict. Every number must be a JSON number,
+    and base ages, horizons and counts whole ones; counts keys are
+    horizons written as decimal integers."""
     if not isinstance(data, dict):
         raise ValueError("bad surface JSON: expected an object")
     if not isinstance(data.get("counts"), dict):
@@ -208,14 +209,20 @@ def surface_from_json_dict(data: dict) -> ShareSurface:
     if not isinstance(cells, list) or not all(isinstance(cell, dict) for cell in cells):
         raise ValueError("bad surface JSON: cells must be a list of objects")
     try:
-        base_age = int(data["base_age"])
-        levels = tuple(float(p) for p in data["levels"])
-        counts = {int(i): int(n) for i, n in data["counts"].items()}
+        base_age = json_number("base_age", data["base_age"], integral=True)
+        levels = tuple(float(json_number("level", p)) for p in data["levels"])
+        counts = {
+            parse_number(i, int): json_number("count", n, integral=True)
+            for i, n in data["counts"].items()
+        }
         values = {
-            (int(cell["horizon"]), float(cell["level"])): float(cell["share"])
+            (
+                json_number("horizon", cell["horizon"], integral=True),
+                float(json_number("level", cell["level"])),
+            ): float(json_number("share", cell["share"]))
             for cell in cells
         }
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad surface JSON: {exc}") from None
     return ShareSurface(base_age, levels, values, counts)
 

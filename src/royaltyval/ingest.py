@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ._io import ParseError, Source, parse_number, read_table, write_csv
-from .model import AnnualSeries, Asset
+from .model import Amount, Asset
 
 CASHFLOWS_HEADER = ("asset_id", "period_start", "period_months", "amount")
 ASSETS_HEADER = ("asset_id", "dollar_age")
@@ -43,7 +43,6 @@ __all__ = [
     "ASSETS_HEADER",
     "CASHFLOWS_HEADER",
     "AnnualizeError",
-    "FilterDecision",
     "FilterReport",
     "ParseError",
     "RawAsset",
@@ -256,7 +255,7 @@ def oldest_cashflow_age(records: Sequence[Record]) -> float:
     return (last - first) / 12.0
 
 
-def annualize(asset_id: str, records: Sequence[Record]) -> AnnualSeries:
+def annualize(asset_id: str, records: Sequence[Record]) -> tuple[Decimal, ...]:
     """Sum gap-free monthly/quarterly records into whole song-age years.
 
     Buckets run forward from the first covered month: bucket k holds
@@ -290,16 +289,14 @@ def annualize(asset_id: str, records: Sequence[Record]) -> AnnualSeries:
             RejectReason.INSUFFICIENT_HISTORY,
             f"{asset_id}: only {total_months} months of coverage",
         )
-    return AnnualSeries(
-        asset_id, tuple(Decimal(c).scaleb(-2) for c in buckets[:complete_years])
-    )
+    return tuple(Decimal(c).scaleb(-2) for c in buckets[:complete_years])
 
 
-def filter_zero_years(series: AnnualSeries, zero_floor: float = DEFAULT_ZERO_FLOOR) -> bool:
+def filter_zero_years(amounts: Sequence[Amount], zero_floor: float = DEFAULT_ZERO_FLOOR) -> bool:
     """Accept unless any annual amount is at or below the floor."""
     if zero_floor < 0:
         raise ValueError("zero_floor must be >= 0")
-    return all(amount > zero_floor for amount in series.amounts)
+    return all(amount > zero_floor for amount in amounts)
 
 
 def filter_dollar_age(
@@ -319,36 +316,26 @@ def filter_dollar_age(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FilterDecision:
-    asset_id: str
-    accepted: bool
-    reason: RejectReason | None
-
-    @property
-    def status(self) -> str:
-        return "accepted" if self.accepted else "rejected"
-
-
-@dataclass(frozen=True)
 class FilterReport:
-    """Per-asset accept/reject outcomes, one entry per input asset."""
+    """Per-asset outcomes, one entry per input asset in asset-id order:
+    the rejection reason, or None for an accepted asset."""
 
-    decisions: tuple[FilterDecision, ...]
+    reasons: Mapping[str, RejectReason | None]
 
     @property
     def total(self) -> int:
-        return len(self.decisions)
+        return len(self.reasons)
 
     @property
     def accepted_count(self) -> int:
-        return sum(1 for d in self.decisions if d.accepted)
+        return sum(1 for reason in self.reasons.values() if reason is None)
 
     @property
     def rejected_count(self) -> int:
         return self.total - self.accepted_count
 
     def reason_counts(self) -> dict[RejectReason, int]:
-        counts = Counter(d.reason for d in self.decisions if d.reason is not None)
+        counts = Counter(self.reasons.values())
         return {reason: counts.get(reason, 0) for reason in RejectReason}
 
     def summary(self) -> dict:
@@ -381,32 +368,30 @@ def build_dataset(
         raise ValueError("duplicate asset_id in raw assets")
 
     accepted: list[Asset] = []
-    decisions: list[FilterDecision] = []
+    reasons: dict[str, RejectReason | None] = {}
     for raw in ordered:
-        series, reason = _apply_filters(raw, zero_floor, dollar_age_tolerance)
+        amounts, reason = _apply_filters(raw, zero_floor, dollar_age_tolerance)
         if reason is None:
-            accepted.append(Asset(raw.asset_id, raw.dollar_age, series))
-            decisions.append(FilterDecision(raw.asset_id, True, None))
-        else:
-            decisions.append(FilterDecision(raw.asset_id, False, reason))
-    return accepted, FilterReport(tuple(decisions))
+            accepted.append(Asset(raw.asset_id, raw.dollar_age, amounts))
+        reasons[raw.asset_id] = reason
+    return accepted, FilterReport(reasons)
 
 
 def _apply_filters(
     raw: RawAsset, zero_floor: float, tolerance: float
-) -> tuple[AnnualSeries | None, RejectReason | None]:
+) -> tuple[tuple[Decimal, ...] | None, RejectReason | None]:
     if any(cents < 0 for _, _, cents in raw.records):
         return None, RejectReason.NEGATIVE_AMOUNT
     try:
-        series = annualize(raw.asset_id, raw.records)
+        amounts = annualize(raw.asset_id, raw.records)
     except AnnualizeError as exc:
         return None, exc.reason
-    if not filter_zero_years(series, zero_floor):
+    if not filter_zero_years(amounts, zero_floor):
         return None, RejectReason.ZERO_REVENUE_YEAR
     oldest = oldest_cashflow_age(raw.records)
     if not filter_dollar_age(raw.dollar_age, oldest, tolerance):
         return None, RejectReason.DOLLAR_AGE_MISMATCH
-    return series, None
+    return amounts, None
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +417,7 @@ def write_assets_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> None:
 
 def write_filter_report_csv(path: str | Path, report: FilterReport) -> None:
     rows = [
-        (d.asset_id, d.status, d.reason.value if d.reason else "")
-        for d in report.decisions
+        (asset_id, "accepted", "") if reason is None else (asset_id, "rejected", reason.value)
+        for asset_id, reason in report.reasons.items()
     ]
     write_csv(path, REPORT_HEADER, rows)

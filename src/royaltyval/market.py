@@ -173,7 +173,6 @@ def compare(
     quotes: Iterable[MarketQuote],
     surfaces_by_age: Mapping[int, ShareSurface],
     rate: float,
-    rounding=round_half_up,
 ) -> tuple[list[ComparisonRow], list[ComparisonError]]:
     """Line each quote up against the model band at its age and duration.
 
@@ -191,7 +190,7 @@ def compare(
         if not available:
             errors.append(ComparisonError(quote.asset_id, "no surfaces available"))
             continue
-        t = rounding(quote.dollar_age)
+        t = round_half_up(quote.dollar_age)
         t = min(max(t, available[0]), available[-1])
         surface = surfaces_by_age.get(t)
         if surface is None:
@@ -287,10 +286,17 @@ def aggregate_plot_data(
 # ---------------------------------------------------------------------------
 
 def parse_quotes(source: Source) -> list[MarketQuote]:
-    """Read quotes.csv; an empty best_bid field means no bid was posted."""
+    """Read quotes.csv; an empty best_bid field means no bid was posted.
+    Each asset_id names one quote."""
     with read_table(source, QUOTES_HEADER) as (path, rows):
         quotes = []
+        seen: set[str] = set()
         for line, (asset_id, ltm, bid, ask, duration, age) in rows:
+            if not asset_id:
+                raise ParseError("empty asset_id", line=line, path=path)
+            if asset_id in seen:
+                raise ParseError(f"duplicate quote {asset_id}", line=line, path=path)
+            seen.add(asset_id)
             try:
                 quotes.append(
                     MarketQuote(

@@ -17,7 +17,6 @@ Amount = Union[Decimal, float, int]
 
 __all__ = [
     "Amount",
-    "AnnualSeries",
     "Asset",
     "MissingCellError",
     "MultiplierTable",
@@ -51,50 +50,28 @@ def _is_finite(x: Amount) -> bool:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AnnualSeries:
-    """Annual revenue of one asset; index k (1-based) is its k-th year of life.
+class Asset:
+    """An accepted catalog item: identifier, dollar age, annual revenue.
 
-    Ingestion produces exact Decimal amounts; synthetic or test data may use
-    floats. Series attached to accepted assets contain strictly positive
-    amounts (zero-revenue years knock the whole asset out upstream).
+    ``amounts[k-1]`` is the revenue in the asset's k-th year of life, so
+    ``amounts[-1]`` is its most recent complete year (the LTM figure).
+    Ingestion produces exact Decimal amounts; synthetic or test data may
+    use floats. Accepted assets carry strictly positive amounts
+    (zero-revenue years knock the whole asset out upstream).
     """
 
     asset_id: str
+    dollar_age: float
     amounts: tuple[Amount, ...]
 
     def __post_init__(self):
+        if not math.isfinite(self.dollar_age) or self.dollar_age <= 0:
+            raise ValueError(f"{self.asset_id}: dollar_age must be > 0")
         if len(self.amounts) < 1:
             raise ValueError(f"{self.asset_id}: annual series must be non-empty")
         for k, a in enumerate(self.amounts, start=1):
             if not _is_finite(a):
                 raise ValueError(f"{self.asset_id}: non-finite amount in year {k}")
-
-    def __len__(self) -> int:
-        return len(self.amounts)
-
-    def amount_in_year(self, age_year: int) -> Amount:
-        """Revenue during the asset's age_year-th year (1-based)."""
-        if not 1 <= age_year <= len(self.amounts):
-            raise ValueError(f"{self.asset_id}: no bucket for age year {age_year}")
-        return self.amounts[age_year - 1]
-
-    @property
-    def last_year(self) -> Amount:
-        """Most recent complete year of revenue (the LTM figure)."""
-        return self.amounts[-1]
-
-
-@dataclass(frozen=True)
-class Asset:
-    """An accepted catalog item: identifier, dollar age, annual cashflows."""
-
-    asset_id: str
-    dollar_age: float
-    series: AnnualSeries
-
-    def __post_init__(self):
-        if not math.isfinite(self.dollar_age) or self.dollar_age <= 0:
-            raise ValueError(f"{self.asset_id}: dollar_age must be > 0")
 
 
 @dataclass(frozen=True)
@@ -150,22 +127,9 @@ class ShareSurface:
             if any(a > b for a, b in zip(ordered, ordered[1:])):
                 raise ValueError(f"shares at horizon {i} not ordered by level")
 
-    @property
-    def max_horizon(self) -> int:
-        return max(self.counts, default=0)
-
     def cell_horizons(self) -> list[int]:
         """Horizons that received cells, ascending (always a prefix 1..K)."""
         return sorted({i for i, _ in self.values})
-
-    def has_cell(self, horizon: int, level: float) -> bool:
-        return (horizon, float(level)) in self.values
-
-    def share(self, horizon: int, level: float) -> float:
-        try:
-            return self.values[(horizon, float(level))]
-        except KeyError:
-            raise MissingCellError(horizon, float(level)) from None
 
 
 @dataclass(frozen=True)
@@ -270,7 +234,7 @@ def multiplier_table(
         raise ValueError("max_duration must be >= 1")
     for i in range(1, max_duration + 1):
         for p in surface.levels:
-            if not surface.has_cell(i, p):
+            if (i, p) not in surface.values:
                 raise MissingCellError(i, p)
 
     entries: dict[tuple[int, float], float] = {}

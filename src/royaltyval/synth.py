@@ -289,7 +289,7 @@ def gen_quotes(
         table = tables.get((t, duration))
         if table is None:
             table = tables[(t, duration)] = multiplier_table(surface, rate, duration)
-        ltm = float(asset.series.last_year)
+        ltm = float(asset.amounts[-1])
         bid_mult = table.entry(duration, bid_level)
         ask_mult = table.entry(duration, ask_level)
         bid = ltm * bid_mult * (1.0 + rng.uniform(-noise, noise))

@@ -306,4 +306,4 @@ def test_c9_annualization_conserves_revenue_exactly():
                 assert all(inside) or not any(inside)
                 if all(inside):
                     covered += Decimal(amount_cents).scaleb(-2)
-            assert sum(series.amounts) == covered
+            assert sum(series) == covered

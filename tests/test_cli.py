@@ -112,6 +112,22 @@ class TestValidate:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "asset_ids,message",
+        [
+            (["B"], "cashflows reference unknown assets: A"),
+            (["A", "B"], "assets have no cashflows: B"),
+        ],
+        ids=["unknown", "no_cashflows"],
+    )
+    def test_mismatched_files_exit_one_naming_both(self, tmp_path, capsys, asset_ids, message):
+        cashflows, assets = tmp_path / "cashflows.csv", tmp_path / "assets.csv"
+        cashflows.write_text("asset_id,period_start,period_months,amount\nA,2019-01,1,10.00\n")
+        assets.write_text("asset_id,dollar_age\n" + "".join(f"{i},1.0\n" for i in asset_ids))
+        code = main(["validate", "--cashflows", str(cashflows), "--assets", str(assets)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cashflows}, {assets}: {message}\n"
+
     @pytest.mark.parametrize("kind", ["cashflows", "assets", "quotes", "surface"])
     def test_oversized_field_exits_one_with_line(self, tmp_path, capsys, kind):
         big = "1" * 200_000
@@ -312,7 +328,12 @@ class TestValue:
             ({"counts": [1]}, "counts must be an object"),
             ({"cells": [1]}, "cells must be a list of objects"),
             ({"cells": {"horizon": 1}}, "cells must be a list of objects"),
-            ({"base_age": float("inf")}, "cannot convert float infinity to integer"),
+            ({"base_age": float("inf")}, "base_age must be an integer, got inf"),
+            (
+                {"cells": [{"horizon": 1, "level": 10.0, "share": "0.\u0665"}]},
+                "share must be a number, got '0.\u0665'",
+            ),
+            ({"base_age": "1"}, "base_age must be an integer, got '1'"),
         ],
     )
     def test_malformed_surface_json_exits_one(self, tmp_path, capsys, change, message):
@@ -426,6 +447,37 @@ class TestCompare:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ("Q1,100,,450,5,3.0\n,100,,450,5,3.0\n", "line 3: empty asset_id"),
+            (
+                "Q1,100,,450,5,3.0\nQ2,100,,450,5,3.0\nQ1,100,,450,5,3.0\n",
+                "line 4: duplicate quote Q1",
+            ),
+        ],
+        ids=["empty", "duplicate"],
+    )
+    def test_bad_quote_id_exits_one(self, tmp_path, capsys, rows, message):
+        cashflows, assets, _ = self._dataset_files(tmp_path)
+        quotes_path = tmp_path / "quotes.csv"
+        quotes_path.write_text("asset_id,ltm,best_bid,ask,duration_years,dollar_age\n" + rows)
+        code = main(
+            [
+                "--out",
+                str(tmp_path),
+                "compare",
+                "--cashflows",
+                str(cashflows),
+                "--assets",
+                str(assets),
+                "--quotes",
+                str(quotes_path),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {quotes_path}:{message}\n"
 
     def test_long_duration_quote_lands_in_rejections(self, tmp_path):
         cashflows, assets, dataset = self._dataset_files(tmp_path)
@@ -588,6 +640,7 @@ class TestConfigPrecedence:
             ({"zero_floor": float("nan")}, "zero_floor must be finite, got nan"),
             ({"percentile_levels": ""}, "percentile_levels must be a list of numbers"),
             ({"percentile_levels": {}}, "percentile_levels must be a list of numbers"),
+            ({"max_duration": 1001}, "max_duration must be <= 1000"),
         ],
     )
     def test_wrong_config_value_type_exits_one(self, tmp_path, capsys, config, message):

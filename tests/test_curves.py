@@ -15,7 +15,7 @@ from royaltyval.curves import (
     surface_from_json_dict,
     surface_to_json_dict,
 )
-from royaltyval.model import AnnualSeries, Asset
+from royaltyval.model import Asset
 
 
 def brute_force_percentile(values, level):
@@ -31,7 +31,7 @@ def brute_force_percentile(values, level):
 def asset(asset_id, amounts, dollar_age=None):
     if dollar_age is None:
         dollar_age = float(len(amounts))
-    return Asset(asset_id, dollar_age, AnnualSeries(asset_id, tuple(amounts)))
+    return Asset(asset_id, dollar_age, tuple(amounts))
 
 
 value_lists = st.lists(

@@ -1,11 +1,11 @@
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from royaltyval.model import (
-    AnnualSeries,
     Asset,
     MissingCellError,
     MultiplierTable,
@@ -223,24 +223,24 @@ class TestMultiplierTable:
 class TestDomainTypes:
     def test_annual_series_rejects_empty(self):
         with pytest.raises(ValueError):
-            AnnualSeries("A", ())
+            Asset("A", 1.0, ())
 
     def test_annual_series_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            AnnualSeries("A", (1.0, float("inf")))
+            Asset("A", 2.0, (1.0, float("inf")))
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_annual_series_rejects_non_finite_decimal(self, bad):
+        with pytest.raises(ValueError, match="non-finite amount in year 2"):
+            Asset("A", 2.0, (Decimal(1), Decimal(bad)))
+
+    def test_annual_series_accepts_decimal_beyond_float_range(self):
+        # math.isfinite(Decimal("1e400")) is False: the check must ask the Decimal
+        assert Asset("A", 1.0, (Decimal("1e400"),)).amounts == (Decimal("1e400"),)
 
     def test_asset_rejects_non_positive_age(self):
-        series = AnnualSeries("A", (1.0,))
         with pytest.raises(ValueError):
-            Asset("A", 0.0, series)
-
-    def test_series_accessors(self):
-        series = AnnualSeries("A", (10.0, 5.0, 2.5))
-        assert len(series) == 3
-        assert series.amount_in_year(2) == 5.0
-        assert series.last_year == 2.5
-        with pytest.raises(ValueError):
-            series.amount_in_year(4)
+            Asset("A", 0.0, (1.0,))
 
     def test_surface_rejects_unordered_levels(self):
         with pytest.raises(ValueError):

@@ -48,12 +48,12 @@ class TestMonthlySplit:
 class TestGenAsset:
     def test_flat_noise_free(self):
         asset = gen_asset(123, 3, 1200.0, 0.0, 0.0)
-        assert annualize(asset.asset_id, asset.records).amounts == (Decimal("1200.00"),) * 3
+        assert annualize(asset.asset_id, asset.records) == (Decimal("1200.00"),) * 3
         assert asset.dollar_age == 3.0
 
     def test_halving(self):
         asset = gen_asset(99, 3, 1200.0, -0.5, 0.0)
-        assert annualize(asset.asset_id, asset.records).amounts == (
+        assert annualize(asset.asset_id, asset.records) == (
             Decimal("1200.00"),
             Decimal("600.00"),
             Decimal("300.00"),
