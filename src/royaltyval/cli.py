@@ -132,10 +132,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _load_dataset(args, cfg: Config):
-    records = ingest.parse_cashflows(args.cashflows)
+    cashflows = ingest.parse_cashflows(args.cashflows)
     ages = ingest.parse_assets(args.assets)
     try:
-        raw = ingest.assemble_raw_assets(records, ages)
+        raw = ingest.assemble_raw_assets(cashflows, ages)
     except ValueError as exc:  # the two files disagree: name both
         raise ValueError(f"{args.cashflows}, {args.assets}: {exc}") from None
     return ingest.build_dataset(
@@ -247,9 +247,8 @@ def _cmd_value(args, cfg: Config) -> int:
     except MissingCellError as exc:
         _fail(str(exc))
         return 2
-    print("level,multiplier,price")
-    for p, mult in band:
-        print(f"{p:g},{mult:.6f},{price(mult, args.ltm):.2f}")
+    rows = [f"{p:g},{mult:.6f},{price(mult, args.ltm):.2f}" for p, mult in band]
+    print("\n".join(["level,multiplier,price", *rows]))
     return 0
 
 

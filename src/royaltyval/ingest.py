@@ -1,23 +1,28 @@
 """Cashflow ingestion: CSV parsing, annualization, and the acceptance filters.
 
-A cashflow record is a plain tuple of integers,
-``(month_index, period_months, cents)``, where ``month_index`` is
-``year * 12 + month - 1``. Amounts travel as integer cents through this
-module, so annual bucket sums conserve input revenue exactly; each bucket
-becomes a ``Decimal`` once, and conversion to binary floats happens
-downstream where shares are formed. Filtering applies a fixed check order
-per asset and the first failing check wins, which keeps rejection reports
-reproducible.
+An asset's cashflows are three integer columns of equal length, sorted by
+period start: ``starts`` (month index ``year * 12 + month - 1``),
+``months`` (the period length, 1 or 3) and ``cents``. Amounts travel as
+integer cents through this module, so annual bucket sums conserve input
+revenue exactly; each bucket becomes a ``Decimal`` once, and conversion to
+binary floats happens downstream where shares are formed. Filtering
+applies a fixed check order per asset and the first failing check wins,
+which keeps rejection reports reproducible.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from itertools import compress, islice
+from operator import add, eq, lt, ne
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -36,17 +41,30 @@ DEFAULT_AGE_TOLERANCE = 0.30
 _AMOUNT_RE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]{1,2}))?")
 _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
-# One cashflow: (month_index, period_months, cents).
-Record = tuple[int, int, int]
+# Rows exactly as write_cashflows_csv writes them: an id of 1..256 ASCII
+# characters from '!' to '~' other than '"' and ',', a YYYY-MM month, a
+# period of 1 or 3, an amount of 1..18 digits with two fraction digits, and
+# LF line ends. The bounds keep every field below the csv field limit and
+# every amount below int()'s digit limit.
+_CANONICAL_ROWS = re.compile(
+    r"(?:[!#-+\x2d-~]{1,256},[0-9]{4}-(?:0[1-9]|1[0-2]),[13],[0-9]{1,18}\.[0-9]{2}\n)*"
+)
+_PERIODS = {"1": 1, "3": 3}
+_CANONICAL_HEADER = ",".join(CASHFLOWS_HEADER) + "\n"
+_MAX_CANONICAL_ROW = 256 + 1 + 7 + 1 + 1 + 1 + 21 + 1  # with its commas and line end
+_BLOCK_CHARS = 1 << 16
+
+# One asset's (starts, months, cents) columns.
+Columns = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 __all__ = [
     "ASSETS_HEADER",
     "CASHFLOWS_HEADER",
     "AnnualizeError",
     "FilterReport",
+    "Columns",
     "ParseError",
     "RawAsset",
-    "Record",
     "RejectReason",
     "annualize",
     "assemble_raw_assets",
@@ -82,7 +100,7 @@ class AnnualizeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Raw records
+# Raw assets
 # ---------------------------------------------------------------------------
 
 def _month_text(month_index: int) -> str:
@@ -97,43 +115,146 @@ def _cents_text(cents: int) -> str:
 
 @dataclass(frozen=True)
 class RawAsset:
-    """An unfiltered asset: dollar age plus its cashflow records sorted by
-    month. Cents may be negative here; validity is enforced at parse time
-    for file input and during dataset construction for records built in
-    code."""
+    """An unfiltered asset: dollar age plus its cashflow columns sorted by
+    period start. Cents may be negative here; validity is enforced at
+    parse time for file input and during dataset construction for assets
+    built in code. Columns given as other sequences are stored as tuples."""
 
     asset_id: str
     dollar_age: float
-    records: tuple[Record, ...]
+    starts: tuple[int, ...]
+    months: tuple[int, ...]
+    cents: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.records:
+        for name in ("starts", "months", "cents"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        starts, months = self.starts, self.months
+        if not starts:
             raise ValueError(f"{self.asset_id}: no cashflow records")
+        if not len(starts) == len(months) == len(self.cents):
+            raise ValueError(f"{self.asset_id}: cashflow columns differ in length")
         if not self.dollar_age > 0:
             raise ValueError(f"{self.asset_id}: dollar_age must be > 0")
-        end = None
-        for start, months, _ in self.records:
-            if months != 1 and months != 3:
-                raise ValueError(f"period_months must be 1 or 3, got {months}")
-            if end is not None and start < end:
-                raise ValueError(f"{self.asset_id}: records overlap at {_month_text(start)}")
-            end = start + months
+        if not set(months) <= {1, 3}:
+            bad = next(m for m in months if m != 1 and m != 3)
+            raise ValueError(f"period_months must be 1 or 3, got {bad}")
+        later = starts[1:]
+        overlap = next(compress(later, map(lt, later, map(add, starts, months))), None)
+        if overlap is not None:
+            raise ValueError(f"{self.asset_id}: records overlap at {_month_text(overlap)}")
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
-def parse_cashflows(source: Source) -> list[tuple[str, int, int, int]]:
-    """Read cashflows.csv into (asset_id, month_index, period_months, cents)
-    tuples; ordering preserved as read.
+def parse_cashflows(source: Source) -> dict[str, Columns]:
+    """Read cashflows.csv into asset_id -> (starts, months, cents) columns,
+    each asset's sorted by start; assets in the order they first appear.
 
-    Raises ParseError with a 1-based line number for malformed rows,
-    unknown frequencies, negative amounts, and duplicate
+    A file in the row form write_cashflows_csv writes is checked and split
+    a block of lines at a time. Any other file, including one holding a
+    duplicate, is read again from its start row by row, which gives the
+    same columns or raises ParseError with a 1-based line number for
+    malformed rows, unknown frequencies, negative amounts and duplicate
     (asset_id, period_start) pairs.
     """
+    columns = _read_canonical(source)
+    return _parse_rows(source) if columns is None else columns
+
+
+def _read_canonical(source: Source) -> dict[str, Columns] | None:
+    """The columns of a source in canonical row form, or None when any of
+    it is not. Only what can be read twice is tried: a regular file or a
+    stream that can seek back."""
+    if isinstance(source, (str, Path)):
+        if not Path(source).is_file():
+            return None
+        try:
+            with open(source, "r", encoding="utf-8-sig", newline="") as handle:
+                return _canonical_columns(handle)
+        except UnicodeDecodeError:
+            return None
+    if not source.seekable():
+        return None
+    position = source.tell()
+    try:
+        columns = _canonical_columns(source)
+    except UnicodeDecodeError:
+        columns = None
+    if columns is None:
+        source.seek(position)
+    return columns
+
+
+def _canonical_columns(handle) -> dict[str, Columns] | None:
+    if handle.readline(len(_CANONICAL_HEADER)) != _CANONICAL_HEADER:
+        return None
+    grouped: dict[str, tuple[list[int], list[int], list[int]]] = {}
+    month_index: dict[str, int] = {}
+    tail = ""
+    while chunk := handle.read(_BLOCK_CHARS):
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        tail = text[cut:]
+        if len(tail) > _MAX_CANONICAL_ROW or not _add_block(text[:cut], grouped, month_index):
+            return None
+    if tail:
+        return None
+    return _sorted_columns(grouped)
+
+
+def _add_block(block: str, grouped, month_index: dict[str, int]) -> bool:
+    """Split a block of whole canonical lines into columns and append each
+    run of one asset's rows to that asset's columns; False if the block is
+    not canonical."""
+    if not _CANONICAL_ROWS.fullmatch(block):
+        return False
+    if not block:
+        return True
+    fields = block.replace("\n", ",").split(",")
+    fields.pop()  # after the last line end
+    ids = fields[0::4]
+    month_texts = fields[1::4]
+    for text in set(month_texts).difference(month_index):
+        month_index[text] = int(text[:4]) * 12 + int(text[5:]) - 1
+    starts = list(map(month_index.__getitem__, month_texts))
+    months = list(map(_PERIODS.__getitem__, fields[2::4]))
+    cents = list(map(int, ",".join(fields[3::4]).replace(".", "").split(",")))
+    n = len(ids)
+    runs = [0, *compress(range(1, n), map(ne, ids, islice(ids, 1, None))), n]
+    for lo, hi in zip(runs, islice(runs, 1, None)):
+        columns = grouped.get(ids[lo])
+        if columns is None:
+            columns = grouped[ids[lo]] = ([], [], [])
+        columns[0].extend(starts[lo:hi])
+        columns[1].extend(months[lo:hi])
+        columns[2].extend(cents[lo:hi])
+    return True
+
+
+def _sorted_columns(grouped) -> dict[str, Columns] | None:
+    """Each asset's columns as tuples sorted by start; None if an asset
+    has two rows with one start."""
+    result = {}
+    for asset_id, (starts, months, cents) in grouped.items():
+        if not all(map(lt, starts, islice(starts, 1, None))):
+            order = sorted(range(len(starts)), key=starts.__getitem__)
+            starts = [starts[k] for k in order]
+            if any(map(eq, starts, islice(starts, 1, None))):
+                return None
+            months = [months[k] for k in order]
+            cents = [cents[k] for k in order]
+        result[asset_id] = (tuple(starts), tuple(months), tuple(cents))
+    return result
+
+
+def _parse_rows(source: Source) -> dict[str, Columns]:
+    """parse_cashflows one row at a time: the reader of every form the
+    canonical check turns down, and the source of every error text."""
     with read_table(source, CASHFLOWS_HEADER) as (path, rows):
-        records: list[tuple[str, int, int, int]] = []
+        grouped: dict[str, tuple[list[int], list[int], list[int]]] = {}
         seen: set[tuple[str, int]] = set()
         # every asset repeats the same months: check each distinct text once
         months_by_text: dict[str, int] = {}
@@ -151,11 +272,8 @@ def parse_cashflows(source: Source) -> list[tuple[str, int, int, int]]:
                 if not 1 <= month <= 12:
                     raise ParseError(f"month out of range: {month}", line=line, path=path)
                 start = months_by_text[start_text] = int(m.group(1)) * 12 + month - 1
-            if months_text == "1":
-                months = 1
-            elif months_text == "3":
-                months = 3
-            else:
+            months = _PERIODS.get(months_text)
+            if months is None:
                 raise ParseError(
                     f"unknown frequency {months_text!r} (period_months must be 1 or 3)",
                     line=line,
@@ -169,7 +287,14 @@ def parse_cashflows(source: Source) -> list[tuple[str, int, int, int]]:
                     path=path,
                 )
             sign, whole, frac = m.groups()
-            cents = int(whole + (frac or "").ljust(2, "0"))
+            try:
+                cents = int(whole + (frac or "").ljust(2, "0"))
+            except ValueError:  # more digits than int() reads
+                raise ParseError(
+                    f"bad amount of {len(amount_text)} characters (too many digits to read)",
+                    line=line,
+                    path=path,
+                ) from None
             if sign and cents:
                 raise ParseError(
                     f"NEGATIVE_AMOUNT: amount {amount_text!r} is negative", line=line, path=path
@@ -180,8 +305,13 @@ def parse_cashflows(source: Source) -> list[tuple[str, int, int, int]]:
                     f"duplicate record for {asset_id} at {start_text}", line=line, path=path
                 )
             seen.add(key)
-            records.append((asset_id, start, months, cents))
-        return records
+            columns = grouped.get(asset_id)
+            if columns is None:
+                columns = grouped[asset_id] = ([], [], [])
+            columns[0].append(start)
+            columns[1].append(months)
+            columns[2].append(cents)
+        return _sorted_columns(grouped)
 
 
 def parse_assets(source: Source) -> dict[str, float]:
@@ -208,34 +338,26 @@ def parse_assets(source: Source) -> dict[str, float]:
 
 
 def assemble_raw_assets(
-    records: Iterable[tuple[str, int, int, int]], dollar_ages: Mapping[str, float]
+    cashflows: Mapping[str, Columns], dollar_ages: Mapping[str, float]
 ) -> list[RawAsset]:
-    """Join parsed cashflows with dollar ages into RawAssets, sorted by id.
+    """Join parsed cashflow columns with dollar ages into RawAssets, sorted
+    by id.
 
     Every cashflow must reference a known asset and every asset must have
     at least one cashflow; anything else is a ParseError, since the two
     files are inconsistent rather than merely containing a bad asset.
     """
-    grouped: dict[str, list[Record]] = {}
-    for asset_id, start, months, cents in records:
-        group = grouped.get(asset_id)
-        if group is None:
-            group = grouped[asset_id] = []
-        group.append((start, months, cents))
-
-    unknown = sorted(set(grouped) - set(dollar_ages))
+    unknown = sorted(set(cashflows) - set(dollar_ages))
     if unknown:
         raise ParseError(f"cashflows reference unknown assets: {', '.join(unknown)}")
-    missing = sorted(set(dollar_ages) - set(grouped))
+    missing = sorted(set(dollar_ages) - set(cashflows))
     if missing:
         raise ParseError(f"assets have no cashflows: {', '.join(missing)}")
 
     assets = []
-    for asset_id in sorted(grouped):
-        recs = grouped[asset_id]
-        recs.sort()
+    for asset_id in sorted(cashflows):
         try:
-            assets.append(RawAsset(asset_id, dollar_ages[asset_id], tuple(recs)))
+            assets.append(RawAsset(asset_id, dollar_ages[asset_id], *cashflows[asset_id]))
         except ValueError as exc:
             raise ParseError(str(exc)) from None
     return assets
@@ -245,18 +367,19 @@ def assemble_raw_assets(
 # Annualization and filters
 # ---------------------------------------------------------------------------
 
-def oldest_cashflow_age(records: Sequence[Record]) -> float:
+def oldest_cashflow_age(starts: Sequence[int], months: Sequence[int]) -> float:
     """Age in years of the oldest cashflow: months spanned from the first
     period start to the end of the last covered period, divided by 12."""
-    if not records:
+    if not starts:
         raise ValueError("no records")
-    first = min(start for start, _, _ in records)
-    last = max(start + months for start, months, _ in records)
-    return (last - first) / 12.0
+    return (max(map(add, starts, months)) - min(starts)) / 12.0
 
 
-def annualize(asset_id: str, records: Sequence[Record]) -> tuple[Decimal, ...]:
-    """Sum gap-free monthly/quarterly records into whole song-age years.
+def annualize(
+    asset_id: str, starts: Sequence[int], months: Sequence[int], cents: Sequence[int]
+) -> tuple[Decimal, ...]:
+    """Sum gap-free monthly/quarterly columns, sorted by start, into whole
+    song-age years.
 
     Buckets run forward from the first covered month: bucket k holds
     coverage months 12(k-1)+1 .. 12k, so bucket index equals song-age
@@ -265,31 +388,24 @@ def annualize(asset_id: str, records: Sequence[Record]) -> tuple[Decimal, ...]:
     is dropped. Buckets are summed in integer cents, so each equals its
     records' total exactly.
     """
-    if not records:
+    if not starts:
         raise ValueError("no records")
-    recs = sorted(records)
-    origin = end = recs[0][0]
-    buckets: list[int] = []
-    for start, months, cents in recs:
-        if start != end:
-            raise AnnualizeError(
-                RejectReason.GAP_IN_HISTORY,
-                f"{asset_id}: coverage gap before {_month_text(start)}",
-            )
-        k = (start - origin) // 12
-        if k == len(buckets):
-            buckets.append(cents)
-        else:
-            buckets[k] += cents
-        end = start + months
-    total_months = end - origin
+    later = starts[1:]
+    gap = next(compress(later, map(ne, later, map(add, starts, months))), None)
+    if gap is not None:
+        raise AnnualizeError(
+            RejectReason.GAP_IN_HISTORY, f"{asset_id}: coverage gap before {_month_text(gap)}"
+        )
+    origin = starts[0]
+    total_months = starts[-1] + months[-1] - origin
     complete_years = total_months // 12
     if complete_years < 1:
         raise AnnualizeError(
             RejectReason.INSUFFICIENT_HISTORY,
             f"{asset_id}: only {total_months} months of coverage",
         )
-    return tuple(Decimal(c).scaleb(-2) for c in buckets[:complete_years])
+    bounds = [bisect_left(starts, origin + 12 * k) for k in range(complete_years + 1)]
+    return tuple(Decimal(sum(cents[lo:hi])).scaleb(-2) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def filter_zero_years(amounts: Sequence[Amount], zero_floor: float = DEFAULT_ZERO_FLOOR) -> bool:
@@ -380,15 +496,15 @@ def build_dataset(
 def _apply_filters(
     raw: RawAsset, zero_floor: float, tolerance: float
 ) -> tuple[tuple[Decimal, ...] | None, RejectReason | None]:
-    if any(cents < 0 for _, _, cents in raw.records):
+    if min(raw.cents) < 0:
         return None, RejectReason.NEGATIVE_AMOUNT
     try:
-        amounts = annualize(raw.asset_id, raw.records)
+        amounts = annualize(raw.asset_id, raw.starts, raw.months, raw.cents)
     except AnnualizeError as exc:
         return None, exc.reason
     if not filter_zero_years(amounts, zero_floor):
         return None, RejectReason.ZERO_REVENUE_YEAR
-    oldest = oldest_cashflow_age(raw.records)
+    oldest = oldest_cashflow_age(raw.starts, raw.months)
     if not filter_dollar_age(raw.dollar_age, oldest, tolerance):
         return None, RejectReason.DOLLAR_AGE_MISMATCH
     return amounts, None
@@ -398,13 +514,36 @@ def _apply_filters(
 # Serialization
 # ---------------------------------------------------------------------------
 
+class _MonthTexts(dict):
+    """Month index -> YYYY-MM text, each formatted once."""
+
+    def __missing__(self, month_index: int) -> str:
+        text = self[month_index] = _month_text(month_index)
+        return text
+
+
+def _csv_cell(text: str) -> str:
+    """`text` as csv.writer writes it in a row of several fields."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="").writerow((text, ""))
+    return buffer.getvalue()[:-1]
+
+
 def write_cashflows_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> None:
-    rows = [
-        (asset.asset_id, _month_text(start), str(months), _cents_text(cents))
-        for asset in sorted(raw_assets, key=lambda a: a.asset_id)
-        for start, months, cents in asset.records
-    ]
-    write_csv(path, CASHFLOWS_HEADER, rows)
+    """One row per record, assets in id order: the canonical form that
+    parse_cashflows reads a block at a time whenever the ids need no
+    quoting. Each asset's rows are written with one string."""
+    texts = _MonthTexts()
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(_CANONICAL_HEADER)
+        for asset in sorted(raw_assets, key=lambda a: a.asset_id):
+            cell = _csv_cell(asset.asset_id)
+            columns = zip(asset.starts, asset.months, asset.cents)
+            if min(asset.cents) >= 0:
+                rows = [f"{cell},{texts[s]},{m},{c // 100}.{c % 100:02d}\n" for s, m, c in columns]
+            else:
+                rows = [f"{cell},{texts[s]},{m},{_cents_text(c)}\n" for s, m, c in columns]
+            handle.write("".join(rows))
 
 
 def write_assets_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> None:

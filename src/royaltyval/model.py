@@ -214,7 +214,10 @@ def price(multiplier: float, ltm: float) -> float:
     ltm = float(ltm)
     if not math.isfinite(ltm) or ltm <= 0.0:
         raise ValueError("ltm must be > 0")
-    return multiplier * ltm
+    value = multiplier * ltm
+    if not math.isfinite(value):
+        raise ValueError(f"price of multiplier {multiplier:g} times ltm {ltm:g} is not finite")
+    return value
 
 
 def multiplier_table(

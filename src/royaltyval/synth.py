@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from statistics import NormalDist
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._io import json_number
 from .curves import DEFAULT_MIN_COHORT, build_surfaces
@@ -184,8 +184,7 @@ def gen_asset(
     asset_id = asset_id if asset_id is not None else f"S{seed:016x}"
     rng = random.Random(seed)
 
-    records = []
-    month = start
+    monthly: list[int] = []
     for k in range(1, spec.age_years + 1):
         eps = _normal(rng, spec.noise_sigma) if spec.noise_sigma > 0 else 0.0
         try:
@@ -195,10 +194,9 @@ def gen_asset(
             cents = round(level * 100)
         except OverflowError:
             raise ValueError(f"{asset_id}: revenue in year {k} is too large") from None
-        for part in _split_cents(cents):
-            records.append((month, 1, part))
-            month += 1
-    return RawAsset(asset_id, float(spec.age_years), tuple(records))
+        monthly += _split_cents(cents)
+    n = len(monthly)
+    return RawAsset(asset_id, float(spec.age_years), range(start, start + n), (1,) * n, monthly)
 
 
 def gen_population(spec: PopulationSpec) -> list[RawAsset]:

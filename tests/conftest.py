@@ -26,17 +26,27 @@ def quarterly_records(amounts, start=month(2019, 1)):
     return tuple((start + 3 * k, 3, cents(a)) for k, a in enumerate(amounts))
 
 
+def columns(records):
+    """(starts, months, cents) columns of (month_index, period_months,
+    cents) records, in the records' order."""
+    return tuple(map(tuple, zip(*records))) or ((), (), ())
+
+
+def records_of(asset):
+    """A RawAsset's cashflows as (month_index, period_months, cents) records."""
+    return tuple(zip(asset.starts, asset.months, asset.cents))
+
+
 def tagged(asset_id, records):
-    """Records in the (asset_id, month_index, period_months, cents) form
-    that parse_cashflows returns."""
-    return tuple((asset_id, *rec) for rec in records)
+    """Records in the {asset_id: columns} form that parse_cashflows returns."""
+    return {asset_id: columns(records)}
 
 
 def raw_monthly_asset(asset_id, amounts, dollar_age=None, start=month(2019, 1)):
     """RawAsset with monthly records; dollar age defaults to the span."""
     if dollar_age is None:
         dollar_age = len(amounts) / 12.0
-    return RawAsset(asset_id, dollar_age, monthly_records(amounts, start))
+    return RawAsset(asset_id, dollar_age, *columns(monthly_records(amounts, start)))
 
 
 # The CLI command list of acceptance criterion C8; tests/test_golden.py runs

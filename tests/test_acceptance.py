@@ -13,7 +13,7 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import C8_SPEC, c8_commands, month, monthly_records, quarterly_records
+from conftest import C8_SPEC, c8_commands, columns, month, monthly_records, quarterly_records
 from royaltyval.cli import main
 from royaltyval.curves import build_surface, percentile
 from royaltyval.ingest import (
@@ -153,18 +153,20 @@ def test_c5_filter_fixture_and_boundaries():
             + neg_records[6:]
         )
         fixture = [
-            RawAsset("NEG", 1.0, neg_records),
+            RawAsset("NEG", 1.0, *columns(neg_records)),
             RawAsset(
                 "GAP",
                 1.2,
-                monthly_records([1] * 6)
-                + monthly_records([1] * 8, start=month(2019, 8)),
+                *columns(
+                    monthly_records([1] * 6)
+                    + monthly_records([1] * 8, start=month(2019, 8))
+                ),
             ),
-            RawAsset("SHORT", 0.5, monthly_records([1] * 6)),
-            RawAsset("ZERO", 2.0, monthly_records([100] * 12 + [0] * 12)),
-            RawAsset("FAR", 3.0, monthly_records([50] * 24)),
-            RawAsset("OK1", 2.0, monthly_records([80] * 24)),
-            RawAsset("OK2", 2.5, monthly_records([10] * 36)),
+            RawAsset("SHORT", 0.5, *columns(monthly_records([1] * 6))),
+            RawAsset("ZERO", 2.0, *columns(monthly_records([100] * 12 + [0] * 12))),
+            RawAsset("FAR", 3.0, *columns(monthly_records([50] * 24))),
+            RawAsset("OK1", 2.0, *columns(monthly_records([80] * 24))),
+            RawAsset("OK2", 2.5, *columns(monthly_records([10] * 36))),
         ]
         accepted, report = build_dataset(fixture)
         assert [a.asset_id for a in accepted] == ["OK1", "OK2"]
@@ -294,7 +296,7 @@ def test_c9_annualization_conserves_revenue_exactly():
             else:
                 amounts = [Decimal(rng.randint(0, 500000)).scaleb(-2) for _ in range(rng.randint(4, 14))]
                 records = quarterly_records(amounts)
-            series = annualize(f"R{i}", records)
+            series = annualize(f"R{i}", *columns(records))
             origin = records[0][0]
             complete_months = 12 * len(series)
             covered = Decimal(0)

@@ -316,6 +316,15 @@ class TestValue:
         code = main(["value", "--surface", str(surface), "--ltm", "100", "--duration", "9"])
         assert code == 2
 
+    def test_overflowing_price_exits_one(self, tmp_path, capsys):
+        surface = write_flat_surface(tmp_path / "surface.json")
+        code = main(["value", "--surface", str(surface), "--ltm", "1e308", "--duration", "9"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: price of multiplier ")
+        assert captured.err.endswith(" times ltm 1e+308 is not finite\n")
+
     def test_non_positive_ltm_is_usage_error(self, tmp_path, capsys):
         surface = write_flat_surface(tmp_path / "surface.json")
         code = main(["value", "--surface", str(surface), "--ltm", "-5", "--duration", "3"])

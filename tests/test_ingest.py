@@ -1,12 +1,27 @@
 import io
+import tempfile
 from decimal import Decimal
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cents, month, monthly_records, quarterly_records, raw_monthly_asset, tagged
+from conftest import (
+    cents,
+    columns,
+    month,
+    monthly_records,
+    quarterly_records,
+    raw_monthly_asset,
+    records_of,
+    tagged,
+)
+from royaltyval import ingest
+from royaltyval._io import write_csv
 from royaltyval.ingest import (
+    CASHFLOWS_HEADER,
     AnnualizeError,
     ParseError,
     RawAsset,
@@ -28,12 +43,18 @@ def cashflows_csv(*rows):
     return io.StringIO("asset_id,period_start,period_months,amount\n" + "".join(r + "\n" for r in rows))
 
 
+def flat(parsed):
+    """parse_cashflows' columns as (asset_id, month_index, period_months,
+    cents) records, assets in first-seen order."""
+    return [(asset_id, *rec) for asset_id, cols in parsed.items() for rec in zip(*cols)]
+
+
 class TestParseCashflows:
     def test_header_only(self):
-        assert parse_cashflows(cashflows_csv()) == []
+        assert parse_cashflows(cashflows_csv()) == {}
 
     def test_single_row(self):
-        [rec] = parse_cashflows(cashflows_csv("A1,2019-03,1,100.00"))
+        [rec] = flat(parse_cashflows(cashflows_csv("A1,2019-03,1,100.00")))
         assert rec == ("A1", month(2019, 3), 1, 10000)
 
     def test_negative_amount_is_parse_error_with_line(self):
@@ -73,9 +94,9 @@ class TestParseCashflows:
         assert len(parse_cashflows(stream)) == 1
 
     def test_order_preserved(self):
-        records = parse_cashflows(
+        records = flat(parse_cashflows(
             cashflows_csv("B,2020-01,1,1.00", "A,2019-01,1,2.00")
-        )
+        ))
         assert [r[0] for r in records] == ["B", "A"]
 
 
@@ -98,6 +119,12 @@ PARSE_ERRORS = [
         ["A1,2019-01,1,10.00", "B1,2019-01,1,1.00", "A1,2019-01,3,5.00"],
         "line 4: duplicate record for A1 at 2019-01",
         4,
+    ),
+    # past int()'s 4,300-digit limit
+    (
+        ["A1,2019-01,1,10.00", "A1,2019-02,1," + "9" * 5000],
+        "line 3: bad amount of 5000 characters (too many digits to read)",
+        3,
     ),
 ]
 
@@ -152,7 +179,7 @@ class TestParseAssets:
 
 class TestAssembleRawAssets:
     def test_sorts_and_groups(self):
-        records = tagged("B", monthly_records([1] * 12)) + tagged("A", monthly_records([2] * 12))
+        records = tagged("B", monthly_records([1] * 12)) | tagged("A", monthly_records([2] * 12))
         assets = assemble_raw_assets(records, {"A": 1.0, "B": 1.0})
         assert [a.asset_id for a in assets] == ["A", "B"]
 
@@ -185,35 +212,37 @@ class TestAssembleRawAssets:
 
 class TestOldestCashflowAge:
     def test_single_monthly_record(self):
-        records = monthly_records([10])
-        assert oldest_cashflow_age(records) == pytest.approx(1 / 12)
+        starts, months, _ = columns(monthly_records([10]))
+        assert oldest_cashflow_age(starts, months) == pytest.approx(1 / 12)
 
     def test_two_years_monthly(self):
-        assert oldest_cashflow_age(monthly_records([1] * 24)) == 2.0
+        starts, months, _ = columns(monthly_records([1] * 24))
+        assert oldest_cashflow_age(starts, months) == 2.0
 
     def test_two_years_quarterly(self):
         # count-months oracle: 8 quarters cover 24 months
         records = quarterly_records([1] * 8)
         covered = sum(months for _, months, _ in records)
-        assert oldest_cashflow_age(records) == covered / 12 == 2.0
+        starts, months, _ = columns(records)
+        assert oldest_cashflow_age(starts, months) == covered / 12 == 2.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            oldest_cashflow_age([])
+            oldest_cashflow_age([], [])
 
 
 class TestAnnualize:
     def test_twelve_months(self):
-        series = annualize("A", monthly_records([10.0] * 12))
+        series = annualize("A", *columns(monthly_records([10.0] * 12)))
         assert series == (Decimal("120.0"),)
 
     def test_partial_trailing_year_dropped(self):
-        series = annualize("A", monthly_records([1.0] * 30))
+        series = annualize("A", *columns(monthly_records([1.0] * 30)))
         assert series == (Decimal("12.0"), Decimal("12.0"))
 
     def test_quarterly_buckets(self):
         # hand-summed: 5+5+5+5 then 7+7+7+7
-        series = annualize("A", quarterly_records([5, 5, 5, 5, 7, 7, 7, 7]))
+        series = annualize("A", *columns(quarterly_records([5, 5, 5, 5, 7, 7, 7, 7])))
         assert series == (Decimal(20), Decimal(28))
 
     def test_gap_detected(self):
@@ -221,19 +250,19 @@ class TestAnnualize:
             [1] * 8, start=month(2019, 8)
         )
         with pytest.raises(AnnualizeError) as err:
-            annualize("A", records)
+            annualize("A", *columns(records))
         assert err.value.reason is RejectReason.GAP_IN_HISTORY
         assert str(err.value) == "A: coverage gap before 2019-08"
 
     def test_insufficient_history(self):
         with pytest.raises(AnnualizeError) as err:
-            annualize("A", monthly_records([1] * 11))
+            annualize("A", *columns(monthly_records([1] * 11)))
         assert err.value.reason is RejectReason.INSUFFICIENT_HISTORY
 
     def test_gap_wins_over_short_history(self):
         records = monthly_records([1]) + monthly_records([1], start=month(2019, 3))
         with pytest.raises(AnnualizeError) as err:
-            annualize("A", records)
+            annualize("A", *columns(records))
         assert err.value.reason is RejectReason.GAP_IN_HISTORY
 
 
@@ -273,16 +302,18 @@ class TestBuildDataset:
         neg = monthly_records([100] * 12)
         neg = neg[:5] + ((neg[5][0], 1, -500),) + neg[6:]
         fixtures = [
-            RawAsset("NEG", 1.0, neg),
+            RawAsset("NEG", 1.0, *columns(neg)),
             RawAsset(
                 "GAP",
                 1.0,
-                monthly_records([1] * 6)
-                + monthly_records([1] * 8, start=month(2019, 8)),
+                *columns(
+                    monthly_records([1] * 6)
+                    + monthly_records([1] * 8, start=month(2019, 8))
+                ),
             ),
-            RawAsset("SHORT", 0.5, monthly_records([1] * 6)),
-            RawAsset("ZERO", 2.0, monthly_records([100] * 12 + [0] * 12)),
-            RawAsset("FAR", 3.0, monthly_records([50] * 24)),
+            RawAsset("SHORT", 0.5, *columns(monthly_records([1] * 6))),
+            RawAsset("ZERO", 2.0, *columns(monthly_records([100] * 12 + [0] * 12))),
+            RawAsset("FAR", 3.0, *columns(monthly_records([50] * 24))),
         ]
         accepted, report = build_dataset(fixtures)
         assert accepted == []
@@ -341,7 +372,7 @@ class TestConservation:
         maker = monthly_records if freq == 1 else quarterly_records
         records = maker(amounts)
 
-        series = annualize("A", records)
+        series = annualize("A", *columns(records))
         origin = records[0][0]
         complete_months = 12 * len(series)
         # month-level oracle: a record counts iff all its months fall in
@@ -377,7 +408,7 @@ class TestIdempotence:
                 for piece in monthly_split(annual):
                     records.append((start, 1, cents(piece)))
                     start += 1
-            reserialized.append(RawAsset(asset.asset_id, asset.dollar_age, tuple(records)))
+            reserialized.append(RawAsset(asset.asset_id, asset.dollar_age, *columns(records)))
 
         accepted2, report2 = build_dataset(reserialized)
         assert report2.rejected_count == 0
@@ -388,18 +419,18 @@ class TestCsvWriters:
     def test_cashflows_roundtrip(self, tmp_path):
         assets = [
             raw_monthly_asset("B", ["10.25"] * 12),
-            RawAsset("A", 1.0, quarterly_records(["7.00", "8.50", "9.00", "11.75"])),
+            RawAsset("A", 1.0, *columns(quarterly_records(["7.00", "8.50", "9.00", "11.75"]))),
         ]
         path = tmp_path / "cashflows.csv"
         write_cashflows_csv(path, assets)
         records = parse_cashflows(path)
         regrouped = assemble_raw_assets(records, {"A": 1.0, "B": 1.0})
-        assert [a.records for a in regrouped] == [assets[1].records, assets[0].records]
+        assert [records_of(a) for a in regrouped] == [records_of(assets[1]), records_of(assets[0])]
 
     def test_cashflows_negative_cents_keep_their_sign(self, tmp_path):
         records = monthly_records(["-5.50", "-0.05", "12.00"])
         path = tmp_path / "cashflows.csv"
-        write_cashflows_csv(path, [RawAsset("A", 1.0, records)])
+        write_cashflows_csv(path, [RawAsset("A", 1.0, *columns(records))])
         amounts = [line.split(",")[3] for line in path.read_text().splitlines()[1:]]
         assert amounts == ["-5.50", "-0.05", "12.00"]
 
@@ -408,3 +439,168 @@ class TestCsvWriters:
         path = tmp_path / "assets.csv"
         write_assets_csv(path, assets)
         assert parse_assets(path) == {"A": 1.25}
+
+
+class TestCashflowsWriterQuoting:
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        assets = [
+            RawAsset("a,b", 1.0, *columns(monthly_records(["1.00", "-2.05", "0.00"]))),
+            RawAsset('say "hi"', 1.0, *columns(quarterly_records(["-0.07", "3.10"]))),
+            RawAsset("plain", 1.0, *columns(monthly_records(["-120.00", "7.25"]))),
+        ]
+        write_cashflows_csv(tmp_path / "written.csv", assets)
+        rows = [
+            (a.asset_id, f"{s // 12:04d}-{s % 12 + 1:02d}", str(m), str(Decimal(c).scaleb(-2)))
+            for a in sorted(assets, key=lambda a: a.asset_id)
+            for s, m, c in zip(a.starts, a.months, a.cents)
+        ]
+        write_csv(tmp_path / "oracle.csv", CASHFLOWS_HEADER, rows)
+        written = (tmp_path / "written.csv").read_bytes()
+        assert written == (tmp_path / "oracle.csv").read_bytes()
+        assert b'"a,b",2019-02,1,-2.05' in written and b'"say ""hi""",2019-04,3,3.10' in written
+
+
+# ---------------------------------------------------------------------------
+# The block read of canonical files against the row parser
+# ---------------------------------------------------------------------------
+
+HEADER_LINE = ",".join(CASHFLOWS_HEADER) + "\n"
+# every character a canonical asset id may hold
+ID_CHARS = [chr(c) for c in range(0x21, 0x7F) if chr(c) not in '",']
+
+
+@st.composite
+def canonical_rows(draw):
+    """Rows as write_cashflows_csv writes them for up to four assets, one
+    id possibly at the 256-character bound, each monthly or quarterly, in
+    asset runs or fully interleaved."""
+    ids = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        ids[0] = (ids[0] * 256)[:256]
+    rows = []
+    for asset_id in ids:
+        period = draw(st.sampled_from([1, 3]))
+        first = draw(st.integers(0, 9990 * 12))
+        for k in range(draw(st.integers(1, 30))):
+            start = first + k * period
+            cents = draw(st.integers(0, 10**20 - 1))
+            rows.append(
+                f"{asset_id},{start // 12:04d}-{start % 12 + 1:02d},{period},{cents // 100}.{cents % 100:02d}"
+            )
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    return rows
+
+
+def outcome(read, path):
+    """What a reader gives for a file: its mapping or its error text."""
+    try:
+        return read(path)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def mutate(rows, kind, k):
+    """File bytes of `rows` with row k (or the whole file) changed by `kind`."""
+    rows = list(rows)
+    asset_id, start, period, amount = rows[k].split(",")
+    if kind == "padding":
+        rows[k] = f" {asset_id} ,{start} , {period},{amount} "
+    elif kind == "quoted id":
+        rows[k] = f'"{asset_id}",{start},{period},{amount}'
+    elif kind == "one fraction digit":
+        rows[k] = f"{asset_id},{start},{period},{amount[:-1]}"
+    elif kind == "no fraction":
+        rows[k] = f"{asset_id},{start},{period},{amount[:-3]}"
+    elif kind == "-0.00":
+        rows[k] = f"{asset_id},{start},{period},-0.00"
+    elif kind == "duplicate":
+        rows.append(rows[k])
+    elif kind == "month 13":
+        rows[k] = f"{asset_id},{start[:5]}13,{period},{amount}"
+    elif kind == "arabic-indic digit":
+        rows[k] = f"{asset_id},{start},{period},\u0663{amount[1:]}"
+    elif kind == "257-character id":
+        rows[k] = f"{(asset_id * 257)[:257]},{start},{period},{amount}"
+    elif kind == "5000-digit amount":
+        rows[k] = f"{asset_id},{start},{period},{'9' * 4998}.00"
+    text = HEADER_LINE + "".join(row + "\n" for row in rows)
+    if kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif kind == "no final line end":
+        text = text[:-1]
+    data = text.encode("utf-8")
+    if kind == "not utf-8":
+        at = len((HEADER_LINE + "".join(row + "\n" for row in rows[: k + 1])).encode("utf-8")) - 1
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+MUTATIONS = [
+    "crlf",
+    "padding",
+    "quoted id",
+    "one fraction digit",
+    "no fraction",
+    "-0.00",
+    "duplicate",
+    "month 13",
+    "arabic-indic digit",
+    "257-character id",
+    "5000-digit amount",
+    "not utf-8",
+    "no final line end",
+]
+
+
+class TestBlockRead:
+    @given(rows=canonical_rows(), block_chars=st.integers(min_value=16, max_value=2048))
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_files_give_the_row_parsers_mapping(self, rows, block_chars):
+        text = HEADER_LINE + "".join(row + "\n" for row in rows)
+        # small blocks, so that files span several and asset runs cross them
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+            fast = ingest._read_canonical(io.StringIO(text))
+        assert fast is not None
+        assert fast == ingest._parse_rows(io.StringIO(text))
+
+    @given(rows=canonical_rows(), kind=st.sampled_from(MUTATIONS), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_mutated_files_give_the_same_mapping_or_error(self, rows, kind, data):
+        k = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cashflows.csv"
+            path.write_bytes(mutate(rows, kind, k))
+            fast = ingest._read_canonical(path)
+            slow = outcome(ingest._parse_rows, path)
+            assert fast is None or fast == slow
+            assert outcome(parse_cashflows, path) == slow
+
+    def test_real_blocks_with_an_asset_across_a_boundary(self, tmp_path):
+        assets = [
+            raw_monthly_asset(f"A{i:03d}", [f"{i}.{k % 100:02d}" for k in range(120)]) for i in range(80)
+        ]
+        path = tmp_path / "cashflows.csv"
+        write_cashflows_csv(path, assets)
+        body = path.read_text().split("\n", 1)[1]
+        cut = body.rfind("\n", 0, ingest._BLOCK_CHARS) + 1
+        assert len(body) > 2 * ingest._BLOCK_CHARS
+        assert body[:cut].splitlines()[-1].split(",")[0] == body[cut:].split(",", 1)[0]
+        fast = ingest._read_canonical(path)
+        assert fast is not None and fast == ingest._parse_rows(path)
+        assert fast == {a.asset_id: (a.starts, a.months, a.cents) for a in assets}
+
+    def test_written_files_never_reach_the_row_parser(self, tmp_path):
+        from royaltyval.synth import GroupSpec, PopulationSpec, gen_population
+
+        assets = gen_population(PopulationSpec((GroupSpec(30, -0.2, 0.3, 5, 9000.0),), seed=3))
+        assets.append(RawAsset("Q.4", 2.0, *columns(quarterly_records(["1.25"] * 8))))
+        path = tmp_path / "cashflows.csv"
+        write_cashflows_csv(path, assets)
+
+        def refuse(source):
+            raise AssertionError("the row parser read a file write_cashflows_csv wrote")
+
+        with mock.patch.object(ingest, "_parse_rows", refuse):
+            parsed = parse_cashflows(path)
+        assert parsed == {a.asset_id: (a.starts, a.months, a.cents) for a in assets}

@@ -131,6 +131,11 @@ class TestPrice:
         with pytest.raises(ValueError):
             price(1.0, -5)
 
+    def test_rejects_product_that_overflows(self):
+        with pytest.raises(ValueError) as err:
+            price(9.5, 1e308)
+        assert str(err.value) == "price of multiplier 9.5 times ltm 1e+308 is not finite"
+
 
 class TestMultiplierTable:
     def test_zero_surface_gives_zero_entries(self):

@@ -2,6 +2,7 @@ from decimal import Decimal
 
 import pytest
 
+from conftest import records_of
 from royaltyval.curves import build_surface
 from royaltyval.ingest import annualize, build_dataset
 from royaltyval.market import compare
@@ -48,12 +49,12 @@ class TestMonthlySplit:
 class TestGenAsset:
     def test_flat_noise_free(self):
         asset = gen_asset(123, 3, 1200.0, 0.0, 0.0)
-        assert annualize(asset.asset_id, asset.records) == (Decimal("1200.00"),) * 3
+        assert annualize(asset.asset_id, asset.starts, asset.months, asset.cents) == (Decimal("1200.00"),) * 3
         assert asset.dollar_age == 3.0
 
     def test_halving(self):
         asset = gen_asset(99, 3, 1200.0, -0.5, 0.0)
-        assert annualize(asset.asset_id, asset.records) == (
+        assert annualize(asset.asset_id, asset.starts, asset.months, asset.cents) == (
             Decimal("1200.00"),
             Decimal("600.00"),
             Decimal("300.00"),
@@ -65,16 +66,16 @@ class TestGenAsset:
     def test_different_seeds_differ_with_noise(self):
         a = gen_asset(1, 5, 900.0, -0.1, 0.25)
         b = gen_asset(2, 5, 900.0, -0.1, 0.25)
-        assert a.records != b.records
+        assert records_of(a) != records_of(b)
 
     def test_noise_keeps_amounts_positive(self):
         asset = gen_asset(3, 8, 50.0, -0.4, 0.8)
-        assert all(amount_cents >= 0 for _, _, amount_cents in asset.records)
+        assert all(amount_cents >= 0 for _, _, amount_cents in records_of(asset))
 
     def test_monthly_coverage_is_gap_free(self):
         asset = gen_asset(11, 4, 2400.0, 0.1, 0.3)
-        assert len(asset.records) == 48
-        spans = [start for start, _, _ in asset.records]
+        assert len(records_of(asset)) == 48
+        spans = [start for start, _, _ in records_of(asset)]
         assert spans == list(range(spans[0], spans[0] + 48))
 
 
