@@ -8,15 +8,14 @@ that would back the usual scatter plots.
 """
 
 import argparse
-import math
 from pathlib import Path
 
 from royaltyval._io import write_csv
-from royaltyval.curves import build_surfaces
 from royaltyval.ingest import build_dataset
 from royaltyval.market import (
     PLOT_HEADER,
     aggregate_plot_data,
+    band_surfaces,
     compare,
     comparison_csv_rows,
     COMPARISON_HEADER,
@@ -26,7 +25,6 @@ from royaltyval.market import (
 from royaltyval.synth import GroupSpec, PopulationSpec, gen_population, gen_quotes
 
 RATE = 0.10
-LEVELS = (10.0, 50.0, 90.0)
 
 
 def population(seed):
@@ -71,9 +69,7 @@ def main():
     accepted, rejected = filter_quotes(quotes)
     print(f"quotes: {len(accepted)} usable, {len(rejected)} filtered out")
 
-    top_age = math.ceil(max(a.dollar_age for a in dataset))
-    surfaces = build_surfaces(dataset, range(1, top_age + 1), LEVELS, max_horizon=10, min_cohort=5)
-    surfaces = {t: s for t, s in surfaces.items() if s.cell_horizons()}
+    surfaces = band_surfaces(dataset, max_horizon=10, min_cohort=5)
 
     rows, errors = compare(accepted, surfaces, RATE)
     print(f"comparison: {len(rows)} rows, {len(errors)} row errors")

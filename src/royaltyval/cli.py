@@ -215,6 +215,9 @@ def _cmd_curves(args, cfg: Config) -> int:
 
 
 def _cmd_multipliers(args, cfg: Config) -> int:
+    if args.durations is not None and args.durations < 1:
+        _fail("--durations must be >= 1")
+        return 1
     out = _out_dir(args)
     surface = _surface_for(args, cfg, cfg.percentile_levels)
     max_duration = args.durations if args.durations is not None else cfg.max_duration
@@ -237,6 +240,9 @@ def _cmd_multipliers(args, cfg: Config) -> int:
 def _cmd_value(args, cfg: Config) -> int:
     if args.ltm is None or not (math.isfinite(args.ltm) and args.ltm > 0):
         _fail("--ltm must be a positive amount")
+        return 1
+    if args.duration < 1:
+        _fail("--duration must be >= 1")
         return 1
     surface = _surface_for(args, cfg, market.BAND_LEVELS)
     try:
@@ -262,15 +268,7 @@ def _cmd_compare(args, cfg: Config) -> int:
     accepted, rejected = market.filter_quotes(
         quotes, cfg.max_duration, cfg.min_bid_ask_ratio
     )
-    top_age = math.ceil(max((a.dollar_age for a in dataset), default=0))
-    surfaces = curves_mod.build_surfaces(
-        dataset,
-        range(1, top_age + 1),
-        market.BAND_LEVELS,
-        max_horizon=cfg.max_duration,
-        min_cohort=cfg.min_cohort,
-    )
-    surfaces = {t: s for t, s in surfaces.items() if s.cell_horizons()}
+    surfaces = market.band_surfaces(dataset, cfg.max_duration, cfg.min_cohort)
     rows, errors = market.compare(accepted, surfaces, cfg.rate)
 
     write_csv(

@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._io import ParseError, Source, parse_number, read_table, write_csv
-from .model import MissingCellError, MultiplierTable, ShareSurface, multiplier_table
+from .curves import build_surfaces
+from .model import Asset, MissingCellError, ShareSurface, multiplier_table
 
 QUOTES_HEADER = ("asset_id", "ltm", "best_bid", "ask", "duration_years", "dollar_age")
 COMPARISON_HEADER = (
@@ -56,6 +57,7 @@ __all__ = [
     "PlotGroup",
     "QuoteRejectReason",
     "aggregate_plot_data",
+    "band_surfaces",
     "compare",
     "comparison_csv_rows",
     "filter_quotes",
@@ -169,6 +171,22 @@ class ComparisonError:
     message: str
 
 
+def band_surfaces(
+    dataset: Sequence[Asset], max_horizon: int, min_cohort: int
+) -> dict[int, ShareSurface]:
+    """Band-level surfaces at every base age from 1 to the oldest dollar
+    age, keeping those that have cells: the surfaces compare reads."""
+    top_age = math.ceil(max((a.dollar_age for a in dataset), default=0))
+    surfaces = build_surfaces(
+        dataset,
+        range(1, top_age + 1),
+        BAND_LEVELS,
+        max_horizon=max_horizon,
+        min_cohort=min_cohort,
+    )
+    return {t: s for t, s in surfaces.items() if s.depth}
+
+
 def compare(
     quotes: Iterable[MarketQuote],
     surfaces_by_age: Mapping[int, ShareSurface],
@@ -179,11 +197,14 @@ def compare(
     The quote's dollar age is rounded to an integer base age, then clamped
     into the range of ages that have surfaces; a hole inside that range or
     a surface without enough horizons yields a row-level error rather than
-    failing the run. Each (base age, duration) table is built once per
-    call. Rows and errors come back sorted by asset_id.
+    failing the run. Each base age's table is built once, to its deepest
+    cell; entries are prefix sums, so entry(d) equals that of a table built
+    to d. Rows and errors come back sorted by asset_id.
     """
     available = sorted(surfaces_by_age)
-    tables: dict[tuple[int, int], MultiplierTable] = {}
+    tables = {
+        t: multiplier_table(s, rate, s.depth) for t, s in surfaces_by_age.items() if s.depth
+    }
     rows: list[ComparisonRow] = []
     errors: list[ComparisonError] = []
     for quote in sorted(quotes, key=lambda q: q.asset_id):
@@ -198,14 +219,9 @@ def compare(
                 ComparisonError(quote.asset_id, f"no surface for base age {t}")
             )
             continue
-        key = (t, quote.duration_years)
         try:
-            table = tables.get(key)
-            if table is None:
-                table = tables[key] = multiplier_table(surface, rate, quote.duration_years)
-            m10 = table.entry(quote.duration_years, 10.0)
-            m50 = table.entry(quote.duration_years, 50.0)
-            m90 = table.entry(quote.duration_years, 90.0)
+            surface.require_depth(quote.duration_years)
+            m10, m50, m90 = (tables[t].entry(quote.duration_years, p) for p in BAND_LEVELS)
         except MissingCellError as exc:
             errors.append(
                 ComparisonError(quote.asset_id, f"base age {t}: {exc}")

@@ -9,7 +9,7 @@ construction and safe to share between workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Mapping, Sequence, Union
 
@@ -81,13 +81,16 @@ class ShareSurface:
     ``values`` maps (horizon, level) to the share of base-year revenue
     observed that many years past the base age. ``counts`` records cohort
     size for every horizon from 1 up to the maximum requested, including
-    horizons too thin to receive cells. Shares are rate-independent.
+    horizons too thin to receive cells. Cells form a rectangle: horizons
+    1..depth times every level, with depth at most the last counted
+    horizon. Shares are rate-independent.
     """
 
     base_age: int
     levels: tuple[float, ...]
     values: Mapping[tuple[int, float], float]
     counts: Mapping[int, int]
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_age < 1:
@@ -112,24 +115,31 @@ class ShareSurface:
                 raise ValueError(f"cohort count increases at horizon {i}")
             prev = n
 
+        depth = len(self.values) // len(self.levels)
+        if depth > len(horizons) or self.values.keys() != {
+            (i, p) for i in range(1, depth + 1) for p in self.levels
+        }:
+            raise ValueError(
+                f"cells must fill horizons 1..K at every level, for some K <= {len(horizons)}"
+            )
+        object.__setattr__(self, "depth", depth)
         for (i, p), s in self.values.items():
-            if i not in self.counts:
-                raise ValueError(f"cell at horizon {i} has no cohort count")
-            if p not in self.levels:
-                raise ValueError(f"cell level {p!r} not in declared levels")
             if not math.isfinite(s) or s < 0.0:
                 raise ValueError(f"share at ({i}, {p:g}) must be finite and >= 0")
-        for i in horizons:
-            present = [p for p in self.levels if (i, p) in self.values]
-            if present and len(present) != len(self.levels):
-                raise ValueError(f"horizon {i} has cells for only some levels")
-            ordered = [self.values[(i, p)] for p in present]
+        for i in self.cell_horizons():
+            ordered = [self.values[(i, p)] for p in self.levels]
             if any(a > b for a, b in zip(ordered, ordered[1:])):
                 raise ValueError(f"shares at horizon {i} not ordered by level")
 
     def cell_horizons(self) -> list[int]:
-        """Horizons that received cells, ascending (always a prefix 1..K)."""
-        return sorted({i for i, _ in self.values})
+        """Horizons that received cells, ascending: always 1..depth."""
+        return list(range(1, self.depth + 1))
+
+    def require_depth(self, duration: int) -> None:
+        """Raise MissingCellError for the first cell a table to `duration`
+        lacks. Cells form a rectangle, so that is (depth+1, lowest level)."""
+        if duration > self.depth:
+            raise MissingCellError(self.depth + 1, self.levels[0])
 
 
 @dataclass(frozen=True)
@@ -138,12 +148,15 @@ class MultiplierTable:
 
     Entries are prefix sums of discounted shares, so they are non-decreasing
     in duration for a given level, and non-decreasing in level for a given
-    duration.
+    duration. ``durations`` and ``levels`` are the sorted axes of the
+    entries.
     """
 
     base_age: int
     discount_rate: float
     entries: Mapping[tuple[int, float], float]
+    durations: list[int] = field(init=False, repr=False, compare=False)
+    levels: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.discount_rate < 0:
@@ -151,6 +164,8 @@ class MultiplierTable:
         for (d, p), m in self.entries.items():
             if not math.isfinite(m) or m < 0.0:
                 raise ValueError(f"multiplier at ({d}, {p:g}) must be finite and >= 0")
+        object.__setattr__(self, "durations", sorted({d for d, _ in self.entries}))
+        object.__setattr__(self, "levels", sorted({p for _, p in self.entries}))
         for p in self.levels:
             column = [self.entries[(d, p)] for d in self.durations if (d, p) in self.entries]
             if any(a > b for a, b in zip(column, column[1:])):
@@ -159,14 +174,6 @@ class MultiplierTable:
             row = [self.entries[(d, p)] for p in self.levels if (d, p) in self.entries]
             if any(a > b for a, b in zip(row, row[1:])):
                 raise ValueError(f"multipliers at duration {d} decrease in level")
-
-    @property
-    def durations(self) -> list[int]:
-        return sorted({d for d, _ in self.entries})
-
-    @property
-    def levels(self) -> list[float]:
-        return sorted({p for _, p in self.entries})
 
     def entry(self, duration: int, level: float) -> float:
         try:
@@ -228,17 +235,13 @@ def multiplier_table(
     Every level's entries are the running prefix sum of its discounted
     shares, so entry(d) is bit-identical to multiplier_from_shares applied
     to the first d shares. Raises MissingCellError naming the first
-    (horizon, level) cell the surface lacks, scanning horizons ascending
-    and levels ascending within a horizon.
+    (horizon, level) cell the surface lacks (see ShareSurface.require_depth).
     """
     if rate < 0:
         raise ValueError("rate must be >= 0")
     if max_duration < 1:
         raise ValueError("max_duration must be >= 1")
-    for i in range(1, max_duration + 1):
-        for p in surface.levels:
-            if (i, p) not in surface.values:
-                raise MissingCellError(i, p)
+    surface.require_depth(max_duration)
 
     entries: dict[tuple[int, float], float] = {}
     for p in surface.levels:

@@ -23,7 +23,7 @@ from ._io import json_number
 from .curves import DEFAULT_MIN_COHORT, build_surfaces
 from .ingest import RawAsset
 from .market import BAND_LEVELS, MarketQuote, round_half_up
-from .model import Asset, MultiplierTable, multiplier_table
+from .model import Asset, multiplier_table
 
 START_MONTH = 2015 * 12  # month index of 2015-01
 
@@ -60,6 +60,10 @@ class GroupSpec:
             raise ValueError("noise_sigma must be >= 0")
         if self.age_years < 2:
             raise ValueError("age_years must be >= 2")
+        # The same cap as max_duration; it also keeps every period_start
+        # within four-digit years.
+        if self.age_years > 1000:
+            raise ValueError("age_years must be <= 1000")
         if not self.initial_revenue > 0:
             raise ValueError("initial_revenue must be > 0")
 
@@ -272,21 +276,14 @@ def gen_quotes(
         min_cohort=min_cohort,
     )
 
-    tables: dict[tuple[int, int], MultiplierTable] = {}
+    tables = {t: multiplier_table(s, rate, s.depth) for t, s in surfaces.items() if s.depth}
     quotes = []
     for asset in assets:
-        t = round_half_up(asset.dollar_age)
-        surface = surfaces.get(t)
-        if surface is None:
-            continue
-        celled = surface.cell_horizons()
-        if not celled:
+        table = tables.get(round_half_up(asset.dollar_age))
+        if table is None:
             continue
         rng = _stream(seed, "quote", asset.asset_id)
-        duration = rng.randint(1, min(max_duration, celled[-1]))
-        table = tables.get((t, duration))
-        if table is None:
-            table = tables[(t, duration)] = multiplier_table(surface, rate, duration)
+        duration = rng.randint(1, min(max_duration, table.durations[-1]))
         ltm = float(asset.amounts[-1])
         bid_mult = table.entry(duration, bid_level)
         ask_mult = table.entry(duration, ask_level)

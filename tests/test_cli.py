@@ -271,6 +271,14 @@ class TestMultipliers:
         assert code == 2
         assert "horizon=4" in capsys.readouterr().err
 
+    def test_non_positive_durations_names_the_flag(self, tmp_path, capsys):
+        surface = write_flat_surface(tmp_path / "surface.json")
+        code = main(
+            ["--out", str(tmp_path), "multipliers", "--surface", str(surface), "--durations", "0"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --durations must be >= 1\n"
+
     def test_from_data_paths(self, tmp_path):
         cashflows, assets = flat_population_files(tmp_path)
         code = main(
@@ -330,6 +338,24 @@ class TestValue:
         code = main(["value", "--surface", str(surface), "--ltm", "-5", "--duration", "3"])
         assert code == 1
         assert "--ltm" in capsys.readouterr().err
+
+    def test_non_positive_duration_names_the_flag(self, tmp_path, capsys):
+        surface = write_flat_surface(tmp_path / "surface.json")
+        code = main(["value", "--surface", str(surface), "--ltm", "1", "--duration", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --duration must be >= 1\n"
+
+    @pytest.mark.parametrize("duration", ["1", "3"])
+    def test_surface_with_a_gap_in_its_cells_exits_one(self, tmp_path, capsys, duration):
+        surface = write_flat_surface(tmp_path / "surface.json", horizons=3)
+        payload = json.loads(surface.read_text())
+        payload["cells"] = [c for c in payload["cells"] if c["horizon"] != 2]
+        surface.write_text(json.dumps(payload))
+        code = main(["value", "--surface", str(surface), "--ltm", "1", "--duration", duration])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {surface}: cells must fill horizons 1..K at every level, for some K <= 3\n"
+        )
 
     @pytest.mark.parametrize(
         "change,message",
@@ -564,11 +590,12 @@ class TestSynthCommand:
              "groups[0]: G00A000: revenue in year 1 is too large"),
             ({"annual_growth": 1e300}, "groups[0]: G00A000: revenue in year 3 is too large"),
             ({"noise_sigma": 1e6}, "groups[0]: G00A000: revenue in year 1 is too large"),
+            ({"age_years": 1001}, "groups[0]: age_years must be <= 1000"),
         ],
         ids=[
             "seed_null", "count_list", "age_inf", "count_fraction", "age_fraction", "count_string",
             "count_bool", "seed_fraction", "revenue_inf", "revenue_1e307", "growth_1e300",
-            "sigma_1e6",
+            "sigma_1e6", "age_1001",
         ],
     )
     def test_wrong_spec_value_type_exits_one(self, tmp_path, capsys, change, message):

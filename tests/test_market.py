@@ -147,6 +147,26 @@ class TestCompare:
         assert rows == []
         assert "horizon=5" in errors[0].message
 
+    @pytest.mark.parametrize(
+        "levels,horizons,duration,message",
+        [
+            ((10.0, 50.0, 90.0), 0, 2, "horizon=1, level=10"),
+            ((50.0, 90.0), 4, 2, "horizon=2, level=10"),
+            ((50.0, 90.0), 4, 6, "horizon=5, level=50"),
+        ],
+        ids=["no_cells", "no_level_10", "no_level_10_too_short"],
+    )
+    def test_missing_cell_texts(self, levels, horizons, duration, message):
+        surface = ShareSurface(
+            3,
+            levels,
+            {(i, p): 1.0 for i in range(1, horizons + 1) for p in levels},
+            {i: 5 for i in range(1, 5)},
+        )
+        rows, errors = compare([quote(duration=duration)], {3: surface}, 0.10)
+        assert rows == []
+        assert [e.message for e in errors] == [f"base age 3: surface has no cell at {message}"]
+
     def test_quotes_sharing_terms_share_one_table(self, monkeypatch):
         levels = (10.0, 50.0, 90.0)
         surfaces = {
@@ -172,8 +192,8 @@ class TestCompare:
 
         monkeypatch.setattr(market, "multiplier_table", counting_table)
         rows, errors = compare(quotes, surfaces, 0.10)
-        # one build per (age, duration) table; the missing cell is rebuilt per quote
-        assert sorted(built) == [(3, 2), (3, 3), (3, 6), (3, 6), (4, 2)]
+        # one build per base age, to its deepest cell
+        assert sorted(built) == [(3, 4), (4, 4)]
         for row in rows:
             table = multiplier_table(surfaces[round_half_up(row.dollar_age)], 0.10, row.duration)
             band = tuple(table.entry(row.duration, p) for p in levels)

@@ -265,6 +265,20 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             ShareSurface(1, (10.0, 50.0), values, {1: 5})
 
+    @pytest.mark.parametrize(
+        "cells,horizons",
+        [
+            ([(1, 50.0), (3, 50.0)], 3),
+            ([(1, 50.0), (2, 50.0)], 1),
+            ([(1, 50.0), (1, 90.0)], 1),
+        ],
+        ids=["gap_in_horizons", "beyond_counts", "undeclared_level"],
+    )
+    def test_surface_cells_must_be_a_rectangle(self, cells, horizons):
+        counts = {i: 5 for i in range(1, horizons + 1)}
+        with pytest.raises(ValueError, match=f"every level, for some K <= {horizons}"):
+            ShareSurface(1, (50.0,), dict.fromkeys(cells, 1.0), counts)
+
     def test_surface_rejects_gap_in_count_horizons(self):
         with pytest.raises(ValueError):
             ShareSurface(1, (50.0,), {}, {1: 5, 3: 2})

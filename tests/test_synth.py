@@ -4,7 +4,13 @@ import pytest
 
 from conftest import records_of
 from royaltyval.curves import build_surface
-from royaltyval.ingest import annualize, build_dataset
+from royaltyval.ingest import (
+    annualize,
+    assemble_raw_assets,
+    build_dataset,
+    parse_cashflows,
+    write_cashflows_csv,
+)
 from royaltyval.market import compare
 from royaltyval.model import multiplier_table
 from royaltyval.synth import (
@@ -71,6 +77,14 @@ class TestGenAsset:
     def test_noise_keeps_amounts_positive(self):
         asset = gen_asset(3, 8, 50.0, -0.4, 0.8)
         assert all(amount_cents >= 0 for _, _, amount_cents in records_of(asset))
+
+    def test_oldest_allowed_asset_roundtrips_through_csv(self, tmp_path):
+        # 1000 years from 2015-01 end at 3014-12: still a YYYY-MM period
+        asset = gen_asset(4, 1000, 1200.0, 0.0, 0.0, asset_id="A")
+        path = tmp_path / "cashflows.csv"
+        write_cashflows_csv(path, [asset])
+        [back] = assemble_raw_assets(parse_cashflows(path), {"A": 1000.0})
+        assert records_of(back) == records_of(asset)
 
     def test_monthly_coverage_is_gap_free(self):
         asset = gen_asset(11, 4, 2400.0, 0.1, 0.3)
