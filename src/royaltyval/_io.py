@@ -1,7 +1,8 @@
 """File formats: every CSV and JSON file is read and written here.
 
-Readers raise ParseError for malformed input, naming the file and the
-1-based line where known; the CLI turns it into exit status 1. Input files
+Readers raise ValueError for malformed input; read_table and read_json turn
+one raised in their block into ParseError naming the file and, for a table
+row, its 1-based line. The CLI reports it with exit status 1. Input files
 are UTF-8 and may start with a byte-order mark. Writers emit UTF-8 with
 ``\\n`` line ends and no timestamps, so equal inputs give equal bytes.
 """
@@ -74,65 +75,82 @@ def _not_utf8(exc: UnicodeDecodeError, path: str | None) -> ParseError:
 
 
 @contextmanager
-def read_table(
-    source: Source, header: tuple[str, ...]
-) -> Iterator[tuple[str | None, Iterator[tuple[int, Iterator[str]]]]]:
-    """(path, rows) of a CSV file or open stream whose first row is
-    `header`; a file opened here is closed when the block exits.
+def read_table(source: Source, header: tuple[str, ...]) -> Iterator[Iterator[Iterator[str]]]:
+    """The rows, each an iterator of stripped fields, of a CSV file or open
+    stream whose first row is `header`; a file opened here is closed when
+    the block exits.
 
-    rows yields (line, stripped fields) for each row after the header,
-    which is line 1. Header fields may be padded with spaces. A missing or
-    wrong header, a row without exactly one field per header column, a row
-    the csv module cannot read and bytes that are not UTF-8 raise
-    ParseError at their line.
+    Rows are numbered from the header, line 1, however many physical lines
+    each spans. Header fields may be padded with spaces. A missing or wrong
+    header, a row without one field per header column, a row the csv module
+    cannot read and bytes that are not UTF-8 raise ParseError at their
+    line, as does a ValueError raised in the block while a row is handled;
+    one raised after the last row names only the file.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-            yield str(source), _table_rows(handle, str(source), header)
-    else:
-        path = getattr(source, "name", None)
-        yield path, _table_rows(source, path, header)
+            with read_table(handle, header) as rows:
+                yield rows
+        return
+    path = getattr(source, "name", None)
+    line = None  # of the row being handled; None before the first and after the last
 
+    def rows() -> Iterator[Iterator[str]]:
+        nonlocal line
+        reader = csv.reader(source)
+        line = 0
+        try:
+            first = next(reader, None)
+            line = 1
+            if first is None:
+                raise ParseError("file is empty, expected a header row", line=1, path=path)
+            if tuple(map(str.strip, first)) != header:
+                raise ParseError(
+                    f"bad header {first!r}, expected {','.join(header)}", line=1, path=path
+                )
+            width = len(header)
+            for line, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    raise ParseError(
+                        f"expected {width} fields, got {len(row)}", line=line, path=path
+                    )
+                yield map(str.strip, row)
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=line + 1, path=path) from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc, path) from None
+        line = None
 
-def _table_rows(
-    handle: TextIO, path: str | None, header: tuple[str, ...]
-) -> Iterator[tuple[int, Iterator[str]]]:
-    reader = csv.reader(handle)
-    line = 0  # the line of the last row read
     try:
-        first = next(reader, None)
-        line = 1
-        if first is None:
-            raise ParseError("file is empty, expected a header row", line=1, path=path)
-        if tuple(map(str.strip, first)) != header:
-            raise ParseError(
-                f"bad header {first!r}, expected {','.join(header)}", line=1, path=path
-            )
-        width = len(header)
-        for line, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise ParseError(f"expected {width} fields, got {len(row)}", line=line, path=path)
-            yield line, map(str.strip, row)
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=line + 1, path=path) from None
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc, path) from None
+        yield rows()
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc), line=line, path=path) from None
 
 
-def read_json(path: str | Path):
-    """The decoded JSON value of a file, which may start with a BOM."""
+@contextmanager
+def read_json(path: str | Path) -> Iterator:
+    """The decoded JSON value of a file, which may start with a BOM. A
+    ValueError raised in the block becomes ParseError naming the file."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise _not_utf8(exc, str(path)) from None
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON: {exc.msg} at column {exc.colno}", line=exc.lineno, path=str(path)
         ) from None
     except (ValueError, RecursionError) as exc:  # an integer too long to read; deep nesting
         raise ParseError(f"invalid JSON: {exc}", path=str(path)) from None
+    try:
+        yield value
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc), path=str(path)) from None
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:

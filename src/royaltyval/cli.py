@@ -75,13 +75,12 @@ _CONFIG_FLAGS = {
 
 def load_config_file(path: str | Path) -> dict:
     """Read a flat JSON config; unknown keys are an error to catch typos."""
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    unknown = set(data) - _CONFIG_FIELDS
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
-    try:
+    with read_json(path) as data:
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(data) - _CONFIG_FIELDS
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
             if key == "percentile_levels":
                 try:
@@ -99,8 +98,6 @@ def load_config_file(path: str | Path) -> dict:
             else:
                 data[key] = json_number(key, value, key in ("min_cohort", "max_duration"))
         Config(**data)  # the range checks, so their errors name this file too
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     return data
 
 
@@ -151,6 +148,8 @@ def _surface_for(args, cfg: Config, levels: tuple[float, ...]) -> ShareSurface:
         return curves_mod.load_surface(args.surface)
     if args.cashflows is None or args.assets is None or args.age is None:
         raise ValueError("need either --surface or --cashflows/--assets/--age")
+    if args.age < 1:
+        raise ValueError("--age must be >= 1")
     dataset, _ = _load_dataset(args, cfg)
     return curves_mod.build_surface(
         dataset,
@@ -303,14 +302,11 @@ def _plot_json(axis: str, groups) -> dict:
 
 def _cmd_synth(args, cfg: Config) -> int:
     out = _out_dir(args)
-    data = read_json(args.spec)
-    try:
+    with read_json(args.spec) as data:
         spec = synth.PopulationSpec.from_json_dict(data)
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
         population = synth.gen_population(spec)
-    except ValueError as exc:
-        raise ValueError(f"{args.spec}: {exc}") from None
     ingest.write_cashflows_csv(out / "cashflows.csv", population)
     ingest.write_assets_csv(out / "assets.csv", population)
 

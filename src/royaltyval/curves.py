@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from ._io import ParseError, Source, json_number, parse_number, read_json, read_table
+from ._io import Source, json_number, parse_number, read_json, read_table
 from .model import Asset, ShareSurface
 
 DEFAULT_LEVELS = (10.0, 50.0, 90.0)
@@ -161,26 +161,20 @@ def parse_surface_csv(source: Source) -> ShareSurface:
     levels: set[float] = set()
     values: dict[tuple[int, float], float] = {}
     counts: dict[int, int] = {}
-    with read_table(source, SURFACE_HEADER) as (path, rows):
-        for line, (t, horizon, level, share, n) in rows:
-            try:
-                t = parse_number(t, int)
-                if base_age is None:
-                    base_age = t
-                elif t != base_age:
-                    raise ValueError("surface rows mix base ages")
-                i, p = parse_number(horizon, int), parse_number(level)
-                levels.add(p)
-                values[(i, p)] = parse_number(share)
-                counts[i] = parse_number(n, int)
-            except ValueError as exc:
-                raise ParseError(str(exc), line=line, path=path) from None
-    try:
+    with read_table(source, SURFACE_HEADER) as rows:
+        for t, horizon, level, share, n in rows:
+            t = parse_number(t, int)
+            if base_age is None:
+                base_age = t
+            elif t != base_age:
+                raise ValueError("surface rows mix base ages")
+            i, p = parse_number(horizon, int), parse_number(level)
+            levels.add(p)
+            values[(i, p)] = parse_number(share)
+            counts[i] = parse_number(n, int)
         if base_age is None:
             raise ValueError("no surface rows")
         return ShareSurface(base_age, tuple(sorted(levels)), values, counts)
-    except ValueError as exc:
-        raise ParseError(str(exc), path=path) from None
 
 
 def surface_to_json_dict(surface: ShareSurface) -> dict:
@@ -232,8 +226,5 @@ def load_surface(path: Union[str, Path]) -> ShareSurface:
     path = Path(path)
     if path.suffix.lower() != ".json":
         return parse_surface_csv(path)
-    data = read_json(path)
-    try:
+    with read_json(path) as data:
         return surface_from_json_dict(data)
-    except ValueError as exc:
-        raise ParseError(str(exc), path=str(path)) from None

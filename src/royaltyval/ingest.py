@@ -35,6 +35,7 @@ REPORT_HEADER = ("asset_id", "status", "reason")
 
 DEFAULT_ZERO_FLOOR = 0.0
 DEFAULT_AGE_TOLERANCE = 0.30
+MAX_AMOUNT_DIGITS = 18  # amounts below 10**18 dollars keep annual sums and shares finite
 
 # [0-9], not \d: \d also matches non-ASCII digits such as Arabic-Indic ones,
 # which int() reads as their ASCII values.
@@ -157,8 +158,8 @@ def parse_cashflows(source: Source) -> dict[str, Columns]:
     a block of lines at a time. Any other file, including one holding a
     duplicate, is read again from its start row by row, which gives the
     same columns or raises ParseError with a 1-based line number for
-    malformed rows, unknown frequencies, negative amounts and duplicate
-    (asset_id, period_start) pairs.
+    malformed rows, unknown frequencies, negative amounts, amounts of
+    10**18 dollars or more and duplicate (asset_id, period_start) pairs.
     """
     columns = _read_canonical(source)
     return _parse_rows(source) if columns is None else columns
@@ -253,57 +254,43 @@ def _sorted_columns(grouped) -> dict[str, Columns] | None:
 def _parse_rows(source: Source) -> dict[str, Columns]:
     """parse_cashflows one row at a time: the reader of every form the
     canonical check turns down, and the source of every error text."""
-    with read_table(source, CASHFLOWS_HEADER) as (path, rows):
+    with read_table(source, CASHFLOWS_HEADER) as rows:
         grouped: dict[str, tuple[list[int], list[int], list[int]]] = {}
         seen: set[tuple[str, int]] = set()
         # every asset repeats the same months: check each distinct text once
         months_by_text: dict[str, int] = {}
-        for line, (asset_id, start_text, months_text, amount_text) in rows:
+        for asset_id, start_text, months_text, amount_text in rows:
             if not asset_id:
-                raise ParseError("empty asset_id", line=line, path=path)
+                raise ValueError("empty asset_id")
             start = months_by_text.get(start_text)
             if start is None:
                 m = _MONTH_RE.fullmatch(start_text)
                 if not m:
-                    raise ParseError(
-                        f"period_start must be YYYY-MM, got {start_text!r}", line=line, path=path
-                    )
+                    raise ValueError(f"period_start must be YYYY-MM, got {start_text!r}")
                 month = int(m.group(2))
                 if not 1 <= month <= 12:
-                    raise ParseError(f"month out of range: {month}", line=line, path=path)
+                    raise ValueError(f"month out of range: {month}")
                 start = months_by_text[start_text] = int(m.group(1)) * 12 + month - 1
             months = _PERIODS.get(months_text)
             if months is None:
-                raise ParseError(
-                    f"unknown frequency {months_text!r} (period_months must be 1 or 3)",
-                    line=line,
-                    path=path,
+                raise ValueError(
+                    f"unknown frequency {months_text!r} (period_months must be 1 or 3)"
                 )
             m = _AMOUNT_RE.fullmatch(amount_text)
             if not m:
-                raise ParseError(
-                    f"bad amount {amount_text!r} (decimal with <= 2 fraction digits)",
-                    line=line,
-                    path=path,
-                )
+                raise ValueError(f"bad amount {amount_text!r} (decimal with <= 2 fraction digits)")
             sign, whole, frac = m.groups()
-            try:
-                cents = int(whole + (frac or "").ljust(2, "0"))
-            except ValueError:  # more digits than int() reads
-                raise ParseError(
-                    f"bad amount of {len(amount_text)} characters (too many digits to read)",
-                    line=line,
-                    path=path,
-                ) from None
-            if sign and cents:
-                raise ParseError(
-                    f"NEGATIVE_AMOUNT: amount {amount_text!r} is negative", line=line, path=path
+            whole = whole.lstrip("0")
+            if len(whole) > MAX_AMOUNT_DIGITS:
+                raise ValueError(
+                    f"bad amount of {len(amount_text)} characters (too many digits to read)"
                 )
+            cents = int(whole + (frac or "").ljust(2, "0"))
+            if sign and cents:
+                raise ValueError(f"NEGATIVE_AMOUNT: amount {amount_text!r} is negative")
             key = (asset_id, start)
             if key in seen:
-                raise ParseError(
-                    f"duplicate record for {asset_id} at {start_text}", line=line, path=path
-                )
+                raise ValueError(f"duplicate record for {asset_id} at {start_text}")
             seen.add(key)
             columns = grouped.get(asset_id)
             if columns is None:
@@ -316,23 +303,19 @@ def _parse_rows(source: Source) -> dict[str, Columns]:
 
 def parse_assets(source: Source) -> dict[str, float]:
     """Read assets.csv into an asset_id -> dollar_age mapping."""
-    with read_table(source, ASSETS_HEADER) as (path, rows):
+    with read_table(source, ASSETS_HEADER) as rows:
         ages: dict[str, float] = {}
-        for line, (asset_id, age_text) in rows:
+        for asset_id, age_text in rows:
             if not asset_id:
-                raise ParseError("empty asset_id", line=line, path=path)
+                raise ValueError("empty asset_id")
             if asset_id in ages:
-                raise ParseError(f"duplicate asset {asset_id}", line=line, path=path)
+                raise ValueError(f"duplicate asset {asset_id}")
             try:
                 age = parse_number(age_text)
             except ValueError:
-                raise ParseError(f"bad dollar_age {age_text!r}", line=line, path=path) from None
+                raise ValueError(f"bad dollar_age {age_text!r}") from None
             if not (math.isfinite(age) and age > 0):
-                raise ParseError(
-                    f"dollar_age must be a positive finite number, got {age_text!r}",
-                    line=line,
-                    path=path,
-                )
+                raise ValueError(f"dollar_age must be a positive finite number, got {age_text!r}")
             ages[asset_id] = age
         return ages
 

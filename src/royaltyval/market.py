@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
-from ._io import ParseError, Source, parse_number, read_table, write_csv
+from ._io import Source, parse_number, read_table, write_csv
 from .curves import build_surfaces
 from .model import Asset, MissingCellError, ShareSurface, multiplier_table
 
@@ -304,28 +304,25 @@ def aggregate_plot_data(
 def parse_quotes(source: Source) -> list[MarketQuote]:
     """Read quotes.csv; an empty best_bid field means no bid was posted.
     Each asset_id names one quote."""
-    with read_table(source, QUOTES_HEADER) as (path, rows):
+    with read_table(source, QUOTES_HEADER) as rows:
         quotes = []
         seen: set[str] = set()
-        for line, (asset_id, ltm, bid, ask, duration, age) in rows:
+        for asset_id, ltm, bid, ask, duration, age in rows:
             if not asset_id:
-                raise ParseError("empty asset_id", line=line, path=path)
+                raise ValueError("empty asset_id")
             if asset_id in seen:
-                raise ParseError(f"duplicate quote {asset_id}", line=line, path=path)
+                raise ValueError(f"duplicate quote {asset_id}")
             seen.add(asset_id)
-            try:
-                quotes.append(
-                    MarketQuote(
-                        asset_id=asset_id,
-                        ltm=parse_number(ltm),
-                        best_bid=parse_number(bid) if bid else None,
-                        ask=parse_number(ask),
-                        duration_years=parse_number(duration, int),
-                        dollar_age=parse_number(age),
-                    )
+            quotes.append(
+                MarketQuote(
+                    asset_id=asset_id,
+                    ltm=parse_number(ltm),
+                    best_bid=parse_number(bid) if bid else None,
+                    ask=parse_number(ask),
+                    duration_years=parse_number(duration, int),
+                    dollar_age=parse_number(age),
                 )
-            except ValueError as exc:
-                raise ParseError(str(exc), line=line, path=path) from None
+            )
         return quotes
 
 

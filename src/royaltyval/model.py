@@ -126,10 +126,15 @@ class ShareSurface:
         for (i, p), s in self.values.items():
             if not math.isfinite(s) or s < 0.0:
                 raise ValueError(f"share at ({i}, {p:g}) must be finite and >= 0")
+        top = 0.0
         for i in self.cell_horizons():
             ordered = [self.values[(i, p)] for p in self.levels]
             if any(a > b for a, b in zip(ordered, ordered[1:])):
                 raise ValueError(f"shares at horizon {i} not ordered by level")
+            top += ordered[-1]
+        # no level sums higher, and discount factors are <= 1: multipliers stay finite
+        if not math.isfinite(top):
+            raise ValueError(f"shares at level {self.levels[-1]:g} sum past the float range")
 
     def cell_horizons(self) -> list[int]:
         """Horizons that received cells, ascending: always 1..depth."""
@@ -187,12 +192,16 @@ class MultiplierTable:
 # ---------------------------------------------------------------------------
 
 def discount_factor(rate: float, year: int) -> float:
-    """Present-value factor 1/(1+rate)^year for a cashflow `year` years out."""
+    """Present-value factor 1/(1+rate)^year for a cashflow `year` years out;
+    0.0 where (1+rate)^year is past the float range."""
     if rate < 0:
         raise ValueError("rate must be >= 0")
     if year < 1:
         raise ValueError("year must be >= 1")
-    return 1.0 / (1.0 + rate) ** year
+    try:
+        return 1.0 / (1.0 + rate) ** year
+    except OverflowError:
+        return 0.0
 
 
 def multiplier_from_shares(shares: Sequence[Amount], rate: float) -> float:

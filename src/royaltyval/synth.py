@@ -21,7 +21,7 @@ from typing import Sequence
 
 from ._io import json_number
 from .curves import DEFAULT_MIN_COHORT, build_surfaces
-from .ingest import RawAsset
+from .ingest import MAX_AMOUNT_DIGITS, RawAsset
 from .market import BAND_LEVELS, MarketQuote, round_half_up
 from .model import Asset, multiplier_table
 
@@ -188,16 +188,21 @@ def gen_asset(
     asset_id = asset_id if asset_id is not None else f"S{seed:016x}"
     rng = random.Random(seed)
 
-    monthly: list[int] = []
+    annual: list[int] = []
     for k in range(1, spec.age_years + 1):
         eps = _normal(rng, spec.noise_sigma) if spec.noise_sigma > 0 else 0.0
         try:
             level = spec.initial_revenue * (1.0 + spec.annual_growth) ** (k - 1)
             if eps:
                 level *= math.exp(eps)
-            cents = round(level * 100)
+            annual.append(round(level * 100))
         except OverflowError:
             raise ValueError(f"{asset_id}: revenue in year {k} is too large") from None
+    # after the loop, so a float overflow is named before an earlier year past the bound
+    monthly: list[int] = []
+    for k, cents in enumerate(annual, start=1):
+        if cents >= 10 ** (MAX_AMOUNT_DIGITS + 2):
+            raise ValueError(f"{asset_id}: revenue in year {k} is too large")
         monthly += _split_cents(cents)
     n = len(monthly)
     return RawAsset(asset_id, float(spec.age_years), range(start, start + n), (1,) * n, monthly)

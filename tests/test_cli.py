@@ -128,6 +128,17 @@ class TestValidate:
         assert code == 1
         assert capsys.readouterr().err == f"error: {cashflows}, {assets}: {message}\n"
 
+    def test_amount_too_large_for_a_float_exits_one_at_its_line(self, tmp_path, capsys):
+        cashflows, assets = flat_population_files(tmp_path)
+        rows = cashflows.read_text().splitlines(keepends=True)
+        rows[2] = rows[2].rsplit(",", 1)[0] + ",1" + "0" * 400 + "\n"
+        cashflows.write_text("".join(rows))
+        code = main(["validate", "--cashflows", str(cashflows), "--assets", str(assets)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {cashflows}:line 3: bad amount of 401 characters (too many digits to read)\n"
+        )
+
     @pytest.mark.parametrize("kind", ["cashflows", "assets", "quotes", "surface"])
     def test_oversized_field_exits_one_with_line(self, tmp_path, capsys, kind):
         big = "1" * 200_000
@@ -279,6 +290,16 @@ class TestMultipliers:
         assert code == 1
         assert capsys.readouterr().err == "error: --durations must be >= 1\n"
 
+    def test_rate_past_the_float_power_range_exits_zero(self, tmp_path):
+        surface = write_flat_surface(tmp_path / "surface.json")
+        code = main(
+            ["--out", str(tmp_path), "multipliers", "--surface", str(surface),
+             "--rate", "1e300", "--durations", "2"]
+        )
+        assert code == 0
+        rows = read_rows(tmp_path / "multipliers_age1.csv")[1:]
+        assert [row[3] for row in rows] == ["0.000000"] * 6
+
     def test_from_data_paths(self, tmp_path):
         cashflows, assets = flat_population_files(tmp_path)
         code = main(
@@ -410,6 +431,18 @@ class TestValue:
         assert code == 1
         assert capsys.readouterr().err == f"error: {surface}:{message}\n"
 
+    def test_shares_summing_past_the_float_range_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "surface.csv"
+        cells = ((10, "1"), (50, "1e308"), (90, "1e308"))
+        path.write_text(
+            SURFACE_CSV_HEADER + "".join(f"1,{i},{p},{s},5\n" for i in (1, 2, 3) for p, s in cells)
+        )
+        code = main(["value", "--surface", str(path), "--ltm", "10", "--duration", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: shares at level 90 sum past the float range\n"
+        )
+
     def test_non_object_surface_json_exits_one(self, tmp_path, capsys):
         surface = tmp_path / "surface.json"
         surface.write_text("[1, 2]")
@@ -513,6 +546,20 @@ class TestCompare:
         )
         assert code == 1
         assert capsys.readouterr().err == f"error: {quotes_path}:{message}\n"
+
+    def test_rate_past_the_float_power_range_exits_zero(self, tmp_path):
+        cashflows, assets, dataset = self._dataset_files(tmp_path)
+        quotes_path = tmp_path / "quotes.csv"
+        write_quotes_csv(quotes_path, gen_quotes(dataset, seed=8, noise=0.0))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rate": 1e300}))
+        code = main(
+            ["--config", str(config), "--out", str(tmp_path), "compare", "--cashflows",
+             str(cashflows), "--assets", str(assets), "--quotes", str(quotes_path)]
+        )
+        assert code == 0
+        rows = read_rows(tmp_path / "comparison.csv")[1:]
+        assert rows and {value for row in rows for value in row[5:8]} == {"0.000000"}
 
     def test_long_duration_quote_lands_in_rejections(self, tmp_path):
         cashflows, assets, dataset = self._dataset_files(tmp_path)
@@ -721,6 +768,22 @@ class TestConfigPrecedence:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"rate": 0.2, "min_cohort": 3}))
         assert load_config_file(config) == {"rate": 0.2, "min_cohort": 3}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["curves"], ["multipliers", "--durations", "2"], ["value", "--ltm", "10", "--duration", "2"]],
+    ids=["curves", "multipliers", "value"],
+)
+@pytest.mark.parametrize("age", ["0", "-3"])
+def test_age_below_one_names_the_flag(tmp_path, capsys, command, age):
+    cashflows, assets = flat_population_files(tmp_path)
+    code = main(
+        ["--out", str(tmp_path), command[0], "--cashflows", str(cashflows),
+         "--assets", str(assets), "--age", age, *command[1:]]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: --age must be >= 1\n"
 
 
 class TestHelp:

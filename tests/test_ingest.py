@@ -129,6 +129,18 @@ PARSE_ERRORS = [
 ]
 
 
+@pytest.mark.parametrize("zeros", ["", "00"], ids=["canonical", "row_by_row"])
+def test_parse_cashflows_reads_amounts_below_10_to_the_18_dollars(zeros):
+    top = "999999999999999999.99"
+    parsed = parse_cashflows(cashflows_csv(f"A1,2019-01,1,{zeros}{top}"))
+    assert flat(parsed) == [("A1", month(2019, 1), 1, 10**20 - 1)]
+    with pytest.raises(ParseError) as err:
+        parse_cashflows(cashflows_csv(f"A1,2019-01,1,{zeros}1{'0' * 18}.00"))
+    assert (str(err.value), err.value.line) == (
+        f"line 2: bad amount of {len(zeros) + 22} characters (too many digits to read)", 2
+    )
+
+
 @pytest.mark.parametrize("rows,message,line", PARSE_ERRORS)
 def test_parse_cashflows_error_text_and_line(rows, message, line):
     with pytest.raises(ParseError) as err:

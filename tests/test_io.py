@@ -1,23 +1,36 @@
 import csv
 import io
+import re
 
 import pytest
 
-from royaltyval._io import ParseError, read_table
+from royaltyval._io import ParseError, read_json, read_table
 
 HEADER = ("a", "b")
 
 
-def read_all(text: str) -> list[tuple[int, list[str]]]:
-    with read_table(io.StringIO(text), HEADER) as (_, rows):
-        return [(line, list(fields)) for line, fields in rows]
+def read_all(text: str) -> list[list[str]]:
+    with read_table(io.StringIO(text), HEADER) as rows:
+        return [list(fields) for fields in rows]
+
+
+def fail_at(source, first_field: str | None, exc: ValueError) -> None:
+    """Raise `exc` while handling the row whose first field is
+    `first_field`, or after the last row when it is None."""
+    with read_table(source, HEADER) as rows:
+        for fields in rows:
+            if next(fields) == first_field:
+                raise exc
+        raise exc
 
 
 class TestReadTable:
     def test_lines_count_rows_not_physical_lines(self):
         # a quoted field spanning lines is one row, so one line number
-        rows = read_all('a,b\n"x\ny",1\nz,2\n')
-        assert rows == [(2, ["x\ny", "1"]), (3, ["z", "2"])]
+        text = 'a,b\n"x\ny",1\nz,2\n'
+        assert read_all(text) == [["x\ny", "1"], ["z", "2"]]
+        with pytest.raises(ParseError, match="^line 3: bad z$"):
+            fail_at(io.StringIO(text), "z", ValueError("bad z"))
 
     @pytest.mark.parametrize(
         "bad_row,message",
@@ -34,3 +47,34 @@ class TestReadTable:
     def test_unreadable_header_is_line_one(self):
         with pytest.raises(ParseError, match="^line 1: field larger"):
             read_all("a" * (csv.field_size_limit() + 1) + ",b\n")
+
+
+class TestErrorsNameTheFile:
+    @pytest.fixture
+    def table(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\nx,1\ny,2\n")
+        return path
+
+    def test_error_while_a_row_is_handled_names_its_line(self, table):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(table))}:line 3: bad y$") as err:
+            fail_at(table, "y", ValueError("bad y"))
+        assert (err.value.path, err.value.line) == (str(table), 3)
+
+    def test_error_after_the_last_row_names_the_file_only(self, table):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(table))}: no total$") as err:
+            fail_at(table, None, ValueError("no total"))
+        assert err.value.line is None
+
+    def test_parse_error_passes_through_unprefixed(self, table):
+        with pytest.raises(ParseError, match="^line 9: as raised$"):
+            fail_at(table, "x", ParseError("as raised", line=9))
+
+    def test_json_block_error_names_the_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"k": 1}')
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: k must be 2$") as err:
+            with read_json(path) as value:
+                assert value == {"k": 1}
+                raise ValueError("k must be 2")
+        assert err.value.line is None

@@ -64,6 +64,12 @@ class TestDiscountFactor:
         with pytest.raises(ValueError):
             discount_factor(0.10, 0)
 
+    def test_power_past_the_float_range_gives_zero(self):
+        assert discount_factor(1e300, 1) == 1.0 / (1.0 + 1e300)
+        assert discount_factor(1e300, 2) == 0.0
+        table = multiplier_table(flat_surface(), 1e300, 3)
+        assert [table.entry(d, 50.0) for d in (1, 2, 3)] == [1.0 / (1.0 + 1e300)] * 3
+
     @given(rate=rates, year=st.integers(min_value=1, max_value=30))
     def test_in_unit_interval(self, rate, year):
         df = discount_factor(rate, year)
@@ -278,6 +284,12 @@ class TestDomainTypes:
         counts = {i: 5 for i in range(1, horizons + 1)}
         with pytest.raises(ValueError, match=f"every level, for some K <= {horizons}"):
             ShareSurface(1, (50.0,), dict.fromkeys(cells, 1.0), counts)
+
+    def test_surface_rejects_shares_summing_past_the_float_range(self):
+        counts = {1: 5, 2: 5}
+        assert ShareSurface(1, (50.0,), {(1, 50.0): 1e308}, counts).depth == 1
+        with pytest.raises(ValueError, match="^shares at level 50 sum past the float range$"):
+            ShareSurface(1, (50.0,), {(1, 50.0): 1e308, (2, 50.0): 1e308}, counts)
 
     def test_surface_rejects_gap_in_count_horizons(self):
         with pytest.raises(ValueError):

@@ -86,6 +86,19 @@ class TestGenAsset:
         [back] = assemble_raw_assets(parse_cashflows(path), {"A": 1000.0})
         assert records_of(back) == records_of(asset)
 
+    def test_revenue_below_the_parse_bound_roundtrips_through_csv(self, tmp_path):
+        # just under 10**18 dollars a year, the most parse_cashflows reads
+        asset = gen_asset(5, 2, 999_999_999_999_999_872.0, 0.0, 0.0, asset_id="A")
+        path = tmp_path / "cashflows.csv"
+        write_cashflows_csv(path, [asset])
+        [back] = assemble_raw_assets(parse_cashflows(path), {"A": 2.0})
+        assert records_of(back) == records_of(asset)
+
+    @pytest.mark.parametrize("initial,growth,year", [(1e18, 0.0, 1), (6e17, 1.0, 2)])
+    def test_revenue_past_the_parse_bound_is_too_large(self, initial, growth, year):
+        with pytest.raises(ValueError, match=f"^A: revenue in year {year} is too large$"):
+            gen_asset(5, 3, initial, growth, 0.0, asset_id="A")
+
     def test_monthly_coverage_is_gap_free(self):
         asset = gen_asset(11, 4, 2400.0, 0.1, 0.3)
         assert len(records_of(asset)) == 48
