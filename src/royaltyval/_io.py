@@ -13,8 +13,10 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Sequence, TextIO, Union, get_args, get_type_hints
 
 Source = Union[str, Path, TextIO]
 
@@ -161,6 +163,36 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
 
 
 def write_json(path: str | Path, payload) -> None:
+    """Write `payload`; one holding NaN or an infinity, which JSON cannot
+    represent, raises ValueError naming the path and writes nothing."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
+
+
+def int_fields(cls) -> set[str]:
+    """The fields of dataclass `cls` declared int."""
+    hints = get_type_hints(cls)
+    return {f.name for f in fields(cls) if hints[f.name] is int}
+
+
+def record_header(cls) -> tuple[str, ...]:
+    """The CSV header of a table of dataclass `cls`: its field names, in order."""
+    return tuple(f.name for f in fields(cls))
+
+
+def record_rows(cls, records: Iterable, float_spec: str) -> list[tuple[str, ...]]:
+    """CSV rows of dataclass `cls` records, a cell per field formatted by
+    its declared type: a str as it is, an int with str, a float with
+    `float_spec` ("" writes repr's text) and a float that is None blank."""
+    names, hints = record_header(cls), get_type_hints(cls)
+    specs = [float_spec if float in (hints[n], *get_args(hints[n])) else "" for n in names]
+    return [
+        tuple(map(format, values, specs))
+        if None not in values
+        else tuple(["" if v is None else format(v, s) for v, s in zip(values, specs)])
+        for values in map(attrgetter(*names), records)
+    ]

@@ -17,12 +17,11 @@ from typing import Sequence
 
 from . import curves as curves_mod
 from . import ingest, market, synth
-from ._io import json_number, read_json, write_csv, write_json
+from ._io import int_fields, json_number, read_json, record_header, record_rows, write_csv, write_json
 from .model import MissingCellError, MultiplierTable, ShareSurface, multiplier_table, price
 
 MULTIPLIERS_HEADER = ("base_age", "duration", "level", "multiplier")
 REJECTED_QUOTES_HEADER = ("asset_id", "reason")
-COMPARE_ERRORS_HEADER = ("asset_id", "error")
 
 __all__ = ["Config", "load_config_file", "main"]
 
@@ -47,6 +46,9 @@ class Config:
         for p in self.percentile_levels:
             if not 0.0 < p < 100.0:
                 raise ValueError(f"percentile level {p!r} outside (0, 100)")
+        # CSV outputs label levels with :g, which keeps six significant digits
+        if len({f"{p:g}" for p in self.percentile_levels}) != len(self.percentile_levels):
+            raise ValueError("percentile_levels must differ at six significant digits")
         if self.min_cohort < 1:
             raise ValueError("min_cohort must be >= 1")
         if self.max_duration < 1:
@@ -62,6 +64,7 @@ class Config:
 
 
 _CONFIG_FIELDS = {f.name for f in fields(Config)}
+_INT_FIELDS = int_fields(Config)
 
 # The flags that override a config value: flag -> (Config field, type, help).
 _CONFIG_FLAGS = {
@@ -96,7 +99,7 @@ def load_config_file(path: str | Path) -> dict:
                 if not isinstance(value, str):
                     raise ValueError(f"output_format must be a string, got {value!r}")
             else:
-                data[key] = json_number(key, value, key in ("min_cohort", "max_duration"))
+                data[key] = json_number(key, value, key in _INT_FIELDS)
         Config(**data)  # the range checks, so their errors name this file too
     return data
 
@@ -277,15 +280,15 @@ def _cmd_compare(args, cfg: Config) -> int:
     )
     write_csv(
         out / "comparison_errors.csv",
-        COMPARE_ERRORS_HEADER,
-        [(e.asset_id, e.message) for e in errors],
+        record_header(market.ComparisonError),
+        record_rows(market.ComparisonError, errors, ""),
     )
     by_duration = market.aggregate_plot_data(rows, "duration")
     by_age = market.aggregate_plot_data(rows, "dollar_age_bucket")
     if cfg.output_format == "json":
         write_json(out / "comparison.json", {
             "rows": [asdict(r) for r in rows],
-            "errors": [{"asset_id": e.asset_id, "error": e.message} for e in errors],
+            "errors": [asdict(e) for e in errors],
         })
         write_json(out / "by_duration.json", _plot_json("duration", by_duration))
         write_json(out / "by_dollar_age.json", _plot_json("dollar_age_bucket", by_age))

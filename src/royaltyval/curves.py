@@ -156,9 +156,10 @@ def surface_csv_rows(surface: ShareSurface) -> list[tuple[str, str, str, str, st
 
 
 def parse_surface_csv(source: Source) -> ShareSurface:
-    """Rebuild a surface from its CSV form (celled horizons only)."""
+    """Rebuild a surface from its CSV form (celled horizons only). A
+    repeated cell, or rows of one horizon with different cohort sizes, is
+    an error at its line."""
     base_age = None
-    levels: set[float] = set()
     values: dict[tuple[int, float], float] = {}
     counts: dict[int, int] = {}
     with read_table(source, SURFACE_HEADER) as rows:
@@ -169,12 +170,15 @@ def parse_surface_csv(source: Source) -> ShareSurface:
             elif t != base_age:
                 raise ValueError("surface rows mix base ages")
             i, p = parse_number(horizon, int), parse_number(level)
-            levels.add(p)
-            values[(i, p)] = parse_number(share)
-            counts[i] = parse_number(n, int)
+            share, n = parse_number(share), parse_number(n, int)
+            if (i, p) in values:
+                raise ValueError(f"repeated cell at horizon {i}, level {p:g}")
+            if counts.setdefault(i, n) != n:
+                raise ValueError(f"cohort_size {n} at horizon {i} differs from {counts[i]}")
+            values[(i, p)] = share
         if base_age is None:
             raise ValueError("no surface rows")
-        return ShareSurface(base_age, tuple(sorted(levels)), values, counts)
+        return ShareSurface(base_age, tuple(sorted({p for _, p in values})), values, counts)
 
 
 def surface_to_json_dict(surface: ShareSurface) -> dict:
@@ -194,9 +198,13 @@ def surface_to_json_dict(surface: ShareSurface) -> dict:
 def surface_from_json_dict(data: dict) -> ShareSurface:
     """Inverse of surface_to_json_dict. Every number must be a JSON number,
     and base ages, horizons and counts whole ones; counts keys are
-    horizons written as decimal integers."""
+    horizons written as decimal integers. A repeated cell or horizon and
+    an unknown key are errors."""
     if not isinstance(data, dict):
         raise ValueError("bad surface JSON: expected an object")
+    unknown = set(data) - {"base_age", "levels", "counts", "cells"}
+    if unknown:
+        raise ValueError(f"bad surface JSON: unknown keys {sorted(unknown)}")
     if not isinstance(data.get("counts"), dict):
         raise ValueError("bad surface JSON: counts must be an object")
     cells = data.get("cells")
@@ -209,13 +217,15 @@ def surface_from_json_dict(data: dict) -> ShareSurface:
             parse_number(i, int): json_number("count", n, integral=True)
             for i, n in data["counts"].items()
         }
-        values = {
-            (
-                json_number("horizon", cell["horizon"], integral=True),
-                float(json_number("level", cell["level"])),
-            ): float(json_number("share", cell["share"]))
-            for cell in cells
-        }
+        if len(counts) != len(data["counts"]):
+            raise ValueError("counts name a horizon twice")
+        values = {}
+        for cell in cells:
+            i = json_number("horizon", cell["horizon"], integral=True)
+            p = float(json_number("level", cell["level"]))
+            if (i, p) in values:
+                raise ValueError(f"repeated cell at horizon {i}, level {p:g}")
+            values[(i, p)] = float(json_number("share", cell["share"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad surface JSON: {exc}") from None
     return ShareSurface(base_age, levels, values, counts)

@@ -14,32 +14,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
-from ._io import Source, parse_number, read_table, write_csv
+from ._io import Source, parse_number, read_table, record_header, record_rows, write_csv
 from .curves import build_surfaces
 from .model import Asset, MissingCellError, ShareSurface, multiplier_table
-
-QUOTES_HEADER = ("asset_id", "ltm", "best_bid", "ask", "duration_years", "dollar_age")
-COMPARISON_HEADER = (
-    "asset_id",
-    "duration",
-    "dollar_age",
-    "bid_multiplier",
-    "ask_multiplier",
-    "model_m10",
-    "model_m50",
-    "model_m90",
-    "bid_gap_to_m10",
-    "ask_gap_to_m50",
-)
-PLOT_HEADER = (
-    "axis_value",
-    "n",
-    "mean_bid_mult",
-    "mean_ask_mult",
-    "mean_m10",
-    "mean_m50",
-    "mean_m90",
-)
 
 BAND_LEVELS = (10.0, 50.0, 90.0)
 
@@ -98,12 +75,13 @@ class MarketQuote:
             raise ValueError(f"{self.asset_id}: duration_years must be >= 1")
         if not (math.isfinite(self.dollar_age) and self.dollar_age > 0):
             raise ValueError(f"{self.asset_id}: dollar_age must be > 0")
+        for name, multiplier in zip(("best_bid", "ask"), implied_multipliers(self)):
+            if multiplier is not None and not math.isfinite(multiplier):
+                raise ValueError(f"{self.asset_id}: {name}/ltm must be finite")
 
 
 def implied_multipliers(quote: MarketQuote) -> tuple[float | None, float]:
     """(bid multiplier if a bid exists, ask multiplier), both price / LTM."""
-    if quote.ltm <= 0:
-        raise ValueError("ltm must be > 0")
     bid = None if quote.best_bid is None else quote.best_bid / quote.ltm
     return bid, quote.ask / quote.ltm
 
@@ -168,7 +146,7 @@ class ComparisonError:
     """Row-level failure; the run carries on without this quote."""
 
     asset_id: str
-    message: str
+    error: str
 
 
 def band_surfaces(
@@ -215,17 +193,13 @@ def compare(
         t = min(max(t, available[0]), available[-1])
         surface = surfaces_by_age.get(t)
         if surface is None:
-            errors.append(
-                ComparisonError(quote.asset_id, f"no surface for base age {t}")
-            )
+            errors.append(ComparisonError(quote.asset_id, f"no surface for base age {t}"))
             continue
         try:
             surface.require_depth(quote.duration_years)
             m10, m50, m90 = (tables[t].entry(quote.duration_years, p) for p in BAND_LEVELS)
         except MissingCellError as exc:
-            errors.append(
-                ComparisonError(quote.asset_id, f"base age {t}: {exc}")
-            )
+            errors.append(ComparisonError(quote.asset_id, f"base age {t}: {exc}"))
             continue
         bid_mult, ask_mult = implied_multipliers(quote)
         rows.append(
@@ -247,6 +221,8 @@ def compare(
 
 @dataclass(frozen=True)
 class PlotGroup:
+    """Means of the comparison rows that share one axis value."""
+
     axis_value: int
     n: int
     mean_bid_mult: float | None
@@ -301,6 +277,11 @@ def aggregate_plot_data(
 # Serialization
 # ---------------------------------------------------------------------------
 
+QUOTES_HEADER = record_header(MarketQuote)
+COMPARISON_HEADER = record_header(ComparisonRow)
+PLOT_HEADER = record_header(PlotGroup)
+
+
 def parse_quotes(source: Source) -> list[MarketQuote]:
     """Read quotes.csv; an empty best_bid field means no bid was posted.
     Each asset_id names one quote."""
@@ -328,53 +309,13 @@ def parse_quotes(source: Source) -> list[MarketQuote]:
 
 def write_quotes_csv(path: Union[str, Path], quotes: Iterable[MarketQuote]) -> None:
     """Write quotes with full-precision prices (repr round-trips floats)."""
-    rows = []
-    for q in sorted(quotes, key=lambda q: q.asset_id):
-        rows.append(
-            (
-                q.asset_id,
-                repr(q.ltm),
-                "" if q.best_bid is None else repr(q.best_bid),
-                repr(q.ask),
-                str(q.duration_years),
-                repr(q.dollar_age),
-            )
-        )
-    write_csv(path, QUOTES_HEADER, rows)
+    quotes = sorted(quotes, key=lambda q: q.asset_id)
+    write_csv(path, QUOTES_HEADER, record_rows(MarketQuote, quotes, ""))
 
 
 def comparison_csv_rows(rows: Sequence[ComparisonRow]) -> list[tuple[str, ...]]:
-    out = []
-    for r in rows:
-        out.append(
-            (
-                r.asset_id,
-                str(r.duration),
-                f"{r.dollar_age:.6f}",
-                "" if r.bid_multiplier is None else f"{r.bid_multiplier:.6f}",
-                f"{r.ask_multiplier:.6f}",
-                f"{r.model_m10:.6f}",
-                f"{r.model_m50:.6f}",
-                f"{r.model_m90:.6f}",
-                "" if r.bid_gap_to_m10 is None else f"{r.bid_gap_to_m10:.6f}",
-                f"{r.ask_gap_to_m50:.6f}",
-            )
-        )
-    return out
+    return record_rows(ComparisonRow, rows, ".6f")
 
 
 def plot_csv_rows(groups: Sequence[PlotGroup]) -> list[tuple[str, ...]]:
-    out = []
-    for g in groups:
-        out.append(
-            (
-                str(g.axis_value),
-                str(g.n),
-                "" if g.mean_bid_mult is None else f"{g.mean_bid_mult:.6f}",
-                f"{g.mean_ask_mult:.6f}",
-                f"{g.mean_m10:.6f}",
-                f"{g.mean_m50:.6f}",
-                f"{g.mean_m90:.6f}",
-            )
-        )
-    return out
+    return record_rows(PlotGroup, groups, ".6f")

@@ -14,12 +14,12 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from decimal import Decimal
 from statistics import NormalDist
 from typing import Sequence
 
-from ._io import json_number
+from ._io import int_fields, json_number
 from .curves import DEFAULT_MIN_COHORT, build_surfaces
 from .ingest import MAX_AMOUNT_DIGITS, RawAsset
 from .market import BAND_LEVELS, MarketQuote, round_half_up
@@ -78,19 +78,7 @@ class PopulationSpec:
             raise ValueError("population needs at least one group")
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "groups": [
-                {
-                    "count": g.count,
-                    "annual_growth": g.annual_growth,
-                    "noise_sigma": g.noise_sigma,
-                    "age_years": g.age_years,
-                    "initial_revenue": g.initial_revenue,
-                }
-                for g in self.groups
-            ],
-        }
+        return {"seed": self.seed, "groups": [asdict(g) for g in self.groups]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PopulationSpec":
@@ -107,7 +95,8 @@ class PopulationSpec:
         if not isinstance(raw_groups, list) or not raw_groups:
             raise ValueError("groups must be a non-empty list")
         groups = []
-        group_keys = {"count", "annual_growth", "noise_sigma", "age_years", "initial_revenue"}
+        group_keys = {f.name for f in fields(GroupSpec)}
+        integral = int_fields(GroupSpec)
         for idx, g in enumerate(raw_groups):
             if not isinstance(g, dict):
                 raise ValueError(f"groups[{idx}] must be an object")
@@ -118,7 +107,7 @@ class PopulationSpec:
             if missing:
                 raise ValueError(f"groups[{idx}]: missing keys {sorted(missing)}")
             try:
-                values = {k: json_number(k, g[k], k in ("count", "age_years")) for k in g}
+                values = {k: json_number(k, g[k], k in integral) for k in g}
                 groups.append(GroupSpec(**values))
             except ValueError as exc:
                 raise ValueError(f"groups[{idx}]: {exc}") from None
@@ -169,30 +158,24 @@ def _split_cents(cents: int) -> list[int]:
 
 
 def gen_asset(
-    seed: int,
-    age_years: int,
-    initial_revenue: float,
-    annual_growth: float,
-    noise_sigma: float,
-    asset_id: str | None = None,
-    start: int = START_MONTH,
+    seed: int, group: GroupSpec, asset_id: str | None = None, start: int = START_MONTH
 ) -> RawAsset:
-    """One synthetic asset with monthly records and exact integer dollar age.
+    """One synthetic asset of `group` (whose count is not used) with
+    monthly records and exact integer dollar age.
 
     Annual totals follow initial * (1+g)^(k-1) * exp(eps_k) with eps_k a
     seeded normal of standard deviation noise_sigma (identically zero when
     sigma is zero), rounded to cents, then split uniformly across twelve
     monthly records with remainder cents on the last month.
     """
-    spec = GroupSpec(1, annual_growth, noise_sigma, age_years, initial_revenue)
     asset_id = asset_id if asset_id is not None else f"S{seed:016x}"
     rng = random.Random(seed)
 
     annual: list[int] = []
-    for k in range(1, spec.age_years + 1):
-        eps = _normal(rng, spec.noise_sigma) if spec.noise_sigma > 0 else 0.0
+    for k in range(1, group.age_years + 1):
+        eps = _normal(rng, group.noise_sigma) if group.noise_sigma > 0 else 0.0
         try:
-            level = spec.initial_revenue * (1.0 + spec.annual_growth) ** (k - 1)
+            level = group.initial_revenue * (1.0 + group.annual_growth) ** (k - 1)
             if eps:
                 level *= math.exp(eps)
             annual.append(round(level * 100))
@@ -205,7 +188,7 @@ def gen_asset(
             raise ValueError(f"{asset_id}: revenue in year {k} is too large")
         monthly += _split_cents(cents)
     n = len(monthly)
-    return RawAsset(asset_id, float(spec.age_years), range(start, start + n), (1,) * n, monthly)
+    return RawAsset(asset_id, float(group.age_years), range(start, start + n), (1,) * n, monthly)
 
 
 def gen_population(spec: PopulationSpec) -> list[RawAsset]:
@@ -214,16 +197,8 @@ def gen_population(spec: PopulationSpec) -> list[RawAsset]:
     for gi, group in enumerate(spec.groups):
         try:
             for ai in range(group.count):
-                assets.append(
-                    gen_asset(
-                        seed=derive_seed(spec.seed, "asset", gi, ai),
-                        age_years=group.age_years,
-                        initial_revenue=group.initial_revenue,
-                        annual_growth=group.annual_growth,
-                        noise_sigma=group.noise_sigma,
-                        asset_id=f"G{gi:02d}A{ai:03d}",
-                    )
-                )
+                seed = derive_seed(spec.seed, "asset", gi, ai)
+                assets.append(gen_asset(seed, group, f"G{gi:02d}A{ai:03d}"))
         except ValueError as exc:
             raise ValueError(f"groups[{gi}]: {exc}") from None
     return assets

@@ -1,12 +1,19 @@
 import csv
 import json
 import re
+from dataclasses import fields
 
 import pytest
 
 from royaltyval.cli import Config, load_config_file, main
 from royaltyval.ingest import write_assets_csv, write_cashflows_csv
-from royaltyval.market import write_quotes_csv
+from royaltyval.market import (
+    ComparisonError,
+    ComparisonRow,
+    MarketQuote,
+    PlotGroup,
+    write_quotes_csv,
+)
 from royaltyval.synth import GroupSpec, PopulationSpec, gen_population, gen_quotes
 
 
@@ -390,6 +397,12 @@ class TestValue:
                 "share must be a number, got '0.\u0665'",
             ),
             ({"base_age": "1"}, "base_age must be an integer, got '1'"),
+            (
+                {"cells": [{"horizon": 1, "level": 10.0, "share": 1.0}] * 2},
+                "repeated cell at horizon 1, level 10",
+            ),
+            ({"counts": {"1": 5, "01": 5}}, "counts name a horizon twice"),
+            ({"rate": 0.1}, "unknown keys ['rate']"),
         ],
     )
     def test_malformed_surface_json_exits_one(self, tmp_path, capsys, change, message):
@@ -421,8 +434,19 @@ class TestValue:
                 SURFACE_CSV_HEADER + "1,10000000000,10,1.0,5\n",
                 " counts must cover horizons 1..H contiguously",
             ),
+            (
+                SURFACE_CSV_HEADER + "1,1,10,1.0,5\n1,1,50,1.0,5\n1,1,10.0,2.0,5\n",
+                "line 4: repeated cell at horizon 1, level 10",
+            ),
+            (
+                SURFACE_CSV_HEADER + "1,1,10,1.0,5\n1,1,50,1.0,6\n",
+                "line 3: cohort_size 6 at horizon 1 differs from 5",
+            ),
         ],
-        ids=["empty", "header", "fields", "number", "arabic_digit", "mixed_ages", "huge_horizon"],
+        ids=[
+            "empty", "header", "fields", "number", "arabic_digit", "mixed_ages", "huge_horizon",
+            "repeated_cell", "cohort_size_differs",
+        ],
     )
     def test_malformed_surface_csv_exits_one(self, tmp_path, capsys, body, message):
         surface = tmp_path / "surface.csv"
@@ -546,6 +570,60 @@ class TestCompare:
         )
         assert code == 1
         assert capsys.readouterr().err == f"error: {quotes_path}:{message}\n"
+
+    @pytest.mark.parametrize(
+        "row,name",
+        [("Q1,1e-300,1e10,1.0,2,3.0", "best_bid"), ("Q1,1e-300,,1e10,2,3.0", "ask")],
+        ids=["bid", "ask"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_implied_multiplier_past_the_float_range_exits_one(
+        self, tmp_path, capsys, row, name, fmt
+    ):
+        cashflows, assets, _ = self._dataset_files(tmp_path)
+        quotes_path = tmp_path / "quotes.csv"
+        quotes_path.write_text("asset_id,ltm,best_bid,ask,duration_years,dollar_age\n" + row + "\n")
+        out = tmp_path / "out"
+        code = main(
+            ["--format", fmt, "--out", str(out), "compare", "--cashflows", str(cashflows),
+             "--assets", str(assets), "--quotes", str(quotes_path)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {quotes_path}:line 2: Q1: {name}/ltm must be finite\n"
+        )
+        assert not any(out.glob("comparison*"))
+
+    def test_columns_and_json_keys_are_the_record_fields(self, tmp_path):
+        cashflows, assets, dataset = self._dataset_files(tmp_path)
+        # age 10 has cells to horizon 4 only, so a 10-year quote is a row error
+        quotes = gen_quotes(dataset, seed=8) + [MarketQuote("ZZ", 100.0, 50.0, 100.0, 10, 10.0)]
+        quotes_path = tmp_path / "quotes.csv"
+        write_quotes_csv(quotes_path, quotes)
+        data = ["--cashflows", str(cashflows), "--assets", str(assets), "--quotes", str(quotes_path)]
+        assert main(["--out", str(tmp_path / "csv"), "compare", *data]) == 0
+        assert main(["--format", "json", "--out", str(tmp_path / "json"), "compare", *data]) == 0
+
+        def names(cls):
+            return [f.name for f in fields(cls)]
+
+        for name, cls in [
+            ("comparison.csv", ComparisonRow),
+            ("comparison_errors.csv", ComparisonError),
+            ("by_duration.csv", PlotGroup),
+            ("by_dollar_age.csv", PlotGroup),
+        ]:
+            assert read_rows(tmp_path / "csv" / name)[0] == names(cls)
+        comparison = json.loads((tmp_path / "json" / "comparison.json").read_text())
+        records = [
+            (comparison["rows"], ComparisonRow),
+            (comparison["errors"], ComparisonError),
+            *((json.loads((tmp_path / "json" / name).read_text())["groups"], PlotGroup)
+              for name in ("by_duration.json", "by_dollar_age.json")),
+        ]
+        for objects, cls in records:
+            assert objects and all(sorted(o) == sorted(names(cls)) for o in objects)
+        assert [e["asset_id"] for e in comparison["errors"]] == ["ZZ"]
 
     def test_rate_past_the_float_power_range_exits_zero(self, tmp_path):
         cashflows, assets, dataset = self._dataset_files(tmp_path)
@@ -724,6 +802,10 @@ class TestConfigPrecedence:
             ({"percentile_levels": ""}, "percentile_levels must be a list of numbers"),
             ({"percentile_levels": {}}, "percentile_levels must be a list of numbers"),
             ({"max_duration": 1001}, "max_duration must be <= 1000"),
+            (
+                {"percentile_levels": [10, 50, 50.0000001, 90]},
+                "percentile_levels must differ at six significant digits",
+            ),
         ],
     )
     def test_wrong_config_value_type_exits_one(self, tmp_path, capsys, config, message):

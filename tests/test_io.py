@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from royaltyval._io import ParseError, read_json, read_table
+from royaltyval._io import ParseError, read_json, read_table, write_json
 
 HEADER = ("a", "b")
 
@@ -78,3 +78,17 @@ class TestErrorsNameTheFile:
                 assert value == {"k": 1}
                 raise ValueError("k must be 2")
         assert err.value.line is None
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_names_the_path_and_writes_nothing(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*not JSON compliant"):
+            write_json(path, {"groups": [{"mean": value}]})
+        assert not path.exists()
+
+    def test_finite_payload_is_indented_sorted_and_ends_in_newline(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"b": 1.5, "a": [1]})
+        assert path.read_text() == '{\n  "a": [\n    1\n  ],\n  "b": 1.5\n}\n'

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from royaltyval import market
 from royaltyval.market import (
     ComparisonRow,
     MarketQuote,
+    PlotGroup,
     QuoteRejectReason,
     aggregate_plot_data,
     compare,
@@ -139,13 +141,13 @@ class TestCompare:
         surfaces = {1: flat_surface(base_age=1), 7: flat_surface(base_age=7)}
         rows, errors = compare([quote(age=4.0, duration=2)], surfaces, 0.10)
         assert rows == []
-        assert "base age 4" in errors[0].message
+        assert "base age 4" in errors[0].error
 
     def test_duration_beyond_horizons_is_row_error(self):
         surfaces = {3: flat_surface(horizons=4)}
         rows, errors = compare([quote(duration=6)], surfaces, 0.10)
         assert rows == []
-        assert "horizon=5" in errors[0].message
+        assert "horizon=5" in errors[0].error
 
     @pytest.mark.parametrize(
         "levels,horizons,duration,message",
@@ -165,7 +167,7 @@ class TestCompare:
         )
         rows, errors = compare([quote(duration=duration)], {3: surface}, 0.10)
         assert rows == []
-        assert [e.message for e in errors] == [f"base age 3: surface has no cell at {message}"]
+        assert [e.error for e in errors] == [f"base age 3: surface has no cell at {message}"]
 
     def test_quotes_sharing_terms_share_one_table(self, monkeypatch):
         levels = (10.0, 50.0, 90.0)
@@ -199,7 +201,7 @@ class TestCompare:
             band = tuple(table.entry(row.duration, p) for p in levels)
             assert (row.model_m10, row.model_m50, row.model_m90) == band
         assert [r.asset_id for r in rows] == ["Q0", "Q1", "Q2", "Q3", "Q4"]
-        assert [(e.asset_id, e.message) for e in errors] == [
+        assert [(e.asset_id, e.error) for e in errors] == [
             ("Q5", "base age 3: surface has no cell at horizon=5, level=10"),
             ("Q6", "base age 3: surface has no cell at horizon=5, level=10"),
         ]
@@ -305,3 +307,46 @@ class TestQuotesCsv:
         with pytest.raises(ParseError) as err:
             parse_quotes(path)
         assert str(err.value) == f"{path}:line 3: bad number {bad!r} (ASCII digits only, no underscores)"
+
+
+class TestSchema:
+    @pytest.mark.parametrize(
+        "cls,header",
+        [
+            (MarketQuote, market.QUOTES_HEADER),
+            (ComparisonRow, market.COMPARISON_HEADER),
+            (PlotGroup, market.PLOT_HEADER),
+        ],
+    )
+    def test_csv_header_is_the_field_names_in_order(self, cls, header):
+        assert header == tuple(f.name for f in fields(cls))
+
+    def test_quotes_file_header_is_the_field_names(self, tmp_path):
+        path = tmp_path / "quotes.csv"
+        write_quotes_csv(path, [quote()])
+        assert path.read_text().splitlines()[0] == ",".join(f.name for f in fields(MarketQuote))
+
+    def test_cells_follow_the_declared_type_not_the_value_type(self):
+        row = ComparisonRow("Q1", 3, 5, None, 2, 1, 1, 1, None, 1.0)
+        assert market.comparison_csv_rows([row]) == [
+            ("Q1", "3", "5.000000", "", "2.000000", "1.000000", "1.000000", "1.000000", "",
+             "1.000000")
+        ]
+
+    def test_plot_cells(self):
+        group = PlotGroup(4, 2, None, 1.5, 1, 2, 3)
+        assert market.plot_csv_rows([group]) == [
+            ("4", "2", "", "1.500000", "1.000000", "2.000000", "3.000000")
+        ]
+
+
+class TestQuoteMultipliersFinite:
+    @pytest.mark.parametrize(
+        "bid,ask,name", [(1e10, 1.0, "best_bid"), (None, 1e10, "ask"), (1e10, 1e10, "best_bid")]
+    )
+    def test_overflowing_multiplier_rejected(self, bid, ask, name):
+        with pytest.raises(ValueError, match=f"^Q1: {name}/ltm must be finite$"):
+            quote(ltm=1e-300, bid=bid, ask=ask)
+
+    def test_largest_finite_multiplier_accepted(self):
+        assert implied_multipliers(quote(ltm=1e-300, bid=None, ask=1.0))[1] == 1.0 / 1e-300

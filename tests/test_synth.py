@@ -54,12 +54,12 @@ class TestMonthlySplit:
 
 class TestGenAsset:
     def test_flat_noise_free(self):
-        asset = gen_asset(123, 3, 1200.0, 0.0, 0.0)
+        asset = gen_asset(123, GroupSpec(1, 0.0, 0.0, 3, 1200.0))
         assert annualize(asset.asset_id, asset.starts, asset.months, asset.cents) == (Decimal("1200.00"),) * 3
         assert asset.dollar_age == 3.0
 
     def test_halving(self):
-        asset = gen_asset(99, 3, 1200.0, -0.5, 0.0)
+        asset = gen_asset(99, GroupSpec(1, -0.5, 0.0, 3, 1200.0))
         assert annualize(asset.asset_id, asset.starts, asset.months, asset.cents) == (
             Decimal("1200.00"),
             Decimal("600.00"),
@@ -67,20 +67,21 @@ class TestGenAsset:
         )
 
     def test_same_seed_identical(self):
-        assert gen_asset(7, 5, 900.0, -0.1, 0.25) == gen_asset(7, 5, 900.0, -0.1, 0.25)
+        group = GroupSpec(1, -0.1, 0.25, 5, 900.0)
+        assert gen_asset(7, group) == gen_asset(7, group)
 
     def test_different_seeds_differ_with_noise(self):
-        a = gen_asset(1, 5, 900.0, -0.1, 0.25)
-        b = gen_asset(2, 5, 900.0, -0.1, 0.25)
+        a = gen_asset(1, GroupSpec(1, -0.1, 0.25, 5, 900.0))
+        b = gen_asset(2, GroupSpec(1, -0.1, 0.25, 5, 900.0))
         assert records_of(a) != records_of(b)
 
     def test_noise_keeps_amounts_positive(self):
-        asset = gen_asset(3, 8, 50.0, -0.4, 0.8)
+        asset = gen_asset(3, GroupSpec(1, -0.4, 0.8, 8, 50.0))
         assert all(amount_cents >= 0 for _, _, amount_cents in records_of(asset))
 
     def test_oldest_allowed_asset_roundtrips_through_csv(self, tmp_path):
         # 1000 years from 2015-01 end at 3014-12: still a YYYY-MM period
-        asset = gen_asset(4, 1000, 1200.0, 0.0, 0.0, asset_id="A")
+        asset = gen_asset(4, GroupSpec(1, 0.0, 0.0, 1000, 1200.0), asset_id="A")
         path = tmp_path / "cashflows.csv"
         write_cashflows_csv(path, [asset])
         [back] = assemble_raw_assets(parse_cashflows(path), {"A": 1000.0})
@@ -88,7 +89,7 @@ class TestGenAsset:
 
     def test_revenue_below_the_parse_bound_roundtrips_through_csv(self, tmp_path):
         # just under 10**18 dollars a year, the most parse_cashflows reads
-        asset = gen_asset(5, 2, 999_999_999_999_999_872.0, 0.0, 0.0, asset_id="A")
+        asset = gen_asset(5, GroupSpec(1, 0.0, 0.0, 2, 999_999_999_999_999_872.0), asset_id="A")
         path = tmp_path / "cashflows.csv"
         write_cashflows_csv(path, [asset])
         [back] = assemble_raw_assets(parse_cashflows(path), {"A": 2.0})
@@ -97,10 +98,10 @@ class TestGenAsset:
     @pytest.mark.parametrize("initial,growth,year", [(1e18, 0.0, 1), (6e17, 1.0, 2)])
     def test_revenue_past_the_parse_bound_is_too_large(self, initial, growth, year):
         with pytest.raises(ValueError, match=f"^A: revenue in year {year} is too large$"):
-            gen_asset(5, 3, initial, growth, 0.0, asset_id="A")
+            gen_asset(5, GroupSpec(1, growth, 0.0, 3, initial), asset_id="A")
 
     def test_monthly_coverage_is_gap_free(self):
-        asset = gen_asset(11, 4, 2400.0, 0.1, 0.3)
+        asset = gen_asset(11, GroupSpec(1, 0.1, 0.3, 4, 2400.0))
         assert len(records_of(asset)) == 48
         spans = [start for start, _, _ in records_of(asset)]
         assert spans == list(range(spans[0], spans[0] + 48))
