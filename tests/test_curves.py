@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +174,22 @@ def brute_force_cohort(dataset, base_age, horizon):
 
 
 class TestBuildSurfacesOracle:
+    LEVELS = (10.0, 37.5, 50.0, 90.0)
+
+    def assert_cells_match(self, dataset, base_ages, max_horizon, min_cohort):
+        surfaces = build_surfaces(dataset, base_ages, self.LEVELS, max_horizon, min_cohort)
+        assert sorted(surfaces) == sorted(set(base_ages))
+        for t, surface in surfaces.items():
+            for i in range(1, max_horizon + 1):
+                cohort = brute_force_cohort(dataset, t, i)
+                assert surface.counts[i] == len(cohort)
+                for p in self.LEVELS:
+                    if len(cohort) >= min_cohort:
+                        assert surface.values[(i, p)] == percentile(cohort, p)
+                    else:
+                        assert (i, p) not in surface.values
+        return surfaces
+
     @given(
         data=st.data(),
         series=st.lists(
@@ -194,20 +211,36 @@ class TestBuildSurfacesOracle:
             asset(f"A{k:02d}", amounts, dollar_age)
             for k, (amounts, dollar_age) in enumerate(series)
         ]
-        levels = (10.0, 37.5, 50.0, 90.0)
-        surfaces = build_surfaces(dataset, base_ages, levels, max_horizon, min_cohort)
-        assert sorted(surfaces) == sorted(set(base_ages))
-        for t, surface in surfaces.items():
-            for i in range(1, max_horizon + 1):
-                cohort = brute_force_cohort(dataset, t, i)
-                assert surface.counts[i] == len(cohort)
-                for p in levels:
-                    if len(cohort) >= min_cohort:
-                        assert surface.values[(i, p)] == percentile(cohort, p)
-                    else:
-                        assert (i, p) not in surface.values
+        surfaces = self.assert_cells_match(dataset, base_ages, max_horizon, min_cohort)
         shuffled = data.draw(st.permutations(dataset))
-        assert build_surfaces(shuffled, base_ages, levels, max_horizon, min_cohort) == surfaces
+        assert build_surfaces(shuffled, base_ages, self.LEVELS, max_horizon, min_cohort) == surfaces
+
+    @given(
+        series=st.lists(
+            st.tuples(
+                st.lists(st.integers(min_value=1, max_value=10**9), min_size=1, max_size=9),
+                st.integers(min_value=-3, max_value=3),
+            ),
+            max_size=12,
+        ),
+        base_ages=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=5),
+        max_horizon=st.integers(min_value=1, max_value=6),
+        min_cohort=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_decimal_amounts_and_whole_dollar_ages(self, series, base_ages, max_horizon, min_cohort):
+        # ingest's form: Decimal amounts in cents and whole-year dollar ages.
+        # Each dollar age is within 3 years of its series length, so a series
+        # stops short of its dollar age, ends at it, or runs past it.
+        dataset = [
+            asset(
+                f"A{k:02d}",
+                [Decimal(cents).scaleb(-2) for cents in amounts],
+                float(max(1, len(amounts) + shift)),
+            )
+            for k, (amounts, shift) in enumerate(series)
+        ]
+        self.assert_cells_match(dataset, base_ages, max_horizon, min_cohort)
 
 
 class TestBuildSurface:

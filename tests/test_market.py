@@ -238,6 +238,14 @@ class TestAggregatePlotData:
         [group] = aggregate_plot_data(rows, "duration")
         assert group.mean_bid_mult == 3.0
 
+    def test_means_of_huge_multipliers_stay_finite(self):
+        # each plain sum is past the float range; the means are not
+        rows = [self._row("A", bid=1e308, ask=1.5e308), self._row("B", bid=1e308, ask=1.7e308)]
+        [group] = aggregate_plot_data(rows, "duration")
+        assert group.mean_bid_mult == 1e308
+        assert group.mean_ask_mult == pytest.approx(1.6e308, rel=1e-15)
+        assert (group.mean_m10, group.mean_m50, group.mean_m90) == (1.0, 2.0, 3.0)
+
     def test_groups_by_dollar_age_bucket(self):
         rows = [self._row("A", age=1.6), self._row("B", age=2.4), self._row("C", age=4.0)]
         groups = aggregate_plot_data(rows, "dollar_age_bucket")
