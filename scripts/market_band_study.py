@@ -11,6 +11,7 @@ import argparse
 from pathlib import Path
 
 from royaltyval._io import write_csv
+from royaltyval.curves import DEFAULT_MIN_COHORT
 from royaltyval.ingest import build_dataset
 from royaltyval.market import (
     PLOT_HEADER,
@@ -22,6 +23,7 @@ from royaltyval.market import (
     filter_quotes,
     plot_csv_rows,
 )
+from royaltyval.model import DEFAULT_MAX_DURATION
 from royaltyval.synth import GroupSpec, PopulationSpec, gen_population, gen_quotes
 
 RATE = 0.10
@@ -69,7 +71,7 @@ def main():
     accepted, rejected = filter_quotes(quotes)
     print(f"quotes: {len(accepted)} usable, {len(rejected)} filtered out")
 
-    surfaces = band_surfaces(dataset, max_horizon=10, min_cohort=5)
+    surfaces = band_surfaces(dataset, DEFAULT_MAX_DURATION, DEFAULT_MIN_COHORT)
 
     rows, errors = compare(accepted, surfaces, RATE)
     print(f"comparison: {len(rows)} rows, {len(errors)} row errors")

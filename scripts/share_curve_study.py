@@ -12,7 +12,7 @@ import argparse
 from pathlib import Path
 
 from royaltyval._io import write_csv
-from royaltyval.curves import SURFACE_HEADER, build_surface, surface_csv_rows
+from royaltyval.curves import DEFAULT_MIN_COHORT, SURFACE_HEADER, build_surface, surface_csv_rows
 from royaltyval.ingest import build_dataset
 from royaltyval.synth import GroupSpec, PopulationSpec, gen_population
 
@@ -41,7 +41,7 @@ def seasoned_population(seed):
 
 def run(name, spec, base_age, max_horizon, out_dir):
     dataset, report = build_dataset(gen_population(spec))
-    surface = build_surface(dataset, base_age, LEVELS, max_horizon=max_horizon, min_cohort=5)
+    surface = build_surface(dataset, base_age, LEVELS, max_horizon, DEFAULT_MIN_COHORT)
 
     path = out_dir / f"{name}_age{base_age}_surface.csv"
     write_csv(path, SURFACE_HEADER, surface_csv_rows(surface))

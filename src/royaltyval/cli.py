@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import curves as curves_mod
-from . import ingest, market, synth
+from . import ingest, market, model, synth
 from ._io import int_fields, json_number, read_json, record_header, record_rows, write_csv, write_json
 from .model import MissingCellError, MultiplierTable, ShareSurface, multiplier_table, price
 
@@ -28,13 +28,13 @@ __all__ = ["Config", "load_config_file", "main"]
 
 @dataclass(frozen=True)
 class Config:
-    rate: float = 0.10
-    percentile_levels: tuple[float, ...] = (10.0, 50.0, 90.0)
-    dollar_age_tolerance: float = 0.30
-    zero_floor: float = 0.0
-    min_cohort: int = 5
-    max_duration: int = 10
-    min_bid_ask_ratio: float = 0.5
+    rate: float = model.DEFAULT_RATE
+    percentile_levels: tuple[float, ...] = curves_mod.DEFAULT_LEVELS
+    dollar_age_tolerance: float = ingest.DEFAULT_AGE_TOLERANCE
+    zero_floor: float = ingest.DEFAULT_ZERO_FLOOR
+    min_cohort: int = curves_mod.DEFAULT_MIN_COHORT
+    max_duration: int = model.DEFAULT_MAX_DURATION
+    min_bid_ask_ratio: float = market.DEFAULT_MIN_BID_ASK_RATIO
     output_format: str = "csv"
 
     def __post_init__(self):
@@ -68,11 +68,11 @@ _INT_FIELDS = int_fields(Config)
 
 # The flags that override a config value: flag -> (Config field, type, help).
 _CONFIG_FLAGS = {
-    "--rate": ("rate", float, "discount rate (default 0.10)"),
-    "--tolerance": ("dollar_age_tolerance", float, "dollar-age tolerance (default 0.30)"),
-    "--min-cohort": ("min_cohort", int, "smallest cohort that gets cells (default 5)"),
-    "--max-duration": ("max_duration", int, "longest horizon and quote duration (default 10)"),
-    "--min-bid-ask-ratio": ("min_bid_ask_ratio", float, "lowest bid/ask kept (default 0.5)"),
+    "--rate": ("rate", float, "discount rate"),
+    "--tolerance": ("dollar_age_tolerance", float, "dollar-age tolerance"),
+    "--min-cohort": ("min_cohort", int, "smallest cohort that gets cells"),
+    "--max-duration": ("max_duration", int, "longest horizon and quote duration"),
+    "--min-bid-ask-ratio": ("min_bid_ask_ratio", float, "lowest bid/ask kept"),
 }
 
 
@@ -163,23 +163,25 @@ def _surface_for(args, cfg: Config, levels: tuple[float, ...]) -> ShareSurface:
     )
 
 
+def _multiplier_cells(table: MultiplierTable):
+    """(duration, level, multiplier) by duration, then level, ascending."""
+    for d, row in enumerate(zip(*table.columns), start=1):
+        yield from ((d, p, m) for p, m in zip(table.levels, row))
+
+
 def _multiplier_json(table: MultiplierTable) -> dict:
     return {
         "base_age": table.base_age,
         "discount_rate": table.discount_rate,
         "entries": [
-            {"duration": d, "level": p, "multiplier": table.entries[(d, p)]}
-            for d in table.durations
-            for p in table.levels
+            {"duration": d, "level": p, "multiplier": m} for d, p, m in _multiplier_cells(table)
         ],
     }
 
 
 def _multiplier_csv_rows(table: MultiplierTable) -> list[tuple[str, ...]]:
     return [
-        (str(table.base_age), str(d), f"{p:g}", f"{table.entries[(d, p)]:.6f}")
-        for d in table.durations
-        for p in table.levels
+        (str(table.base_age), str(d), f"{p:g}", f"{m:.6f}") for d, p, m in _multiplier_cells(table)
     ]
 
 
@@ -355,7 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--assets", required=data, help="assets.csv path")
         for flag in config_flags:
             field, kind, flag_help = _CONFIG_FLAGS[flag]
-            p.add_argument(flag, dest=field, type=kind, help=flag_help)
+            default = getattr(Config, field)
+            p.add_argument(flag, dest=field, type=kind, help=f"{flag_help} (default {default:g})")
         p.set_defaults(handler=handler)
         return p
 

@@ -13,9 +13,9 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from ._io import Source, json_number, parse_number, read_json, read_table
-from .model import Asset, ShareSurface
+from .model import BAND_LEVELS, DEFAULT_MAX_DURATION, Asset, ShareSurface
 
-DEFAULT_LEVELS = (10.0, 50.0, 90.0)
+DEFAULT_LEVELS = BAND_LEVELS
 DEFAULT_MIN_COHORT = 5
 
 SURFACE_HEADER = ("base_age", "horizon", "level", "share", "cohort_size")
@@ -80,7 +80,7 @@ def build_surface(
     dataset: Iterable[Asset],
     base_age: int,
     levels: Sequence[float] = DEFAULT_LEVELS,
-    max_horizon: int = 10,
+    max_horizon: int = DEFAULT_MAX_DURATION,
     min_cohort: int = DEFAULT_MIN_COHORT,
 ) -> ShareSurface:
     """Percentile shares for horizons 1..max_horizon at one base age."""
@@ -91,7 +91,7 @@ def build_surfaces(
     dataset: Iterable[Asset],
     base_ages: Iterable[int],
     levels: Sequence[float] = DEFAULT_LEVELS,
-    max_horizon: int = 10,
+    max_horizon: int = DEFAULT_MAX_DURATION,
     min_cohort: int = DEFAULT_MIN_COHORT,
 ) -> dict[int, ShareSurface]:
     """Percentile shares for horizons 1..max_horizon at every base age.

@@ -16,11 +16,10 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from ._io import Source, parse_number, read_table, record_header, record_rows, write_csv
 from .curves import build_surfaces
-from .model import Asset, MissingCellError, ShareSurface, multiplier_table
+from .model import (
+    BAND_LEVELS, DEFAULT_MAX_DURATION, Asset, MissingCellError, ShareSurface, multiplier_table,
+)
 
-BAND_LEVELS = (10.0, 50.0, 90.0)
-
-DEFAULT_MAX_DURATION = 10
 DEFAULT_MIN_BID_ASK_RATIO = 0.5
 
 __all__ = [
@@ -152,9 +151,10 @@ class ComparisonError:
 def band_surfaces(
     dataset: Sequence[Asset], max_horizon: int, min_cohort: int
 ) -> dict[int, ShareSurface]:
-    """Band-level surfaces at every base age from 1 to the oldest dollar
-    age, keeping those that have cells: the surfaces compare reads."""
-    top_age = math.ceil(max((a.dollar_age for a in dataset), default=0))
+    """Band-level surfaces that have cells, the surfaces compare reads, at
+    base ages 1..n: an asset is observed for min(len(amounts), floor(dollar
+    age)) years, and n is the most of those, as no older age has cells."""
+    top_age = max((min(len(a.amounts), math.floor(a.dollar_age)) for a in dataset), default=0)
     surfaces = build_surfaces(
         dataset,
         range(1, top_age + 1),
@@ -176,19 +176,19 @@ def compare(
     into the range of ages that have surfaces; a hole inside that range or
     a surface without enough horizons yields a row-level error rather than
     failing the run. Each base age's table is built once, to its deepest
-    cell, and read into band rows: an (m10, m50, m90) tuple per duration,
-    None where the surface lacks a band level. Entries are prefix sums, so
-    row d equals that of a table built to d. Rows and errors come back
-    sorted by asset_id.
+    cell, and its band columns zipped into rows: an (m10, m50, m90) tuple
+    per duration, None where the surface lacks a band level. Columns are
+    prefix sums, so row d equals that of a table built to d. Rows and
+    errors come back sorted by asset_id.
     """
     available = sorted(surfaces_by_age)
     bands = {}
     for t, s in surfaces_by_age.items():
         if s.depth:
-            entries = multiplier_table(s, rate, s.depth).entries
-            bands[t] = [
-                tuple(entries.get((d, p)) for p in BAND_LEVELS) for d in range(1, s.depth + 1)
-            ]
+            table = multiplier_table(s, rate, s.depth)
+            columns = dict(zip(table.levels, table.columns))
+            missing = (None,) * s.depth
+            bands[t] = list(zip(*(columns.get(p, missing) for p in BAND_LEVELS)))
     rows: list[ComparisonRow] = []
     errors: list[ComparisonError] = []
     for quote in sorted(quotes, key=lambda q: q.asset_id):

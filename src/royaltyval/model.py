@@ -11,13 +11,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
+from itertools import accumulate
 from typing import Mapping, Sequence, Union
 
 Amount = Union[Decimal, float, int]
 
+BAND_LEVELS = (10.0, 50.0, 90.0)  # the m10/m50/m90 band quotes are read against
+
+DEFAULT_RATE = 0.10
+DEFAULT_MAX_DURATION = 10  # also the deepest horizon a surface is built to
+
 __all__ = [
     "Amount",
     "Asset",
+    "BAND_LEVELS",
+    "DEFAULT_MAX_DURATION",
+    "DEFAULT_RATE",
     "MissingCellError",
     "MultiplierTable",
     "ShareSurface",
@@ -149,42 +158,25 @@ class ShareSurface:
 
 @dataclass(frozen=True)
 class MultiplierTable:
-    """Multiplier bands per (duration, level) at a fixed discount rate.
+    """Multiplier bands at a fixed discount rate, one column per level:
+    ``columns[k][d-1]`` is the duration-d multiplier at ``levels[k]``.
 
-    Entries are prefix sums of discounted shares, so they are non-decreasing
-    in duration for a given level, and non-decreasing in level for a given
-    duration. ``durations`` and ``levels`` are the sorted axes of the
-    entries.
+    As multiplier_table builds them, values are finite and >= 0 and never
+    decrease down a column or across a row: shares are finite, >= 0 and
+    ordered by level with a finite top-level sum, discount factors lie in
+    [0, 1], and IEEE rounding is monotone.
     """
 
     base_age: int
     discount_rate: float
-    entries: Mapping[tuple[int, float], float]
-    durations: list[int] = field(init=False, repr=False, compare=False)
-    levels: list[float] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.discount_rate < 0:
-            raise ValueError("discount_rate must be >= 0")
-        for (d, p), m in self.entries.items():
-            if not math.isfinite(m) or m < 0.0:
-                raise ValueError(f"multiplier at ({d}, {p:g}) must be finite and >= 0")
-        object.__setattr__(self, "durations", sorted({d for d, _ in self.entries}))
-        object.__setattr__(self, "levels", sorted({p for _, p in self.entries}))
-        for p in self.levels:
-            column = [self.entries[(d, p)] for d in self.durations if (d, p) in self.entries]
-            if any(a > b for a, b in zip(column, column[1:])):
-                raise ValueError(f"multipliers at level {p:g} decrease in duration")
-        for d in self.durations:
-            row = [self.entries[(d, p)] for p in self.levels if (d, p) in self.entries]
-            if any(a > b for a, b in zip(row, row[1:])):
-                raise ValueError(f"multipliers at duration {d} decrease in level")
+    levels: tuple[float, ...]
+    columns: tuple[tuple[float, ...], ...]
 
     def entry(self, duration: int, level: float) -> float:
-        try:
-            return self.entries[(duration, float(level))]
-        except KeyError:
-            raise MissingCellError(duration, float(level)) from None
+        level = float(level)
+        if level in self.levels and 1 <= duration <= len(self.columns[0]):
+            return self.columns[self.levels.index(level)][duration - 1]
+        raise MissingCellError(duration, level)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +233,7 @@ def multiplier_table(
 ) -> MultiplierTable:
     """Build the multiplier band table for durations 1..max_duration.
 
-    Every level's entries are the running prefix sum of its discounted
+    Every level's column is the running prefix sum of its discounted
     shares, so entry(d) is bit-identical to multiplier_from_shares applied
     to the first d shares. Raises MissingCellError naming the first
     (horizon, level) cell the surface lacks (see ShareSurface.require_depth).
@@ -252,10 +244,10 @@ def multiplier_table(
         raise ValueError("max_duration must be >= 1")
     surface.require_depth(max_duration)
 
-    entries: dict[tuple[int, float], float] = {}
+    factors = [discount_factor(rate, d) for d in range(1, max_duration + 1)]
+    columns = []
     for p in surface.levels:
-        running = 0.0
-        for d in range(1, max_duration + 1):
-            running += surface.values[(d, p)] * discount_factor(rate, d)
-            entries[(d, p)] = running
-    return MultiplierTable(surface.base_age, rate, entries)
+        terms = (surface.values[(d, p)] * f for d, f in enumerate(factors, start=1))
+        # summed from 0.0, as multiplier_from_shares does: a -0.0 term gives 0.0
+        columns.append(tuple(accumulate(terms, initial=0.0))[1:])
+    return MultiplierTable(surface.base_age, rate, surface.levels, tuple(columns))

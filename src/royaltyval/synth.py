@@ -22,8 +22,8 @@ from typing import Sequence
 from ._io import int_fields, json_number
 from .curves import DEFAULT_MIN_COHORT, build_surfaces
 from .ingest import MAX_AMOUNT_DIGITS, RawAsset
-from .market import BAND_LEVELS, MarketQuote, round_half_up
-from .model import Asset, multiplier_table
+from .market import MarketQuote, round_half_up
+from .model import BAND_LEVELS, DEFAULT_MAX_DURATION, DEFAULT_RATE, Asset, multiplier_table
 
 START_MONTH = 2015 * 12  # month index of 2015-01
 
@@ -224,14 +224,14 @@ def closed_form_multiplier(g: float, r: float, d: int) -> float:
 
 def gen_quotes(
     dataset: Sequence[Asset],
-    rate: float = 0.10,
+    rate: float = DEFAULT_RATE,
     bid_level: float = 10.0,
     ask_level: float = 50.0,
     seed: int = 0,
     noise: float = 0.0,
     *,
     min_cohort: int = DEFAULT_MIN_COHORT,
-    max_duration: int = 10,
+    max_duration: int = DEFAULT_MAX_DURATION,
 ) -> list[MarketQuote]:
     """Quotes whose bid and ask sit on chosen model band levels.
 
@@ -263,7 +263,7 @@ def gen_quotes(
         if table is None:
             continue
         rng = _stream(seed, "quote", asset.asset_id)
-        duration = rng.randint(1, min(max_duration, table.durations[-1]))
+        duration = rng.randint(1, len(table.columns[0]))  # its depth, <= max_duration
         ltm = float(asset.amounts[-1])
         bid_mult = table.entry(duration, bid_level)
         ask_mult = table.entry(duration, ask_level)

@@ -1,10 +1,12 @@
 import csv
+import inspect
 import json
 import re
 from dataclasses import fields
 
 import pytest
 
+from royaltyval import curves, ingest, market, synth
 from royaltyval.cli import Config, load_config_file, main
 from royaltyval.ingest import write_assets_csv, write_cashflows_csv
 from royaltyval.market import (
@@ -927,6 +929,54 @@ class TestHelp:
         assert exc.value.code == 0
         options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
         assert options == self.OPTIONS[command]
+
+
+class TestDefaults:
+    """Every library default for a setting equals Config's, and each
+    flag's help shows it."""
+
+    FLAGS = {
+        "--rate": "rate",
+        "--tolerance": "dollar_age_tolerance",
+        "--min-cohort": "min_cohort",
+        "--max-duration": "max_duration",
+        "--min-bid-ask-ratio": "min_bid_ask_ratio",
+    }
+
+    @pytest.mark.parametrize(
+        "function, parameter, setting",
+        [
+            (curves.build_surface, "levels", "percentile_levels"),
+            (curves.build_surface, "min_cohort", "min_cohort"),
+            (curves.build_surface, "max_horizon", "max_duration"),
+            (curves.build_surfaces, "levels", "percentile_levels"),
+            (curves.build_surfaces, "min_cohort", "min_cohort"),
+            (curves.build_surfaces, "max_horizon", "max_duration"),
+            (market.filter_quotes, "max_duration", "max_duration"),
+            (market.filter_quotes, "min_bid_ask_ratio", "min_bid_ask_ratio"),
+            (ingest.build_dataset, "zero_floor", "zero_floor"),
+            (ingest.build_dataset, "dollar_age_tolerance", "dollar_age_tolerance"),
+            (ingest.filter_zero_years, "zero_floor", "zero_floor"),
+            (ingest.filter_dollar_age, "tolerance", "dollar_age_tolerance"),
+            (synth.gen_quotes, "rate", "rate"),
+            (synth.gen_quotes, "max_duration", "max_duration"),
+            (synth.gen_quotes, "min_cohort", "min_cohort"),
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_library_default_is_config_default(self, function, parameter, setting):
+        default = inspect.signature(function).parameters[parameter].default
+        assert default == getattr(Config(), setting)
+
+    @pytest.mark.parametrize("command", sorted(TestHelp.OPTIONS))
+    def test_flag_help_shows_config_default(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for flag, setting in self.FLAGS.items():
+            if flag in TestHelp.OPTIONS[command]:
+                shown = re.search(rf"{flag} [A-Z_]+ [^()]*\(default ([^)]*)\)", text)
+                assert float(shown.group(1)) == getattr(Config(), setting), flag
 
 
 @pytest.mark.parametrize(

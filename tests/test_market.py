@@ -20,7 +20,8 @@ from royaltyval.market import (
     round_half_up,
     write_quotes_csv,
 )
-from royaltyval.model import ShareSurface, multiplier_table
+from royaltyval.curves import build_surfaces
+from royaltyval.model import BAND_LEVELS, Asset, ShareSurface, multiplier_table
 
 
 def quote(asset_id="Q1", ltm=100.0, bid=300.0, ask=500.0, duration=5, age=3.0):
@@ -108,6 +109,42 @@ class TestRoundHalfUp:
 
     def test_integer_unchanged(self):
         assert round_half_up(7.0) == 7
+
+
+class TestBandSurfaces:
+    def test_asks_only_for_observed_base_ages(self, monkeypatch):
+        # OLD claims a dollar age of 1e15 but is observed for 3 years
+        dataset = [Asset("OLD", 1e15, (4.0, 2.0, 1.0)), Asset("NEW", 2.5, (3.0, 2.0, 1.0))]
+        asked = []
+        build = market.build_surfaces
+
+        def spy(data, base_ages, *args, **kwargs):
+            asked.append(base_ages)
+            if len(base_ages) > 100:  # len of a range allocates nothing; building it would
+                return {}
+            return build(data, base_ages, *args, **kwargs)
+
+        monkeypatch.setattr(market, "build_surfaces", spy)
+        surfaces = market.band_surfaces(dataset, max_horizon=3, min_cohort=1)
+        assert list(asked[0]) == [1, 2, 3]
+        assert sorted(surfaces) == [1, 2]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.floats(min_value=0.5, max_value=10.0), min_size=1, max_size=8),
+                st.floats(min_value=0.5, max_value=12.0),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_same_surfaces_as_every_age_to_the_oldest(self, assets):
+        dataset = [Asset(f"A{k}", age, tuple(amounts)) for k, (amounts, age) in enumerate(assets)]
+        oldest = math.ceil(max(a.dollar_age for a in dataset))
+        every = build_surfaces(dataset, range(1, oldest + 1), BAND_LEVELS, 4, 2)
+        expected = {t: s for t, s in every.items() if s.depth}
+        assert market.band_surfaces(dataset, 4, 2) == expected
 
 
 class TestCompare:

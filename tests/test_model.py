@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from royaltyval import model
 from royaltyval.model import (
     Asset,
     MissingCellError,
-    MultiplierTable,
     ShareSurface,
     discount_factor,
     multiplier_from_shares,
@@ -146,7 +146,7 @@ class TestPrice:
 class TestMultiplierTable:
     def test_zero_surface_gives_zero_entries(self):
         table = multiplier_table(flat_surface(share=0.0), 0.10, 10)
-        assert all(v == 0.0 for v in table.entries.values())
+        assert all(v == 0.0 for column in table.columns for v in column)
 
     def test_flat_surface_matches_annuity(self):
         table = multiplier_table(flat_surface(), 0.10, 10)
@@ -174,6 +174,54 @@ class TestMultiplierTable:
         assert err.value.horizon == 4
         assert err.value.level == 10.0
         assert "horizon=4" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "duration, level", [(0, 50.0), (4, 50.0), (2, 25.0)],
+        ids=["below_one", "past_depth", "undeclared_level"],
+    )
+    def test_entry_outside_the_table_is_a_missing_cell(self, duration, level):
+        table = multiplier_table(flat_surface(horizons=3), 0.10, 3)
+        with pytest.raises(MissingCellError) as err:
+            table.entry(duration, level)
+        assert (err.value.horizon, err.value.level) == (duration, level)
+        assert str(err.value) == f"surface has no cell at horizon={duration}, level={level:g}"
+
+    def test_one_discount_factor_per_duration(self, monkeypatch):
+        years = []
+
+        def counted(rate, year):
+            years.append(year)
+            return discount_factor(rate, year)
+
+        monkeypatch.setattr(model, "discount_factor", counted)
+        multiplier_table(flat_surface(horizons=12), 0.10, 10)
+        assert years == list(range(1, 11))
+
+    @given(
+        data=st.data(),
+        rate=st.sampled_from([0.0, 0.1, 1e300]),
+        levels=st.sets(st.floats(min_value=1.0, max_value=99.0), min_size=1, max_size=4),
+        depth=st.integers(1, 30),
+    )
+    def test_tables_are_finite_and_monotone(self, data, rate, levels, depth):
+        # Up to 30 horizons of shares up to 1e308/30 keep every level's sum
+        # finite, so each drawn surface is valid.
+        levels = tuple(sorted(levels))
+        share = st.one_of(
+            st.floats(min_value=0.0, max_value=1e308 / 30),
+            st.sampled_from([-0.0, 5e-324, 1e306]),
+        )
+        values = {}
+        for i in range(1, depth + 1):
+            row = sorted(data.draw(st.lists(share, min_size=len(levels), max_size=len(levels))))
+            values.update(((i, p), s) for p, s in zip(levels, row))
+        surface = ShareSurface(1, levels, values, {i: 5 for i in range(1, depth + 1)})
+        table = multiplier_table(surface, rate, data.draw(st.integers(1, depth)))
+        for column in table.columns:
+            assert all(math.isfinite(m) and m >= 0.0 for m in column)
+            assert all(a <= b for a, b in zip(column, column[1:]))
+        for row in zip(*table.columns):
+            assert all(a <= b for a, b in zip(row, row[1:]))
 
     @given(
         shares=st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=10),
@@ -294,13 +342,3 @@ class TestDomainTypes:
     def test_surface_rejects_gap_in_count_horizons(self):
         with pytest.raises(ValueError):
             ShareSurface(1, (50.0,), {}, {1: 5, 3: 2})
-
-    def test_table_rejects_decreasing_durations(self):
-        entries = {(1, 50.0): 2.0, (2, 50.0): 1.0}
-        with pytest.raises(ValueError):
-            MultiplierTable(1, 0.10, entries)
-
-    def test_table_rejects_decreasing_levels(self):
-        entries = {(1, 10.0): 2.0, (1, 50.0): 1.0}
-        with pytest.raises(ValueError):
-            MultiplierTable(1, 0.10, entries)

@@ -156,3 +156,23 @@ def test_config_value_swapped(valid_inputs, key, value):
     files = {"config": json.dumps({**CONFIG, key: value}).encode()}
     files.update((k, v) for k, v in valid_inputs.items() if k not in files)
     check(files)
+
+
+@given(
+    dollar_age=st.floats(min_value=0.01, max_value=1e300),
+    tolerance=st.floats(min_value=0.0, max_value=1e300),
+)
+@example(dollar_age=1e15, tolerance=1e300)
+@FUZZ
+def test_dollar_age_and_tolerance(valid_inputs, dollar_age, tolerance):
+    # a wide tolerance accepts any claimed age; surfaces stay bounded by
+    # the years each asset is observed for
+    header, first, *rest = valid_inputs["assets"].decode().splitlines(keepends=True)
+    assets = header + f"{first.split(',')[0]},{dollar_age!r}\n" + "".join(rest)
+    files = {
+        "config": json.dumps({**CONFIG, "dollar_age_tolerance": tolerance}).encode(),
+        "assets": assets.encode(),
+    }
+    files.update((k, v) for k, v in valid_inputs.items() if k not in files)
+    code, err, _ = run(files)
+    assert code in (0, 2), err
