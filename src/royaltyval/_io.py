@@ -1,10 +1,11 @@
 """File formats: every CSV and JSON file is read and written here.
 
-Readers raise ValueError for malformed input; read_table and read_json turn
-one raised in their block into ParseError naming the file and, for a table
-row, its 1-based line. The CLI reports it with exit status 1. Input files
-are UTF-8 and may start with a byte-order mark. Writers emit UTF-8 with
-``\\n`` line ends and no timestamps, so equal inputs give equal bytes.
+Readers take file paths, never open streams, and raise ValueError for
+malformed input; read_table and read_json turn one raised in their block
+into ParseError naming the file and, for a table row, its 1-based line.
+The CLI reports it with exit status 1. Input files are UTF-8 and may start
+with a byte-order mark. Writers emit UTF-8 with ``\\n`` line ends and no
+timestamps, so equal inputs give equal bytes.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from contextlib import contextmanager
 from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO, Union, get_args, get_type_hints
-
-Source = Union[str, Path, TextIO]
+from typing import Iterable, Iterator, Sequence, get_args, get_type_hints
 
 
 class ParseError(ValueError):
@@ -61,12 +60,13 @@ def json_number(key: str, value, integral: bool = False):
     return int(value) if integral else value
 
 
-def _not_utf8(exc: UnicodeDecodeError, path: str | None) -> ParseError:
+def _not_utf8(exc: UnicodeDecodeError, path: str) -> ParseError:
     """ParseError at the line of the first byte of the file that is not
     UTF-8. The decoder works in chunks, so `exc` knows neither the line
-    nor the file offset; the file's bytes are decoded again to find them."""
+    nor the file offset; a regular file's bytes are decoded again to find
+    them, while a pipe, which cannot be read twice, gets no line."""
     line = None
-    if path is not None and Path(path).is_file():
+    if Path(path).is_file():
         data = Path(path).read_bytes()
         try:
             data.decode("utf-8")
@@ -77,10 +77,10 @@ def _not_utf8(exc: UnicodeDecodeError, path: str | None) -> ParseError:
 
 
 @contextmanager
-def read_table(source: Source, header: tuple[str, ...]) -> Iterator[Iterator[Iterator[str]]]:
-    """The rows, each an iterator of stripped fields, of a CSV file or open
-    stream whose first row is `header`; a file opened here is closed when
-    the block exits.
+def read_table(path: str | Path, header: tuple[str, ...]) -> Iterator[Iterator[Iterator[str]]]:
+    """The rows, each an iterator of stripped fields, of a CSV file whose
+    first row is `header`; the file is opened once, when the block is
+    entered, and closed when it exits.
 
     Rows are numbered from the header, line 1, however many physical lines
     each spans. Header fields may be padded with spaces. A missing or wrong
@@ -89,17 +89,12 @@ def read_table(source: Source, header: tuple[str, ...]) -> Iterator[Iterator[Ite
     line, as does a ValueError raised in the block while a row is handled;
     one raised after the last row names only the file.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-            with read_table(handle, header) as rows:
-                yield rows
-        return
-    path = getattr(source, "name", None)
+    path = str(path)
     line = None  # of the row being handled; None before the first and after the last
 
-    def rows() -> Iterator[Iterator[str]]:
+    def rows(handle) -> Iterator[Iterator[str]]:
         nonlocal line
-        reader = csv.reader(source)
+        reader = csv.reader(handle)
         line = 0
         try:
             first = next(reader, None)
@@ -123,36 +118,38 @@ def read_table(source: Source, header: tuple[str, ...]) -> Iterator[Iterator[Ite
             raise _not_utf8(exc, path) from None
         line = None
 
-    try:
-        yield rows()
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc), line=line, path=path) from None
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        try:
+            yield rows(handle)
+        except ParseError:
+            raise
+        except ValueError as exc:
+            raise ParseError(str(exc), line=line, path=path) from None
 
 
 @contextmanager
 def read_json(path: str | Path) -> Iterator:
     """The decoded JSON value of a file, which may start with a BOM. A
     ValueError raised in the block becomes ParseError naming the file."""
+    path = str(path)
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise _not_utf8(exc, str(path)) from None
+        raise _not_utf8(exc, path) from None
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
-            f"invalid JSON: {exc.msg} at column {exc.colno}", line=exc.lineno, path=str(path)
+            f"invalid JSON: {exc.msg} at column {exc.colno}", line=exc.lineno, path=path
         ) from None
     except (ValueError, RecursionError) as exc:  # an integer too long to read; deep nesting
-        raise ParseError(f"invalid JSON: {exc}", path=str(path)) from None
+        raise ParseError(f"invalid JSON: {exc}", path=path) from None
     try:
         yield value
     except ParseError:
         raise
     except ValueError as exc:
-        raise ParseError(str(exc), path=str(path)) from None
+        raise ParseError(str(exc), path=path) from None
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:

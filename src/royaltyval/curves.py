@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-from ._io import Source, json_number, parse_number, read_json, read_table
+from ._io import json_number, parse_number, read_json, read_table
 from .model import BAND_LEVELS, DEFAULT_MAX_DURATION, Asset, ShareSurface
 
 DEFAULT_LEVELS = BAND_LEVELS
@@ -163,14 +163,14 @@ def surface_csv_rows(surface: ShareSurface) -> list[tuple[str, str, str, str, st
     return rows
 
 
-def parse_surface_csv(source: Source) -> ShareSurface:
+def parse_surface_csv(path: str | Path) -> ShareSurface:
     """Rebuild a surface from its CSV form (celled horizons only). A
     repeated cell, or rows of one horizon with different cohort sizes, is
     an error at its line."""
     base_age = None
     values: dict[tuple[int, float], float] = {}
     counts: dict[int, int] = {}
-    with read_table(source, SURFACE_HEADER) as rows:
+    with read_table(path, SURFACE_HEADER) as rows:
         for t, horizon, level, share, n in rows:
             t = parse_number(t, int)
             if base_age is None:
@@ -242,7 +242,7 @@ def surface_from_json_dict(data: dict) -> ShareSurface:
     return ShareSurface(base_age, levels, values, counts)
 
 
-def load_surface(path: Union[str, Path]) -> ShareSurface:
+def load_surface(path: str | Path) -> ShareSurface:
     """Load a surface from .json (lossless) or .csv (display precision)."""
     path = Path(path)
     if path.suffix.lower() != ".json":

@@ -26,7 +26,7 @@ from operator import add, eq, lt, ne
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ._io import ParseError, Source, parse_number, read_table, write_csv
+from ._io import ParseError, parse_number, read_table, write_csv
 from .model import Amount, Asset
 
 CASHFLOWS_HEADER = ("asset_id", "period_start", "period_months", "amount")
@@ -150,43 +150,34 @@ class RawAsset:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def parse_cashflows(source: Source) -> dict[str, Columns]:
+def parse_cashflows(path: str | Path) -> dict[str, Columns]:
     """Read cashflows.csv into asset_id -> (starts, months, cents) columns,
     each asset's sorted by start; assets in the order they first appear.
 
-    A file in the row form write_cashflows_csv writes is checked and split
-    a block of lines at a time. Any other file, including one holding a
-    duplicate, is read again from its start row by row, which gives the
-    same columns or raises ParseError with a 1-based line number for
-    malformed rows, unknown frequencies, negative amounts, amounts of
-    10**18 dollars or more and duplicate (asset_id, period_start) pairs.
+    A regular file in the row form write_cashflows_csv writes is checked
+    and split a block of lines at a time. Any other file, including one
+    holding a duplicate, is read again from its start row by row, as is a
+    path that is not a regular file (a named pipe, /dev/stdin), which is
+    read once. That gives the same columns or raises ParseError naming the
+    file and its 1-based line for malformed rows, unknown frequencies,
+    negative amounts, amounts of 10**18 dollars or more and duplicate
+    (asset_id, period_start) pairs.
     """
-    columns = _read_canonical(source)
-    return _parse_rows(source) if columns is None else columns
+    columns = _read_canonical(path)
+    return _parse_rows(path) if columns is None else columns
 
 
-def _read_canonical(source: Source) -> dict[str, Columns] | None:
-    """The columns of a source in canonical row form, or None when any of
-    it is not. Only what can be read twice is tried: a regular file or a
-    stream that can seek back."""
-    if isinstance(source, (str, Path)):
-        if not Path(source).is_file():
-            return None
-        try:
-            with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-                return _canonical_columns(handle)
-        except UnicodeDecodeError:
-            return None
-    if not source.seekable():
+def _read_canonical(path: str | Path) -> dict[str, Columns] | None:
+    """The columns of a file in canonical row form, or None when any of it
+    is not, or when the path is not a regular file and so cannot be read
+    twice."""
+    if not Path(path).is_file():
         return None
-    position = source.tell()
     try:
-        columns = _canonical_columns(source)
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            return _canonical_columns(handle)
     except UnicodeDecodeError:
-        columns = None
-    if columns is None:
-        source.seek(position)
-    return columns
+        return None
 
 
 def _canonical_columns(handle) -> dict[str, Columns] | None:
@@ -251,10 +242,10 @@ def _sorted_columns(grouped) -> dict[str, Columns] | None:
     return result
 
 
-def _parse_rows(source: Source) -> dict[str, Columns]:
+def _parse_rows(path: str | Path) -> dict[str, Columns]:
     """parse_cashflows one row at a time: the reader of every form the
     canonical check turns down, and the source of every error text."""
-    with read_table(source, CASHFLOWS_HEADER) as rows:
+    with read_table(path, CASHFLOWS_HEADER) as rows:
         grouped: dict[str, tuple[list[int], list[int], list[int]]] = {}
         seen: set[tuple[str, int]] = set()
         # every asset repeats the same months: check each distinct text once
@@ -301,9 +292,9 @@ def _parse_rows(source: Source) -> dict[str, Columns]:
         return _sorted_columns(grouped)
 
 
-def parse_assets(source: Source) -> dict[str, float]:
+def parse_assets(path: str | Path) -> dict[str, float]:
     """Read assets.csv into an asset_id -> dollar_age mapping."""
-    with read_table(source, ASSETS_HEADER) as rows:
+    with read_table(path, ASSETS_HEADER) as rows:
         ages: dict[str, float] = {}
         for asset_id, age_text in rows:
             if not asset_id:

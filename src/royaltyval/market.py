@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
-from ._io import Source, parse_number, read_table, record_header, record_rows, write_csv
+from ._io import parse_number, read_table, record_header, record_rows, write_csv
 from .curves import build_surfaces
 from .model import (
     BAND_LEVELS, DEFAULT_MAX_DURATION, Asset, MissingCellError, ShareSurface, multiplier_table,
@@ -134,10 +134,6 @@ class ComparisonRow:
     model_m90: float
     bid_gap_to_m10: float | None
     ask_gap_to_m50: float
-
-    def __post_init__(self):
-        if not self.model_m10 <= self.model_m50 <= self.model_m90:
-            raise ValueError(f"{self.asset_id}: band out of order")
 
 
 @dataclass(frozen=True)
@@ -289,10 +285,10 @@ COMPARISON_HEADER = record_header(ComparisonRow)
 PLOT_HEADER = record_header(PlotGroup)
 
 
-def parse_quotes(source: Source) -> list[MarketQuote]:
+def parse_quotes(path: str | Path) -> list[MarketQuote]:
     """Read quotes.csv; an empty best_bid field means no bid was posted.
     Each asset_id names one quote."""
-    with read_table(source, QUOTES_HEADER) as rows:
+    with read_table(path, QUOTES_HEADER) as rows:
         quotes = []
         seen: set[str] = set()
         for asset_id, ltm, bid, ask, duration, age in rows:
@@ -314,7 +310,7 @@ def parse_quotes(source: Source) -> list[MarketQuote]:
         return quotes
 
 
-def write_quotes_csv(path: Union[str, Path], quotes: Iterable[MarketQuote]) -> None:
+def write_quotes_csv(path: str | Path, quotes: Iterable[MarketQuote]) -> None:
     """Write quotes with full-precision prices (repr round-trips floats)."""
     quotes = sorted(quotes, key=lambda q: q.asset_id)
     write_csv(path, QUOTES_HEADER, record_rows(MarketQuote, quotes, ""))

@@ -202,8 +202,6 @@ def multiplier_from_shares(shares: Sequence[Amount], rate: float) -> float:
     Terms are accumulated in ascending year order with plain float addition,
     which keeps results bit-for-bit reproducible across runs.
     """
-    if rate < 0:
-        raise ValueError("rate must be >= 0")
     if len(shares) < 1:
         raise ValueError("at least one share required")
     total = 0.0
@@ -238,8 +236,6 @@ def multiplier_table(
     to the first d shares. Raises MissingCellError naming the first
     (horizon, level) cell the surface lacks (see ShareSurface.require_depth).
     """
-    if rate < 0:
-        raise ValueError("rate must be >= 0")
     if max_duration < 1:
         raise ValueError("max_duration must be >= 1")
     surface.require_depth(max_duration)

@@ -1,8 +1,14 @@
 import csv
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +23,8 @@ from royaltyval.market import (
     write_quotes_csv,
 )
 from royaltyval.synth import GroupSpec, PopulationSpec, gen_population, gen_quotes
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def annuity(rate, d):
@@ -56,6 +64,29 @@ SURFACE_CSV_HEADER = "base_age,horizon,level,share,cohort_size\n"
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+@contextmanager
+def named_pipe(path, data: bytes):
+    """A named pipe at `path` that one thread fills with `data`, once a
+    reader opens it."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    yield path
+    writer.join(timeout=10)
+    assert not writer.is_alive(), "the pipe was never read"
+
+
+def run_cli_child(*argv):
+    """The CLI run in a child process, so that a read blocked on a pipe
+    fails the test after a minute rather than hanging it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = "import sys; from royaltyval.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 class TestValidate:
@@ -177,6 +208,29 @@ class TestValidate:
         assert capsys.readouterr().err == (
             f"error: {paths[kind]}:line 3: field larger than field limit (131072)\n"
         )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+class TestValidateFromAPipe:
+    def test_pipe_gives_the_regular_files_outputs(self, tmp_path):
+        cashflows, assets = flat_population_files(tmp_path)
+        with named_pipe(tmp_path / "cashflows.pipe", cashflows.read_bytes()) as pipe:
+            for source, out in ((cashflows, "from_file"), (pipe, "from_pipe")):
+                argv = ["validate", "--cashflows", str(source), "--assets", str(assets)]
+                assert run_cli_child("--out", str(tmp_path / out), *argv).returncode == 0
+        for name in ("filter_report.csv", "filter_summary.json"):
+            from_pipe = (tmp_path / "from_pipe" / name).read_bytes()
+            assert from_pipe == (tmp_path / "from_file" / name).read_bytes()
+
+    def test_non_utf8_pipe_exits_one_naming_it(self, tmp_path):
+        cashflows, assets = flat_population_files(tmp_path)
+        lines = cashflows.read_bytes().split(b"\n")
+        lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+        with named_pipe(tmp_path / "cashflows.pipe", b"\n".join(lines)) as pipe:
+            argv = ["validate", "--cashflows", str(pipe), "--assets", str(assets)]
+            result = run_cli_child("--out", str(tmp_path / "out"), *argv)
+        assert result.returncode == 1
+        assert result.stderr == f"error: {pipe}: not UTF-8: b'\\xff' (invalid start byte)\n"
 
 
 class TestCurves:

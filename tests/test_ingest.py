@@ -1,4 +1,4 @@
-import io
+import itertools
 import tempfile
 from decimal import Decimal
 from pathlib import Path
@@ -39,8 +39,24 @@ from royaltyval.ingest import (
 )
 
 
-def cashflows_csv(*rows):
-    return io.StringIO("asset_id,period_start,period_months,amount\n" + "".join(r + "\n" for r in rows))
+def text_file(directory, name: str, text: str) -> Path:
+    """The path of a new file `name` in `directory` holding `text` in UTF-8."""
+    path = Path(directory) / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.fixture
+def cashflows_csv(tmp_path):
+    """Write a cashflows file of the given rows after the header, a new
+    file per call, and return its path."""
+    numbers = itertools.count()
+
+    def write(*rows):
+        text = "asset_id,period_start,period_months,amount\n" + "".join(r + "\n" for r in rows)
+        return text_file(tmp_path, f"cashflows{next(numbers)}.csv", text)
+
+    return write
 
 
 def flat(parsed):
@@ -50,50 +66,50 @@ def flat(parsed):
 
 
 class TestParseCashflows:
-    def test_header_only(self):
+    def test_header_only(self, cashflows_csv):
         assert parse_cashflows(cashflows_csv()) == {}
 
-    def test_single_row(self):
+    def test_single_row(self, cashflows_csv):
         [rec] = flat(parse_cashflows(cashflows_csv("A1,2019-03,1,100.00")))
         assert rec == ("A1", month(2019, 3), 1, 10000)
 
-    def test_negative_amount_is_parse_error_with_line(self):
+    def test_negative_amount_is_parse_error_with_line(self, cashflows_csv):
         with pytest.raises(ParseError) as err:
             parse_cashflows(cashflows_csv("A1,2019-01,1,50.00", "A1,2019-02,1,-5"))
         assert "NEGATIVE_AMOUNT" in str(err.value)
         assert err.value.line == 3
 
-    def test_unknown_frequency(self):
+    def test_unknown_frequency(self, cashflows_csv):
         with pytest.raises(ParseError, match="frequency"):
             parse_cashflows(cashflows_csv("A1,2019-01,2,10.00"))
 
-    def test_duplicate_period(self):
+    def test_duplicate_period(self, cashflows_csv):
         with pytest.raises(ParseError, match="duplicate"):
             parse_cashflows(cashflows_csv("A1,2019-01,1,10.00", "A1,2019-01,1,20.00"))
 
-    def test_malformed_month(self):
+    def test_malformed_month(self, cashflows_csv):
         with pytest.raises(ParseError) as err:
             parse_cashflows(cashflows_csv("A1,201901,1,10.00"))
         assert err.value.line == 2
 
-    def test_too_many_fraction_digits(self):
+    def test_too_many_fraction_digits(self, cashflows_csv):
         with pytest.raises(ParseError, match="amount"):
             parse_cashflows(cashflows_csv("A1,2019-01,1,10.005"))
 
-    def test_wrong_field_count(self):
+    def test_wrong_field_count(self, cashflows_csv):
         with pytest.raises(ParseError, match="fields"):
             parse_cashflows(cashflows_csv("A1,2019-01,1"))
 
-    def test_bad_header(self):
+    def test_bad_header(self, tmp_path):
         with pytest.raises(ParseError) as err:
-            parse_cashflows(io.StringIO("a,b,c,d\n"))
+            parse_cashflows(text_file(tmp_path, "cashflows.csv", "a,b,c,d\n"))
         assert err.value.line == 1
 
-    def test_crlf_accepted(self):
-        stream = io.StringIO("asset_id,period_start,period_months,amount\r\nA1,2019-01,1,10.00\r\n")
-        assert len(parse_cashflows(stream)) == 1
+    def test_crlf_accepted(self, tmp_path):
+        text = "asset_id,period_start,period_months,amount\r\nA1,2019-01,1,10.00\r\n"
+        assert len(parse_cashflows(text_file(tmp_path, "cashflows.csv", text))) == 1
 
-    def test_order_preserved(self):
+    def test_order_preserved(self, cashflows_csv):
         records = flat(parse_cashflows(
             cashflows_csv("B,2020-01,1,1.00", "A,2019-01,1,2.00")
         ))
@@ -130,26 +146,28 @@ PARSE_ERRORS = [
 
 
 @pytest.mark.parametrize("zeros", ["", "00"], ids=["canonical", "row_by_row"])
-def test_parse_cashflows_reads_amounts_below_10_to_the_18_dollars(zeros):
+def test_parse_cashflows_reads_amounts_below_10_to_the_18_dollars(cashflows_csv, zeros):
     top = "999999999999999999.99"
     parsed = parse_cashflows(cashflows_csv(f"A1,2019-01,1,{zeros}{top}"))
     assert flat(parsed) == [("A1", month(2019, 1), 1, 10**20 - 1)]
+    path = cashflows_csv(f"A1,2019-01,1,{zeros}1{'0' * 18}.00")
     with pytest.raises(ParseError) as err:
-        parse_cashflows(cashflows_csv(f"A1,2019-01,1,{zeros}1{'0' * 18}.00"))
+        parse_cashflows(path)
     assert (str(err.value), err.value.line) == (
-        f"line 2: bad amount of {len(zeros) + 22} characters (too many digits to read)", 2
+        f"{path}:line 2: bad amount of {len(zeros) + 22} characters (too many digits to read)", 2
     )
 
 
 @pytest.mark.parametrize("rows,message,line", PARSE_ERRORS)
-def test_parse_cashflows_error_text_and_line(rows, message, line):
+def test_parse_cashflows_error_text_and_line(cashflows_csv, rows, message, line):
+    path = cashflows_csv(*rows)
     with pytest.raises(ParseError) as err:
-        parse_cashflows(cashflows_csv(*rows))
-    assert str(err.value) == message
+        parse_cashflows(path)
+    assert str(err.value) == f"{path}:{message}"
     assert err.value.line == line
 
 
-def test_parse_cashflows_strips_padded_fields():
+def test_parse_cashflows_strips_padded_fields(cashflows_csv):
     padded = parse_cashflows(cashflows_csv(" A1 , 2019-01 , 3 , 10.00 "))
     assert padded == parse_cashflows(cashflows_csv("A1,2019-01,3,10.00"))
 
@@ -158,7 +176,7 @@ def test_parse_cashflows_strips_padded_fields():
     "amount,expected",
     [("7", Decimal("7")), ("10.5", Decimal("10.50")), ("-0.00", Decimal(0)), ("-0", Decimal(0))],
 )
-def test_parse_cashflows_accepted_amounts_sum_exactly(amount, expected):
+def test_parse_cashflows_accepted_amounts_sum_exactly(cashflows_csv, amount, expected):
     rows = [f"A1,2019-01,1,{amount}"] + [f"A1,2019-{m:02d},1,1" for m in range(2, 13)]
     raw = assemble_raw_assets(parse_cashflows(cashflows_csv(*rows)), {"A1": 1.0})
     accepted, _ = build_dataset(raw)
@@ -166,19 +184,19 @@ def test_parse_cashflows_accepted_amounts_sum_exactly(amount, expected):
 
 
 class TestParseAssets:
-    def test_basic(self):
-        stream = io.StringIO("asset_id,dollar_age\nA1,2.5\n")
-        assert parse_assets(stream) == {"A1": 2.5}
+    def test_basic(self, tmp_path):
+        path = text_file(tmp_path, "assets.csv", "asset_id,dollar_age\nA1,2.5\n")
+        assert parse_assets(path) == {"A1": 2.5}
 
-    def test_rejects_non_positive_age(self):
-        stream = io.StringIO("asset_id,dollar_age\nA1,0\n")
+    def test_rejects_non_positive_age(self, tmp_path):
+        path = text_file(tmp_path, "assets.csv", "asset_id,dollar_age\nA1,0\n")
         with pytest.raises(ParseError):
-            parse_assets(stream)
+            parse_assets(path)
 
-    def test_rejects_duplicate(self):
-        stream = io.StringIO("asset_id,dollar_age\nA1,2.5\nA1,3.0\n")
+    def test_rejects_duplicate(self, tmp_path):
+        path = text_file(tmp_path, "assets.csv", "asset_id,dollar_age\nA1,2.5\nA1,3.0\n")
         with pytest.raises(ParseError, match="duplicate"):
-            parse_assets(stream)
+            parse_assets(path)
 
     @pytest.mark.parametrize("age", ["٣", "1_0", "２.５"])
     def test_rejects_non_ascii_and_underscored_numbers(self, tmp_path, age):
@@ -570,11 +588,13 @@ class TestBlockRead:
     @settings(max_examples=60, deadline=None)
     def test_canonical_files_give_the_row_parsers_mapping(self, rows, block_chars):
         text = HEADER_LINE + "".join(row + "\n" for row in rows)
-        # small blocks, so that files span several and asset runs cross them
-        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
-            fast = ingest._read_canonical(io.StringIO(text))
-        assert fast is not None
-        assert fast == ingest._parse_rows(io.StringIO(text))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = text_file(tmp, "cashflows.csv", text)
+            # small blocks, so that files span several and asset runs cross them
+            with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+                fast = ingest._read_canonical(path)
+            assert fast is not None
+            assert fast == ingest._parse_rows(path)
 
     @given(rows=canonical_rows(), kind=st.sampled_from(MUTATIONS), data=st.data())
     @settings(max_examples=120, deadline=None)

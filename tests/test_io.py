@@ -1,5 +1,4 @@
 import csv
-import io
 import re
 
 import pytest
@@ -9,15 +8,22 @@ from royaltyval._io import ParseError, read_json, read_table, write_json
 HEADER = ("a", "b")
 
 
-def read_all(text: str) -> list[list[str]]:
-    with read_table(io.StringIO(text), HEADER) as rows:
+def table_file(tmp_path, text: str):
+    """The path of a file in `tmp_path` holding `text` in UTF-8."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def read_all(path) -> list[list[str]]:
+    with read_table(path, HEADER) as rows:
         return [list(fields) for fields in rows]
 
 
-def fail_at(source, first_field: str | None, exc: ValueError) -> None:
+def fail_at(path, first_field: str | None, exc: ValueError) -> None:
     """Raise `exc` while handling the row whose first field is
     `first_field`, or after the last row when it is None."""
-    with read_table(source, HEADER) as rows:
+    with read_table(path, HEADER) as rows:
         for fields in rows:
             if next(fields) == first_field:
                 raise exc
@@ -25,12 +31,12 @@ def fail_at(source, first_field: str | None, exc: ValueError) -> None:
 
 
 class TestReadTable:
-    def test_lines_count_rows_not_physical_lines(self):
+    def test_lines_count_rows_not_physical_lines(self, tmp_path):
         # a quoted field spanning lines is one row, so one line number
-        text = 'a,b\n"x\ny",1\nz,2\n'
-        assert read_all(text) == [["x\ny", "1"], ["z", "2"]]
-        with pytest.raises(ParseError, match="^line 3: bad z$"):
-            fail_at(io.StringIO(text), "z", ValueError("bad z"))
+        path = table_file(tmp_path, 'a,b\n"x\ny",1\nz,2\n')
+        assert read_all(path) == [["x\ny", "1"], ["z", "2"]]
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:line 3: bad z$"):
+            fail_at(path, "z", ValueError("bad z"))
 
     @pytest.mark.parametrize(
         "bad_row,message",
@@ -40,21 +46,21 @@ class TestReadTable:
         ],
         ids=["field_count", "field_limit"],
     )
-    def test_every_row_error_uses_the_row_count(self, bad_row, message):
-        with pytest.raises(ParseError, match=f"^line 3: {message}"):
-            read_all('a,b\n"x\ny",1\n' + bad_row)
+    def test_every_row_error_uses_the_row_count(self, tmp_path, bad_row, message):
+        path = table_file(tmp_path, 'a,b\n"x\ny",1\n' + bad_row)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:line 3: {message}"):
+            read_all(path)
 
-    def test_unreadable_header_is_line_one(self):
-        with pytest.raises(ParseError, match="^line 1: field larger"):
-            read_all("a" * (csv.field_size_limit() + 1) + ",b\n")
+    def test_unreadable_header_is_line_one(self, tmp_path):
+        path = table_file(tmp_path, "a" * (csv.field_size_limit() + 1) + ",b\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:line 1: field larger"):
+            read_all(path)
 
 
 class TestErrorsNameTheFile:
     @pytest.fixture
     def table(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("a,b\nx,1\ny,2\n")
-        return path
+        return table_file(tmp_path, "a,b\nx,1\ny,2\n")
 
     def test_error_while_a_row_is_handled_names_its_line(self, table):
         with pytest.raises(ParseError, match=f"^{re.escape(str(table))}:line 3: bad y$") as err:

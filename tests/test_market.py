@@ -251,10 +251,6 @@ class TestCompare:
         assert rows_a == rows_b
         assert [r.asset_id for r in rows_a] == ["Q1", "Q2", "Q3"]
 
-    def test_band_ordering_enforced_on_rows(self):
-        with pytest.raises(ValueError):
-            ComparisonRow("X", 1, 1.0, None, 1.0, 2.0, 1.0, 3.0, None, 0.0)
-
 
 class TestAggregatePlotData:
     def _row(self, asset_id="A", duration=3, age=2.0, bid=2.0, ask=4.0):

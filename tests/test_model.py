@@ -100,6 +100,11 @@ class TestMultiplierFromShares:
         with pytest.raises(ValueError):
             multiplier_from_shares([], 0.10)
 
+    def test_rejects_negative_rate(self):
+        # discount_factor holds the check
+        with pytest.raises(ValueError, match="^rate must be >= 0$"):
+            multiplier_from_shares([1.0], -0.1)
+
     @given(shares=shares_lists, rate=rates)
     def test_monotone_in_duration(self, shares, rate):
         prefix_values = [
@@ -174,6 +179,17 @@ class TestMultiplierTable:
         assert err.value.horizon == 4
         assert err.value.level == 10.0
         assert "horizon=4" in str(err.value)
+
+    def test_rejects_negative_rate(self):
+        with pytest.raises(ValueError, match="^rate must be >= 0$"):
+            multiplier_table(flat_surface(), -0.1, 3)
+
+    @pytest.mark.parametrize("rate", [0.10, -0.1])
+    def test_depth_is_checked_before_any_per_duration_work(self, rate):
+        # a surface too shallow fails at once, before a factor is computed
+        with pytest.raises(MissingCellError) as err:
+            multiplier_table(flat_surface(horizons=3), rate, 10**12)
+        assert (err.value.horizon, err.value.level) == (4, 10.0)
 
     @pytest.mark.parametrize(
         "duration, level", [(0, 50.0), (4, 50.0), (2, 25.0)],
