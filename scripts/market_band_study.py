@@ -23,10 +23,8 @@ from royaltyval.market import (
     filter_quotes,
     plot_csv_rows,
 )
-from royaltyval.model import DEFAULT_MAX_DURATION
+from royaltyval.model import DEFAULT_MAX_DURATION, DEFAULT_RATE
 from royaltyval.synth import GroupSpec, PopulationSpec, gen_population, gen_quotes
-
-RATE = 0.10
 
 
 def population(seed):
@@ -65,15 +63,13 @@ def main():
     dataset, report = build_dataset(gen_population(population(args.seed)))
     print(f"dataset: {report.accepted_count} accepted, {report.rejected_count} rejected")
 
-    quotes = gen_quotes(
-        dataset, rate=RATE, bid_level=10.0, ask_level=50.0, seed=args.seed, noise=args.noise
-    )
+    quotes = gen_quotes(dataset, rate=DEFAULT_RATE, seed=args.seed, noise=args.noise)
     accepted, rejected = filter_quotes(quotes)
     print(f"quotes: {len(accepted)} usable, {len(rejected)} filtered out")
 
     surfaces = band_surfaces(dataset, DEFAULT_MAX_DURATION, DEFAULT_MIN_COHORT)
 
-    rows, errors = compare(accepted, surfaces, RATE)
+    rows, errors = compare(accepted, surfaces, DEFAULT_RATE)
     print(f"comparison: {len(rows)} rows, {len(errors)} row errors")
 
     write_csv(out_dir / "comparison.csv", COMPARISON_HEADER, comparison_csv_rows(rows))

@@ -14,9 +14,8 @@ from pathlib import Path
 from royaltyval._io import write_csv
 from royaltyval.curves import DEFAULT_MIN_COHORT, SURFACE_HEADER, build_surface, surface_csv_rows
 from royaltyval.ingest import build_dataset
+from royaltyval.model import BAND_LEVELS
 from royaltyval.synth import GroupSpec, PopulationSpec, gen_population
-
-LEVELS = (10.0, 50.0, 90.0)
 
 
 def young_population(seed):
@@ -41,15 +40,15 @@ def seasoned_population(seed):
 
 def run(name, spec, base_age, max_horizon, out_dir):
     dataset, report = build_dataset(gen_population(spec))
-    surface = build_surface(dataset, base_age, LEVELS, max_horizon, DEFAULT_MIN_COHORT)
+    surface = build_surface(dataset, base_age, BAND_LEVELS, max_horizon, DEFAULT_MIN_COHORT)
 
     path = out_dir / f"{name}_age{base_age}_surface.csv"
     write_csv(path, SURFACE_HEADER, surface_csv_rows(surface))
 
     print(f"\n{name}: {report.accepted_count} assets, base age {base_age}")
-    print("horizon  " + "  ".join(f"p{int(p):<8}" for p in LEVELS))
+    print("horizon  " + "  ".join(f"p{int(p):<8}" for p in BAND_LEVELS))
     for i in surface.cell_horizons():
-        shares = "  ".join(f"{surface.values[(i, p)]:<9.4f}" for p in LEVELS)
+        shares = "  ".join(f"{surface.values[(i, p)]:<9.4f}" for p in BAND_LEVELS)
         print(f"{i:>7}  {shares}")
     print(f"wrote {path}")
 

@@ -23,13 +23,11 @@ from .model import MissingCellError, MultiplierTable, ShareSurface, multiplier_t
 MULTIPLIERS_HEADER = ("base_age", "duration", "level", "multiplier")
 REJECTED_QUOTES_HEADER = ("asset_id", "reason")
 
-__all__ = ["Config", "load_config_file", "main"]
-
 
 @dataclass(frozen=True)
 class Config:
     rate: float = model.DEFAULT_RATE
-    percentile_levels: tuple[float, ...] = curves_mod.DEFAULT_LEVELS
+    percentile_levels: tuple[float, ...] = model.BAND_LEVELS
     dollar_age_tolerance: float = ingest.DEFAULT_AGE_TOLERANCE
     zero_floor: float = ingest.DEFAULT_ZERO_FLOOR
     min_cohort: int = curves_mod.DEFAULT_MIN_COHORT
@@ -220,16 +218,11 @@ def _cmd_curves(args, cfg: Config) -> int:
 
 def _cmd_multipliers(args, cfg: Config) -> int:
     if args.durations is not None and args.durations < 1:
-        _fail("--durations must be >= 1")
-        return 1
+        raise ValueError("--durations must be >= 1")
     out = _out_dir(args)
     surface = _surface_for(args, cfg, cfg.percentile_levels)
     max_duration = args.durations if args.durations is not None else cfg.max_duration
-    try:
-        table = multiplier_table(surface, cfg.rate, max_duration)
-    except MissingCellError as exc:
-        _fail(str(exc))
-        return 2
+    table = multiplier_table(surface, cfg.rate, max_duration)
     if cfg.output_format == "json":
         write_json(out / f"multipliers_age{table.base_age}.json", _multiplier_json(table))
     else:
@@ -242,21 +235,13 @@ def _cmd_multipliers(args, cfg: Config) -> int:
 
 
 def _cmd_value(args, cfg: Config) -> int:
-    if args.ltm is None or not (math.isfinite(args.ltm) and args.ltm > 0):
-        _fail("--ltm must be a positive amount")
-        return 1
+    if not (math.isfinite(args.ltm) and args.ltm > 0):
+        raise ValueError("--ltm must be a positive amount")
     if args.duration < 1:
-        _fail("--duration must be >= 1")
-        return 1
-    surface = _surface_for(args, cfg, market.BAND_LEVELS)
-    try:
-        table = multiplier_table(surface, cfg.rate, args.duration)
-        band = [
-            (p, table.entry(args.duration, p)) for p in market.BAND_LEVELS
-        ]
-    except MissingCellError as exc:
-        _fail(str(exc))
-        return 2
+        raise ValueError("--duration must be >= 1")
+    surface = _surface_for(args, cfg, model.BAND_LEVELS)
+    table = multiplier_table(surface, cfg.rate, args.duration)
+    band = [(p, table.entry(args.duration, p)) for p in model.BAND_LEVELS]
     rows = [f"{p:g},{mult:.6f},{price(mult, args.ltm):.2f}" for p, mult in band]
     print("\n".join(["level,multiplier,price", *rows]))
     return 0
@@ -323,8 +308,6 @@ def _cmd_synth(args, cfg: Config) -> int:
     quotes = synth.gen_quotes(
         dataset,
         rate=cfg.rate,
-        bid_level=10.0,
-        ask_level=50.0,
         seed=spec.seed,
         noise=0.05,
         min_cohort=cfg.min_cohort,
@@ -402,6 +385,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.handler(args, cfg)
+    except MissingCellError as exc:  # a ValueError, so it is caught first
+        _fail(str(exc))
+        return 2
     except (OSError, ValueError) as exc:  # ParseError is a ValueError
         _fail(str(exc))
         return 1

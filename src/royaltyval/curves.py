@@ -15,25 +15,9 @@ from typing import Iterable, Sequence
 from ._io import json_number, parse_number, read_json, read_table
 from .model import BAND_LEVELS, DEFAULT_MAX_DURATION, Asset, ShareSurface
 
-DEFAULT_LEVELS = BAND_LEVELS
 DEFAULT_MIN_COHORT = 5
 
 SURFACE_HEADER = ("base_age", "horizon", "level", "share", "cohort_size")
-
-__all__ = [
-    "DEFAULT_LEVELS",
-    "DEFAULT_MIN_COHORT",
-    "SURFACE_HEADER",
-    "build_surface",
-    "build_surfaces",
-    "load_surface",
-    "observed_share",
-    "parse_surface_csv",
-    "percentile",
-    "surface_csv_rows",
-    "surface_from_json_dict",
-    "surface_to_json_dict",
-]
 
 
 def observed_share(asset: Asset, base_age: int, horizon: int) -> float | None:
@@ -79,7 +63,7 @@ def _sorted_percentile(v: Sequence[float], level: float) -> float:
 def build_surface(
     dataset: Iterable[Asset],
     base_age: int,
-    levels: Sequence[float] = DEFAULT_LEVELS,
+    levels: Sequence[float] = BAND_LEVELS,
     max_horizon: int = DEFAULT_MAX_DURATION,
     min_cohort: int = DEFAULT_MIN_COHORT,
 ) -> ShareSurface:
@@ -90,7 +74,7 @@ def build_surface(
 def build_surfaces(
     dataset: Iterable[Asset],
     base_ages: Iterable[int],
-    levels: Sequence[float] = DEFAULT_LEVELS,
+    levels: Sequence[float] = BAND_LEVELS,
     max_horizon: int = DEFAULT_MAX_DURATION,
     min_cohort: int = DEFAULT_MIN_COHORT,
 ) -> dict[int, ShareSurface]:

@@ -58,29 +58,6 @@ _BLOCK_CHARS = 1 << 16
 # One asset's (starts, months, cents) columns.
 Columns = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
-__all__ = [
-    "ASSETS_HEADER",
-    "CASHFLOWS_HEADER",
-    "AnnualizeError",
-    "FilterReport",
-    "Columns",
-    "ParseError",
-    "RawAsset",
-    "RejectReason",
-    "annualize",
-    "assemble_raw_assets",
-    "build_dataset",
-    "filter_dollar_age",
-    "filter_zero_years",
-    "oldest_cashflow_age",
-    "parse_assets",
-    "parse_cashflows",
-    "parse_number",
-    "write_assets_csv",
-    "write_cashflows_csv",
-    "write_filter_report_csv",
-]
-
 
 class RejectReason(str, Enum):
     """Why an asset was dropped; listed in the order checks run."""

@@ -22,28 +22,6 @@ from .model import (
 
 DEFAULT_MIN_BID_ASK_RATIO = 0.5
 
-__all__ = [
-    "BAND_LEVELS",
-    "COMPARISON_HEADER",
-    "PLOT_HEADER",
-    "QUOTES_HEADER",
-    "ComparisonError",
-    "ComparisonRow",
-    "MarketQuote",
-    "PlotGroup",
-    "QuoteRejectReason",
-    "aggregate_plot_data",
-    "band_surfaces",
-    "compare",
-    "comparison_csv_rows",
-    "filter_quotes",
-    "implied_multipliers",
-    "parse_quotes",
-    "plot_csv_rows",
-    "round_half_up",
-    "write_quotes_csv",
-]
-
 
 class QuoteRejectReason(str, Enum):
     DURATION_TOO_LONG = "DURATION_TOO_LONG"

@@ -21,21 +21,6 @@ BAND_LEVELS = (10.0, 50.0, 90.0)  # the m10/m50/m90 band quotes are read against
 DEFAULT_RATE = 0.10
 DEFAULT_MAX_DURATION = 10  # also the deepest horizon a surface is built to
 
-__all__ = [
-    "Amount",
-    "Asset",
-    "BAND_LEVELS",
-    "DEFAULT_MAX_DURATION",
-    "DEFAULT_RATE",
-    "MissingCellError",
-    "MultiplierTable",
-    "ShareSurface",
-    "discount_factor",
-    "multiplier_from_shares",
-    "multiplier_table",
-    "price",
-]
-
 
 class MissingCellError(ValueError):
     """A multiplier computation needs a (horizon, level) cell the surface lacks."""

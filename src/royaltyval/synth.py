@@ -29,17 +29,6 @@ START_MONTH = 2015 * 12  # month index of 2015-01
 
 _NORMAL = NormalDist()
 
-__all__ = [
-    "GroupSpec",
-    "PopulationSpec",
-    "START_MONTH",
-    "closed_form_multiplier",
-    "gen_asset",
-    "gen_population",
-    "gen_quotes",
-    "monthly_split",
-]
-
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -157,18 +146,15 @@ def _split_cents(cents: int) -> list[int]:
     return [base] * 11 + [cents - 11 * base]
 
 
-def gen_asset(
-    seed: int, group: GroupSpec, asset_id: str | None = None, start: int = START_MONTH
-) -> RawAsset:
+def gen_asset(seed: int, group: GroupSpec, asset_id: str) -> RawAsset:
     """One synthetic asset of `group` (whose count is not used) with
-    monthly records and exact integer dollar age.
+    monthly records from START_MONTH and exact integer dollar age.
 
     Annual totals follow initial * (1+g)^(k-1) * exp(eps_k) with eps_k a
     seeded normal of standard deviation noise_sigma (identically zero when
     sigma is zero), rounded to cents, then split uniformly across twelve
     monthly records with remainder cents on the last month.
     """
-    asset_id = asset_id if asset_id is not None else f"S{seed:016x}"
     rng = random.Random(seed)
 
     annual: list[int] = []
@@ -188,7 +174,8 @@ def gen_asset(
             raise ValueError(f"{asset_id}: revenue in year {k} is too large")
         monthly += _split_cents(cents)
     n = len(monthly)
-    return RawAsset(asset_id, float(group.age_years), range(start, start + n), (1,) * n, monthly)
+    starts = range(START_MONTH, START_MONTH + n)
+    return RawAsset(asset_id, float(group.age_years), starts, (1,) * n, monthly)
 
 
 def gen_population(spec: PopulationSpec) -> list[RawAsset]:

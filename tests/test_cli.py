@@ -343,7 +343,10 @@ class TestMultipliers:
             ["--out", str(tmp_path), "multipliers", "--surface", str(surface), "--durations", "5"]
         )
         assert code == 2
-        assert "horizon=4" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "error: surface has no cell at horizon=4, level=10\n"
+        assert captured.out == ""
+        assert list(tmp_path.glob("multipliers_age*")) == []
 
     def test_non_positive_durations_names_the_flag(self, tmp_path, capsys):
         surface = write_flat_surface(tmp_path / "surface.json")
@@ -403,10 +406,28 @@ class TestValue:
             _, mult, shown_price = line.split(",")
             assert shown_price == f"{round(float(mult), 2):.2f}"
 
-    def test_duration_beyond_surface_exits_two(self, tmp_path):
+    def test_duration_beyond_surface_exits_two(self, tmp_path, capsys):
         surface = write_flat_surface(tmp_path / "surface.json", horizons=4)
         code = main(["value", "--surface", str(surface), "--ltm", "100", "--duration", "9"])
         assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: surface has no cell at horizon=5, level=10\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("duration", [1, 3])
+    def test_surface_without_the_band_levels_exits_two(self, tmp_path, capsys, duration):
+        surface = write_flat_surface(tmp_path / "surface.json", horizons=4)
+        payload = json.loads(surface.read_text())
+        payload["levels"] = [50.0, 90.0]
+        payload["cells"] = [c for c in payload["cells"] if c["level"] != 10.0]
+        surface.write_text(json.dumps(payload))
+        code = main(
+            ["value", "--surface", str(surface), "--ltm", "100", "--duration", str(duration)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: surface has no cell at horizon={duration}, level=10\n"
+        assert captured.out == ""
 
     def test_overflowing_price_exits_one(self, tmp_path, capsys):
         surface = write_flat_surface(tmp_path / "surface.json")
@@ -421,7 +442,7 @@ class TestValue:
         surface = write_flat_surface(tmp_path / "surface.json")
         code = main(["value", "--surface", str(surface), "--ltm", "-5", "--duration", "3"])
         assert code == 1
-        assert "--ltm" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --ltm must be a positive amount\n"
 
     def test_non_positive_duration_names_the_flag(self, tmp_path, capsys):
         surface = write_flat_surface(tmp_path / "surface.json")

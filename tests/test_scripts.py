@@ -1,4 +1,10 @@
-"""The study scripts in scripts/ run end to end at their default seeds."""
+"""The study scripts in scripts/ run end to end at their default seeds.
+
+Each script's output files and stdout are pinned to the bytes in
+`tests/golden_scripts/<script>/`, with the `--out` directory written as
+`<out>` in `stdout.txt`. After an intended output change, rewrite them with
+`PYTHONPATH=src python tests/test_scripts.py` and review the diff.
+"""
 
 import os
 import subprocess
@@ -8,6 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).parent / "golden_scripts"
 
 
 def run_script(name, out):
@@ -48,3 +55,23 @@ def test_script_writes_its_tables(tmp_path, script, files, lines):
     stdout = result.stdout.splitlines()
     for line in lines:
         assert line in stdout
+    golden = GOLDEN / Path(script).stem
+    assert sorted(p.name for p in golden.iterdir()) == sorted(files + ["stdout.txt"])
+    for name in files:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+    expected = (golden / "stdout.txt").read_text(encoding="utf-8")
+    assert result.stdout.replace(str(tmp_path), "<out>") == expected
+
+
+if __name__ == "__main__":
+    import shutil
+    import tempfile
+
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    for script in sorted(p.name for p in (ROOT / "scripts").glob("*.py")):
+        with tempfile.TemporaryDirectory() as tmp:
+            result = run_script(script, tmp)
+            assert result.returncode == 0, result.stderr
+            shutil.copytree(tmp, GOLDEN / Path(script).stem)
+            stdout = result.stdout.replace(tmp, "<out>")
+        (GOLDEN / Path(script).stem / "stdout.txt").write_text(stdout, encoding="utf-8")

@@ -54,12 +54,12 @@ class TestMonthlySplit:
 
 class TestGenAsset:
     def test_flat_noise_free(self):
-        asset = gen_asset(123, GroupSpec(1, 0.0, 0.0, 3, 1200.0))
+        asset = gen_asset(123, GroupSpec(1, 0.0, 0.0, 3, 1200.0), "A")
         assert annualize(asset.asset_id, asset.starts, asset.months, asset.cents) == (Decimal("1200.00"),) * 3
         assert asset.dollar_age == 3.0
 
     def test_halving(self):
-        asset = gen_asset(99, GroupSpec(1, -0.5, 0.0, 3, 1200.0))
+        asset = gen_asset(99, GroupSpec(1, -0.5, 0.0, 3, 1200.0), "A")
         assert annualize(asset.asset_id, asset.starts, asset.months, asset.cents) == (
             Decimal("1200.00"),
             Decimal("600.00"),
@@ -68,15 +68,15 @@ class TestGenAsset:
 
     def test_same_seed_identical(self):
         group = GroupSpec(1, -0.1, 0.25, 5, 900.0)
-        assert gen_asset(7, group) == gen_asset(7, group)
+        assert gen_asset(7, group, "A") == gen_asset(7, group, "A")
 
     def test_different_seeds_differ_with_noise(self):
-        a = gen_asset(1, GroupSpec(1, -0.1, 0.25, 5, 900.0))
-        b = gen_asset(2, GroupSpec(1, -0.1, 0.25, 5, 900.0))
+        a = gen_asset(1, GroupSpec(1, -0.1, 0.25, 5, 900.0), "A")
+        b = gen_asset(2, GroupSpec(1, -0.1, 0.25, 5, 900.0), "A")
         assert records_of(a) != records_of(b)
 
     def test_noise_keeps_amounts_positive(self):
-        asset = gen_asset(3, GroupSpec(1, -0.4, 0.8, 8, 50.0))
+        asset = gen_asset(3, GroupSpec(1, -0.4, 0.8, 8, 50.0), "A")
         assert all(amount_cents >= 0 for _, _, amount_cents in records_of(asset))
 
     def test_oldest_allowed_asset_roundtrips_through_csv(self, tmp_path):
@@ -101,7 +101,7 @@ class TestGenAsset:
             gen_asset(5, GroupSpec(1, growth, 0.0, 3, initial), asset_id="A")
 
     def test_monthly_coverage_is_gap_free(self):
-        asset = gen_asset(11, GroupSpec(1, 0.1, 0.3, 4, 2400.0))
+        asset = gen_asset(11, GroupSpec(1, 0.1, 0.3, 4, 2400.0), "A")
         assert len(records_of(asset)) == 48
         spans = [start for start, _, _ in records_of(asset)]
         assert spans == list(range(spans[0], spans[0] + 48))
