@@ -35,14 +35,33 @@ class ParseError(ValueError):
 
 
 def parse_number(text: str, kind: type = float):
-    """kind(text) for a number written in ASCII without underscores.
+    """kind(text), float or int, for a number written in ASCII without
+    underscores; other text is a ValueError naming it.
 
     float() and int() also read non-ASCII digits (``٣`` is 3) and digit
     group underscores (``1_0`` is 10); an input file should hold neither.
     """
     if not text.isascii() or "_" in text:
         raise ValueError(f"bad number {text!r} (ASCII digits only, no underscores)")
-    return kind(text)
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"bad {'integer' if kind is int else 'number'} {text!r}") from None
+
+
+def json_object(value, where: str, keys, required=()):
+    """`value`, checked to be a decoded JSON object whose keys are all in
+    `keys` and include every key in `required`; `where` names it in the
+    error."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = set(required) - set(value)
+    if missing:
+        raise ValueError(f"{where}: missing keys {sorted(missing)}")
+    return value
 
 
 def json_number(key: str, value, integral: bool = False):
@@ -146,8 +165,6 @@ def read_json(path: str | Path) -> Iterator:
         raise ParseError(f"invalid JSON: {exc}", path=path) from None
     try:
         yield value
-    except ParseError:
-        raise
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from None
 

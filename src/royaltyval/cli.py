@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import curves as curves_mod
 from . import ingest, market, model, synth
-from ._io import int_fields, json_number, read_json, record_header, record_rows, write_csv, write_json
+from ._io import int_fields, json_number, json_object, read_json, record_header, record_rows, write_csv, write_json
 from .model import MissingCellError, MultiplierTable, ShareSurface, multiplier_table, price
 
 MULTIPLIERS_HEADER = ("base_age", "duration", "level", "multiplier")
@@ -77,11 +77,7 @@ _CONFIG_FLAGS = {
 def load_config_file(path: str | Path) -> dict:
     """Read a flat JSON config; unknown keys are an error to catch typos."""
     with read_json(path) as data:
-        if not isinstance(data, dict):
-            raise ValueError("config must be a JSON object")
-        unknown = set(data) - _CONFIG_FIELDS
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        json_object(data, "config", _CONFIG_FIELDS)
         for key, value in data.items():
             if key == "percentile_levels":
                 try:

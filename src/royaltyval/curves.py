@@ -12,12 +12,14 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._io import json_number, parse_number, read_json, read_table
+from ._io import json_number, json_object, parse_number, read_json, read_table
 from .model import BAND_LEVELS, DEFAULT_MAX_DURATION, Asset, ShareSurface
 
 DEFAULT_MIN_COHORT = 5
 
 SURFACE_HEADER = ("base_age", "horizon", "level", "share", "cohort_size")
+_SURFACE_KEYS = ("base_age", "levels", "counts", "cells")
+_CELL_KEYS = ("horizon", "level", "share")
 
 
 def observed_share(asset: Asset, base_age: int, horizon: int) -> float | None:
@@ -192,37 +194,29 @@ def surface_from_json_dict(data: dict) -> ShareSurface:
     and base ages, horizons and counts whole ones; counts keys are
     horizons written as decimal integers. A repeated cell or horizon and
     an unknown key, at the top level or in a cell, are errors."""
-    if not isinstance(data, dict):
-        raise ValueError("bad surface JSON: expected an object")
-    unknown = set(data) - {"base_age", "levels", "counts", "cells"}
-    if unknown:
-        raise ValueError(f"bad surface JSON: unknown keys {sorted(unknown)}")
-    if not isinstance(data.get("counts"), dict):
-        raise ValueError("bad surface JSON: counts must be an object")
-    cells = data.get("cells")
-    if not isinstance(cells, list) or not all(isinstance(cell, dict) for cell in cells):
-        raise ValueError("bad surface JSON: cells must be a list of objects")
-    try:
-        base_age = json_number("base_age", data["base_age"], integral=True)
-        levels = tuple(float(json_number("level", p)) for p in data["levels"])
-        counts = {
-            parse_number(i, int): json_number("count", n, integral=True)
-            for i, n in data["counts"].items()
-        }
-        if len(counts) != len(data["counts"]):
-            raise ValueError("counts name a horizon twice")
-        values = {}
-        for k, cell in enumerate(cells):
-            unknown = set(cell) - {"horizon", "level", "share"}
-            if unknown:
-                raise ValueError(f"unknown keys {sorted(unknown)} in cells[{k}]")
-            i = json_number("horizon", cell["horizon"], integral=True)
-            p = float(json_number("level", cell["level"]))
-            if (i, p) in values:
-                raise ValueError(f"repeated cell at horizon {i}, level {p:g}")
-            values[(i, p)] = float(json_number("share", cell["share"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad surface JSON: {exc}") from None
+    json_object(data, "surface", _SURFACE_KEYS, _SURFACE_KEYS)
+    base_age = json_number("base_age", data["base_age"], integral=True)
+    if not isinstance(data["levels"], list):
+        raise ValueError("levels must be a list")
+    levels = tuple(float(json_number("level", p)) for p in data["levels"])
+    if not isinstance(data["counts"], dict):
+        raise ValueError("counts must be an object")
+    counts = {
+        parse_number(i, int): json_number("count", n, integral=True)
+        for i, n in data["counts"].items()
+    }
+    if len(counts) != len(data["counts"]):
+        raise ValueError("counts name a horizon twice")
+    if not isinstance(data["cells"], list):
+        raise ValueError("cells must be a list of objects")
+    values = {}
+    for k, cell in enumerate(data["cells"]):
+        json_object(cell, f"cells[{k}]", _CELL_KEYS, _CELL_KEYS)
+        i = json_number("horizon", cell["horizon"], integral=True)
+        p = float(json_number("level", cell["level"]))
+        if (i, p) in values:
+            raise ValueError(f"repeated cell at horizon {i}, level {p:g}")
+        values[(i, p)] = float(json_number("share", cell["share"]))
     return ShareSurface(base_age, levels, values, counts)
 
 

@@ -429,6 +429,10 @@ def build_dataset(
     asset; every input lands in the report exactly once. Output is
     sorted by asset_id and so is independent of input order.
     """
+    if zero_floor < 0:
+        raise ValueError("zero_floor must be >= 0")
+    if dollar_age_tolerance < 0:
+        raise ValueError("tolerance must be >= 0")
     ordered = sorted(raw_assets, key=lambda a: a.asset_id)
     ids = [a.asset_id for a in ordered]
     if len(set(ids)) != len(ids):

@@ -98,7 +98,7 @@ def round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ComparisonRow:
     """A quote's implied multipliers next to the model band for its terms."""
 
@@ -114,7 +114,7 @@ class ComparisonRow:
     ask_gap_to_m50: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class ComparisonError:
     """Row-level failure; the run carries on without this quote."""
 
@@ -196,7 +196,7 @@ def compare(
     return rows, errors
 
 
-@dataclass(frozen=True)
+@dataclass
 class PlotGroup:
     """Means of the comparison rows that share one axis value."""
 

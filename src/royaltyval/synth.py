@@ -15,11 +15,10 @@ import hashlib
 import math
 import random
 from dataclasses import asdict, dataclass, fields
-from decimal import Decimal
 from statistics import NormalDist
 from typing import Sequence
 
-from ._io import int_fields, json_number
+from ._io import int_fields, json_number, json_object
 from .curves import DEFAULT_MIN_COHORT, build_surfaces
 from .ingest import MAX_AMOUNT_DIGITS, RawAsset
 from .market import MarketQuote, round_half_up
@@ -71,30 +70,16 @@ class PopulationSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PopulationSpec":
-        if not isinstance(data, dict):
-            raise ValueError("population spec must be a JSON object")
-        unknown = set(data) - {"seed", "groups"}
-        if unknown:
-            raise ValueError(f"unknown population spec keys: {sorted(unknown)}")
-        try:
-            seed = json_number("seed", data["seed"], integral=True)
-            raw_groups = data["groups"]
-        except KeyError as exc:
-            raise ValueError(f"population spec missing {exc.args[0]!r}") from None
+        json_object(data, "population spec", ("seed", "groups"), ("seed", "groups"))
+        seed = json_number("seed", data["seed"], integral=True)
+        raw_groups = data["groups"]
         if not isinstance(raw_groups, list) or not raw_groups:
             raise ValueError("groups must be a non-empty list")
         groups = []
         group_keys = {f.name for f in fields(GroupSpec)}
         integral = int_fields(GroupSpec)
         for idx, g in enumerate(raw_groups):
-            if not isinstance(g, dict):
-                raise ValueError(f"groups[{idx}] must be an object")
-            unknown = set(g) - group_keys
-            if unknown:
-                raise ValueError(f"groups[{idx}]: unknown keys {sorted(unknown)}")
-            missing = group_keys - set(g)
-            if missing:
-                raise ValueError(f"groups[{idx}]: missing keys {sorted(missing)}")
+            json_object(g, f"groups[{idx}]", group_keys, group_keys)
             try:
                 values = {k: json_number(k, g[k], k in integral) for k in g}
                 groups.append(GroupSpec(**values))
@@ -128,18 +113,6 @@ def _normal(rng: random.Random, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 # Generation
 # ---------------------------------------------------------------------------
-
-def monthly_split(annual_total: Decimal) -> tuple[Decimal, ...]:
-    """Split an annual amount into 12 monthly cents-exact pieces.
-
-    Each month gets total//12 cents; leftover cents go to the final month,
-    so the twelve pieces sum back to the annual amount exactly.
-    """
-    cents = int(annual_total.scaleb(2))
-    if Decimal(cents).scaleb(-2) != annual_total:
-        raise ValueError(f"annual total {annual_total} is not cent-precise")
-    return tuple(Decimal(m).scaleb(-2) for m in _split_cents(cents))
-
 
 def _split_cents(cents: int) -> list[int]:
     base = cents // 12

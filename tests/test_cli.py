@@ -466,7 +466,7 @@ class TestValue:
         "change,message",
         [
             ({"counts": [1]}, "counts must be an object"),
-            ({"cells": [1]}, "cells must be a list of objects"),
+            ({"cells": [1]}, "cells[0] must be a JSON object"),
             ({"cells": {"horizon": 1}}, "cells must be a list of objects"),
             ({"base_age": float("inf")}, "base_age must be an integer, got inf"),
             (
@@ -479,11 +479,21 @@ class TestValue:
                 "repeated cell at horizon 1, level 10",
             ),
             ({"counts": {"1": 5, "01": 5}}, "counts name a horizon twice"),
-            ({"rate": 0.1}, "unknown keys ['rate']"),
+            ({"rate": 0.1}, "surface: unknown keys ['rate']"),
             (
                 {"cells": [{"horizon": 1, "level": 50.0, "share": 1.0, "sharee": 2.0}]},
-                "unknown keys ['sharee'] in cells[0]",
+                "cells[0]: unknown keys ['sharee']",
             ),
+            ({"levels": 5}, "levels must be a list"),
+            ({"levels": [10.0, 50.0, 150.0]}, "percentile level 150.0 outside (0, 100)"),
+            ({"levels": []}, "at least one percentile level required"),
+            ({"counts": {"1": -5}}, "negative cohort count at horizon 1"),
+            ({"counts": {"x": 5}}, "bad integer 'x'"),
+            (
+                {"cells": [{"horizon": 1, "level": p, "share": -1.0} for p in (10.0, 50.0, 90.0)]},
+                "share at (1, 10) must be finite and >= 0",
+            ),
+            ({"cells": [{"level": 10.0, "share": 1.0}]}, "cells[0]: missing keys ['horizon']"),
         ],
     )
     def test_malformed_surface_json_exits_one(self, tmp_path, capsys, change, message):
@@ -493,7 +503,7 @@ class TestValue:
         surface.write_text(json.dumps(payload))
         code = main(["value", "--surface", str(surface), "--ltm", "1", "--duration", "2"])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {surface}: bad surface JSON: {message}\n"
+        assert capsys.readouterr().err == f"error: {surface}: {message}\n"
 
     @pytest.mark.parametrize(
         "body,message",
@@ -505,7 +515,7 @@ class TestValue:
                 "expected base_age,horizon,level,share,cohort_size",
             ),
             (SURFACE_CSV_HEADER + "1,1,10,1.0\n", "line 2: expected 5 fields, got 4"),
-            (SURFACE_CSV_HEADER + "1,1,10,x,5\n", "line 2: could not convert string to float: 'x'"),
+            (SURFACE_CSV_HEADER + "1,1,10,x,5\n", "line 2: bad number 'x'"),
             (
                 SURFACE_CSV_HEADER + "1,1,10,0.\u0665,5\n",
                 "line 2: bad number '0.\u0665' (ASCII digits only, no underscores)",
@@ -523,10 +533,12 @@ class TestValue:
                 SURFACE_CSV_HEADER + "1,1,10,1.0,5\n1,1,50,1.0,6\n",
                 "line 3: cohort_size 6 at horizon 1 differs from 5",
             ),
+            (SURFACE_CSV_HEADER, " no surface rows"),
+            (SURFACE_CSV_HEADER + "1,1.5,10,1.0,5\n", "line 2: bad integer '1.5'"),
         ],
         ids=[
             "empty", "header", "fields", "number", "arabic_digit", "mixed_ages", "huge_horizon",
-            "repeated_cell", "cohort_size_differs",
+            "repeated_cell", "cohort_size_differs", "header_only", "integer",
         ],
     )
     def test_malformed_surface_csv_exits_one(self, tmp_path, capsys, body, message):
@@ -553,7 +565,22 @@ class TestValue:
         surface.write_text("[1, 2]")
         code = main(["value", "--surface", str(surface), "--ltm", "1", "--duration", "2"])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {surface}: bad surface JSON: expected an object\n"
+        assert capsys.readouterr().err == f"error: {surface}: surface must be a JSON object\n"
+
+    def test_surface_json_without_a_key_exits_one(self, tmp_path, capsys):
+        surface = write_flat_surface(tmp_path / "surface.json")
+        payload = json.loads(surface.read_text())
+        del payload["base_age"]
+        surface.write_text(json.dumps(payload))
+        code = main(["value", "--surface", str(surface), "--ltm", "1", "--duration", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {surface}: surface: missing keys ['base_age']\n"
+
+    def test_neither_surface_nor_data_exits_one(self, capsys):
+        assert main(["multipliers"]) == 1
+        assert capsys.readouterr().err == (
+            "error: need either --surface or --cashflows/--assets/--age\n"
+        )
 
 
 class TestCompare:
@@ -769,6 +796,9 @@ class TestCompare:
         assert [quotes[0].asset_id, "DURATION_TOO_LONG"] in rejected
 
 
+GROUP = {"count": 1, "annual_growth": 0, "noise_sigma": 0, "age_years": 3, "initial_revenue": 10}
+
+
 class TestSynthCommand:
     def _spec_file(self, tmp_path):
         spec = {
@@ -795,6 +825,35 @@ class TestSynthCommand:
             assert main(["--out", str(tmp_path / sub), "synth", "--spec", str(spec)]) == 0
         for name in ("cashflows.csv", "assets.csv", "quotes.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_seed_flag_writes_what_the_spec_seed_writes(self, tmp_path):
+        spec = self._spec_file(tmp_path)
+        assert main(["--out", str(tmp_path / "flag"), "synth", "--spec", str(spec), "--seed", "9"]) == 0
+        spec.write_text(json.dumps({**json.loads(spec.read_text()), "seed": 9}))
+        assert main(["--out", str(tmp_path / "spec"), "synth", "--spec", str(spec)]) == 0
+        for name in ("cashflows.csv", "assets.csv", "quotes.csv"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "spec" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ([], "population spec must be a JSON object"),
+            ({"seed": 1, "groups": {}}, "groups must be a non-empty list"),
+            ({"seed": 1, "groups": [1]}, "groups[0] must be a JSON object"),
+            ({"groups": [GROUP]}, "population spec: missing keys ['seed']"),
+            ({"seed": 1, "groups": [GROUP], "genre": "pop"}, "population spec: unknown keys ['genre']"),
+            (
+                {"seed": 1, "groups": [{k: v for k, v in GROUP.items() if k != "count"}]},
+                "groups[0]: missing keys ['count']",
+            ),
+        ],
+        ids=["list", "groups_object", "group_number", "no_seed", "unknown_key", "group_no_count"],
+    )
+    def test_malformed_spec_exits_one(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "population.json"
+        path.write_text(json.dumps(spec))
+        assert main(["--out", str(tmp_path), "synth", "--spec", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_invalid_spec_field_exits_one(self, tmp_path, capsys):
         path = tmp_path / "population.json"
@@ -886,7 +945,7 @@ class TestConfigPrecedence:
             ["--config", str(config), "value", "--surface", str(surface), "--ltm", "1", "--duration", "2"]
         )
         assert code == 1
-        assert "unknown config keys" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {config}: config: unknown keys ['discount']\n"
 
     @pytest.mark.parametrize(
         "config,message",
@@ -910,6 +969,11 @@ class TestConfigPrecedence:
                 {"percentile_levels": [10, 50, 50.0000001, 90]},
                 "percentile_levels must differ at six significant digits",
             ),
+            ([], "config must be a JSON object"),
+            ({"percentile_levels": []}, "percentile_levels must be non-empty"),
+            ({"percentile_levels": [0]}, "percentile level 0.0 outside (0, 100)"),
+            ({"min_cohort": 0}, "min_cohort must be >= 1"),
+            ({"output_format": "xml"}, "output_format must be 'csv' or 'json'"),
         ],
     )
     def test_wrong_config_value_type_exits_one(self, tmp_path, capsys, config, message):
@@ -927,6 +991,12 @@ class TestConfigPrecedence:
         config.write_text(json.dumps({"max_duration": 4.0}))
         loaded = load_config_file(config)
         assert loaded == {"max_duration": 4} and type(loaded["max_duration"]) is int
+
+    def test_min_cohort_flag_below_one_exits_one(self, tmp_path, capsys):
+        surface = write_flat_surface(tmp_path / "surface.json")
+        argv = ["value", "--surface", str(surface), "--ltm", "1", "--duration", "2"]
+        assert main(argv + ["--min-cohort", "0"]) == 1
+        assert capsys.readouterr().err == "error: min_cohort must be >= 1\n"
 
     def test_nan_rate_flag_exits_one(self, tmp_path, capsys):
         surface = write_flat_surface(tmp_path / "surface.json")

@@ -198,6 +198,12 @@ class TestParseAssets:
         with pytest.raises(ParseError, match="duplicate"):
             parse_assets(path)
 
+    def test_rejects_empty_id(self, tmp_path):
+        path = text_file(tmp_path, "assets.csv", "asset_id,dollar_age\nA1,2.5\n,3.0\n")
+        with pytest.raises(ParseError) as err:
+            parse_assets(path)
+        assert str(err.value) == f"{path}:line 3: empty asset_id"
+
     @pytest.mark.parametrize("age", ["٣", "1_0", "２.５"])
     def test_rejects_non_ascii_and_underscored_numbers(self, tmp_path, age):
         path = tmp_path / "assets.csv"
@@ -322,6 +328,15 @@ class TestBuildDataset:
         accepted, report = build_dataset([])
         assert accepted == [] and report.total == 0
 
+    @pytest.mark.parametrize(
+        "option,message",
+        [("zero_floor", "zero_floor must be >= 0"), ("dollar_age_tolerance", "tolerance must be >= 0")],
+    )
+    @pytest.mark.parametrize("months", [6, 24])
+    def test_negative_option_fails_whatever_the_data(self, option, message, months):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_dataset([raw_monthly_asset("S", [1] * months)], **{option: -1.0})
+
     def test_single_clean_asset(self):
         accepted, report = build_dataset([raw_monthly_asset("A", [10] * 24)])
         assert len(accepted) == 1
@@ -421,7 +436,7 @@ class TestConservation:
 
 class TestIdempotence:
     def test_reaccepts_whole_year_dataset(self):
-        from royaltyval.synth import GroupSpec, PopulationSpec, gen_population, monthly_split
+        from royaltyval.synth import GroupSpec, PopulationSpec, gen_population
 
         spec = PopulationSpec(
             (GroupSpec(3, -0.2, 0.1, 4, 20000.0), GroupSpec(3, 0.0, 0.0, 6, 5000.0)),
@@ -435,8 +450,9 @@ class TestIdempotence:
             records = []
             start = month(2015, 1)
             for annual in asset.amounts:
-                for piece in monthly_split(annual):
-                    records.append((start, 1, cents(piece)))
+                total = cents(annual)
+                for piece in [total // 12] * 11 + [total - 11 * (total // 12)]:
+                    records.append((start, 1, piece))
                     start += 1
             reserialized.append(RawAsset(asset.asset_id, asset.dollar_age, *columns(records)))
 
@@ -607,6 +623,15 @@ class TestBlockRead:
             slow = outcome(ingest._parse_rows, path)
             assert fast is None or fast == slow
             assert outcome(parse_cashflows, path) == slow
+
+    def test_file_without_its_final_line_end_gives_the_same_columns(self, tmp_path):
+        assets = [raw_monthly_asset("A", ["1.00"] * 12), raw_monthly_asset("B", ["2.50"] * 6)]
+        path = tmp_path / "cashflows.csv"
+        write_cashflows_csv(path, assets)
+        columns = parse_cashflows(path)
+        path.write_bytes(path.read_bytes()[:-1])
+        assert ingest._read_canonical(path) is None
+        assert parse_cashflows(path) == columns
 
     def test_real_blocks_with_an_asset_across_a_boundary(self, tmp_path):
         assets = [

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from royaltyval._io import ParseError, read_json, read_table, write_json
+from royaltyval._io import ParseError, json_object, parse_number, read_json, read_table, write_json
 
 HEADER = ("a", "b")
 
@@ -84,6 +84,48 @@ class TestErrorsNameTheFile:
                 assert value == {"k": 1}
                 raise ValueError("k must be 2")
         assert err.value.line is None
+
+    @pytest.mark.parametrize(
+        "text,cause",
+        [("[" * 100_000 + "]" * 100_000, "recursion"), ("1" * 5000, "digits")],
+        ids=["deep", "long_integer"],
+    )
+    def test_unreadable_json_names_the_file(self, tmp_path, text, cause):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: invalid JSON: .*{cause}") as err:
+            with read_json(path):
+                pass
+        assert err.value.line is None
+
+
+class TestJsonObject:
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ([], "x must be a JSON object"),
+            ({"a": 1, "c": 2, "b": 3}, "x: unknown keys ['b', 'c']"),
+            ({}, "x: missing keys ['a']"),
+        ],
+        ids=["list", "unknown", "missing"],
+    )
+    def test_error_texts(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            json_object(value, "x", ("a",), ("a",))
+
+    def test_returns_the_value(self):
+        value = {"a": 1}
+        assert json_object(value, "x", ("a", "b")) is value
+
+
+class TestParseNumber:
+    @pytest.mark.parametrize(
+        "text,kind,message",
+        [("x", float, "bad number 'x'"), ("1.5", int, "bad integer '1.5'"), ("", int, "bad integer ''")],
+    )
+    def test_unreadable_text_is_named(self, text, kind, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_number(text, kind)
 
 
 class TestWriteJson:

@@ -328,6 +328,27 @@ class TestQuotesCsv:
         assert err.value.line == 2
 
     @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("Q,x,,450,5,3.0", "bad number 'x'"),
+            ("Q,100,,0,5,3.0", "Q: ask must be > 0"),
+            ("Q,100,-1,450,5,3.0", "Q: best_bid must be >= 0"),
+            ("Q,100,,450,0,3.0", "Q: duration_years must be >= 1"),
+            ("Q,100,,450,1.5,3.0", "bad integer '1.5'"),
+            ("Q,100,,450,5,0", "Q: dollar_age must be > 0"),
+        ],
+        ids=["ltm_text", "ask_zero", "bid_negative", "duration_zero", "duration_fraction", "age_zero"],
+    )
+    def test_bad_field_names_its_line(self, tmp_path, row, message):
+        from royaltyval.ingest import ParseError
+
+        path = tmp_path / "quotes.csv"
+        path.write_text("asset_id,ltm,best_bid,ask,duration_years,dollar_age\n" + row + "\n")
+        with pytest.raises(ParseError) as err:
+            parse_quotes(path)
+        assert str(err.value) == f"{path}:line 2: {message}"
+
+    @pytest.mark.parametrize(
         "row,bad",
         [
             ("Q1,١٠٠,,450,5,3.0", "١٠٠"),

@@ -20,7 +20,6 @@ from royaltyval.synth import (
     gen_asset,
     gen_population,
     gen_quotes,
-    monthly_split,
 )
 
 
@@ -38,18 +37,12 @@ def decaying_population(seed=5):
 
 class TestMonthlySplit:
     def test_even_split(self):
-        pieces = monthly_split(Decimal("1200.00"))
-        assert pieces == (Decimal("100.00"),) * 12
+        asset = gen_asset(1, GroupSpec(1, 0.0, 0.0, 2, 1200.0), "A")
+        assert asset.cents == (10000,) * 24
 
     def test_remainder_cents_on_final_month(self):
-        pieces = monthly_split(Decimal("100.01"))
-        assert sum(pieces) == Decimal("100.01")
-        assert len(set(pieces[:11])) == 1
-        assert pieces[11] > pieces[0]
-
-    def test_rejects_sub_cent_amounts(self):
-        with pytest.raises(ValueError):
-            monthly_split(Decimal("1.005"))
+        asset = gen_asset(1, GroupSpec(1, 0.0, 0.0, 2, 100.01), "A")
+        assert asset.cents == ((833,) * 11 + (838,)) * 2
 
 
 class TestGenAsset:
