@@ -19,6 +19,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, get_args, get_type_hints
 
+_MAX_JSON_INT_DIGITS = len(str(int(sys.float_info.max)))  # 309
+
 
 class ParseError(ValueError):
     """Malformed input; carries the 1-based line number when known."""
@@ -132,7 +134,11 @@ def read_table(path: str | Path, header: tuple[str, ...]) -> Iterator[Iterator[I
                     )
                 yield map(str.strip, row)
         except csv.Error as exc:
-            raise ParseError(str(exc), line=line + 1, path=path) from None
+            message = str(exc)
+            if message.startswith("field larger than field limit"):
+                limit = csv.field_size_limit()
+                message = f"a field is longer than the csv limit of {limit} characters"
+            raise ParseError(message, line=line + 1, path=path) from None
         except UnicodeDecodeError as exc:
             raise _not_utf8(exc, path) from None
         line = None
@@ -146,6 +152,16 @@ def read_table(path: str | Path, header: tuple[str, ...]) -> Iterator[Iterator[I
             raise ParseError(str(exc), line=line, path=path) from None
 
 
+def _json_int(text: str) -> int:
+    """int(text) for a JSON integer of at most 309 digits. Every longer one
+    is past the float range, which json_number rejects anyway, and int()
+    refuses one past 4300 digits in words that vary with the Python version."""
+    digits = len(text.lstrip("-"))
+    if digits > _MAX_JSON_INT_DIGITS:
+        raise ValueError(f"integer of {digits} digits (at most {_MAX_JSON_INT_DIGITS})")
+    return int(text)
+
+
 @contextmanager
 def read_json(path: str | Path) -> Iterator:
     """The decoded JSON value of a file, which may start with a BOM. A
@@ -156,13 +172,15 @@ def read_json(path: str | Path) -> Iterator:
     except UnicodeDecodeError as exc:
         raise _not_utf8(exc, path) from None
     try:
-        value = json.loads(text)
+        value = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON: {exc.msg} at column {exc.colno}", line=exc.lineno, path=path
         ) from None
-    except (ValueError, RecursionError) as exc:  # an integer too long to read; deep nesting
+    except ValueError as exc:  # from _json_int
         raise ParseError(f"invalid JSON: {exc}", path=path) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply", path=path) from None
     try:
         yield value
     except ValueError as exc:

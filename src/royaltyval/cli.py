@@ -24,7 +24,7 @@ MULTIPLIERS_HEADER = ("base_age", "duration", "level", "multiplier")
 REJECTED_QUOTES_HEADER = ("asset_id", "reason")
 
 
-@dataclass(frozen=True)
+@dataclass
 class Config:
     rate: float = model.DEFAULT_RATE
     percentile_levels: tuple[float, ...] = model.BAND_LEVELS
@@ -108,7 +108,7 @@ def _resolve_config(args: argparse.Namespace) -> Config:
         value = getattr(args, field, None)
         if value is not None:
             overrides[field] = value
-    return replace(Config(), **overrides)
+    return Config(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +384,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MissingCellError as exc:  # a ValueError, so it is caught first
         _fail(str(exc))
         return 2
-    except (OSError, ValueError) as exc:  # ParseError is a ValueError
+    except OSError as exc:
+        _fail(str(exc) if exc.filename is None else f"{exc.filename}: {exc.strerror}")
+        return 1
+    except ValueError as exc:  # ParseError is a ValueError
         _fail(str(exc))
         return 1
 

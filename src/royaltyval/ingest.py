@@ -91,12 +91,12 @@ def _cents_text(cents: int) -> str:
     return f"{'-' if cents < 0 else ''}{whole}.{frac:02d}"
 
 
-@dataclass(frozen=True)
+@dataclass
 class RawAsset:
     """An unfiltered asset: dollar age plus its cashflow columns sorted by
     period start. Cents may be negative here; validity is enforced at
     parse time for file input and during dataset construction for assets
-    built in code. Columns given as other sequences are stored as tuples."""
+    built in code. Columns are stored as given."""
 
     asset_id: str
     dollar_age: float
@@ -105,8 +105,6 @@ class RawAsset:
     cents: tuple[int, ...]
 
     def __post_init__(self):
-        for name in ("starts", "months", "cents"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
         starts, months = self.starts, self.months
         if not starts:
             raise ValueError(f"{self.asset_id}: no cashflow records")
@@ -382,7 +380,7 @@ def filter_dollar_age(
 # Dataset construction and reporting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class FilterReport:
     """Per-asset outcomes, one entry per input asset in asset-id order:
     the rejection reason, or None for an accepted asset."""

@@ -28,7 +28,7 @@ class QuoteRejectReason(str, Enum):
     BID_TOO_LOW = "BID_TOO_LOW"
 
 
-@dataclass(frozen=True)
+@dataclass
 class MarketQuote:
     """One marketplace listing: seller's ask, best bid if any, and LTM."""
 

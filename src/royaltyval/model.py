@@ -2,14 +2,14 @@
 
 A multiplier is a dimensionless price quoted per unit of last-twelve-months
 revenue; a price is multiplier times LTM. Amounts are plain decimal currency
-values, single currency assumed. All values here are immutable after
-construction and safe to share between workers.
+values, single currency assumed. Records check their values when they are
+constructed, and nothing here changes them afterwards.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from itertools import accumulate
 from typing import Mapping, Sequence, Union
@@ -43,7 +43,7 @@ def _is_finite(x: Amount) -> bool:
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class Asset:
     """An accepted catalog item: identifier, dollar age, annual revenue.
 
@@ -68,7 +68,7 @@ class Asset:
                 raise ValueError(f"{self.asset_id}: non-finite amount in year {k}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class ShareSurface:
     """Percentile revenue-share curves for one base age.
 
@@ -76,15 +76,14 @@ class ShareSurface:
     observed that many years past the base age. ``counts`` records cohort
     size for every horizon from 1 up to the maximum requested, including
     horizons too thin to receive cells. Cells form a rectangle: horizons
-    1..depth times every level, with depth at most the last counted
-    horizon. Shares are rate-independent.
+    1..depth times every level, with ``depth``, which construction sets,
+    at most the last counted horizon. Shares are rate-independent.
     """
 
     base_age: int
     levels: tuple[float, ...]
     values: Mapping[tuple[int, float], float]
     counts: Mapping[int, int]
-    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_age < 1:
@@ -116,7 +115,7 @@ class ShareSurface:
             raise ValueError(
                 f"cells must fill horizons 1..K at every level, for some K <= {len(horizons)}"
             )
-        object.__setattr__(self, "depth", depth)
+        self.depth = depth
         for (i, p), s in self.values.items():
             if not math.isfinite(s) or s < 0.0:
                 raise ValueError(f"share at ({i}, {p:g}) must be finite and >= 0")
@@ -141,7 +140,7 @@ class ShareSurface:
             raise MissingCellError(self.depth + 1, self.levels[0])
 
 
-@dataclass(frozen=True)
+@dataclass
 class MultiplierTable:
     """Multiplier bands at a fixed discount rate, one column per level:
     ``columns[k][d-1]`` is the duration-d multiplier at ``levels[k]``.

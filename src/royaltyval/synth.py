@@ -29,7 +29,7 @@ START_MONTH = 2015 * 12  # month index of 2015-01
 _NORMAL = NormalDist()
 
 
-@dataclass(frozen=True)
+@dataclass
 class GroupSpec:
     """One homogeneous slice of a synthetic population."""
 
@@ -56,7 +56,7 @@ class GroupSpec:
             raise ValueError("initial_revenue must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass
 class PopulationSpec:
     groups: tuple[GroupSpec, ...]
     seed: int
@@ -147,8 +147,8 @@ def gen_asset(seed: int, group: GroupSpec, asset_id: str) -> RawAsset:
             raise ValueError(f"{asset_id}: revenue in year {k} is too large")
         monthly += _split_cents(cents)
     n = len(monthly)
-    starts = range(START_MONTH, START_MONTH + n)
-    return RawAsset(asset_id, float(group.age_years), starts, (1,) * n, monthly)
+    starts = tuple(range(START_MONTH, START_MONTH + n))
+    return RawAsset(asset_id, float(group.age_years), starts, (1,) * n, tuple(monthly))
 
 
 def gen_population(spec: PopulationSpec) -> list[RawAsset]:

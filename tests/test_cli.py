@@ -135,6 +135,24 @@ class TestValidate:
         assert code == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,name,reason",
+        [
+            ("--cashflows", "nope.csv", "No such file or directory"),
+            ("--cashflows", ".", "Is a directory"),
+            ("--out", "cashflows.csv/x", "Not a directory"),
+        ],
+        ids=["missing", "directory", "out_below_a_file"],
+    )
+    def test_path_that_cannot_be_opened_exits_one_naming_it(
+        self, tmp_path, capsys, flag, name, reason
+    ):
+        cashflows, assets = flat_population_files(tmp_path)
+        paths = {"--out": tmp_path / "out", "--cashflows": cashflows, flag: tmp_path / name}
+        argv = ["--out", str(paths["--out"]), "validate", "--cashflows", str(paths["--cashflows"])]
+        assert main(argv + ["--assets", str(assets)]) == 1
+        assert capsys.readouterr().err == f"error: {paths[flag]}: {reason}\n"
+
     def test_parse_error_exits_one_with_line(self, tmp_path, capsys):
         (tmp_path / "cashflows.csv").write_text(
             "asset_id,period_start,period_months,amount\nA,2019-01,2,10.00\n"
@@ -206,7 +224,7 @@ class TestValidate:
         code = main(["--out", str(tmp_path / "out")] + argv)
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {paths[kind]}:line 3: field larger than field limit (131072)\n"
+            f"error: {paths[kind]}:line 3: a field is longer than the csv limit of 131072 characters\n"
         )
 
 
@@ -974,6 +992,8 @@ class TestConfigPrecedence:
             ({"percentile_levels": [0]}, "percentile level 0.0 outside (0, 100)"),
             ({"min_cohort": 0}, "min_cohort must be >= 1"),
             ({"output_format": "xml"}, "output_format must be 'csv' or 'json'"),
+            ({"max_duration": 0}, "max_duration must be >= 1"),
+            ({"rate": 10**309}, "invalid JSON: integer of 310 digits (at most 309)"),
         ],
     )
     def test_wrong_config_value_type_exits_one(self, tmp_path, capsys, config, message):

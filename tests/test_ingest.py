@@ -1,4 +1,5 @@
 import itertools
+import re
 import tempfile
 from decimal import Decimal
 from pathlib import Path
@@ -661,3 +662,26 @@ class TestBlockRead:
         with mock.patch.object(ingest, "_parse_rows", refuse):
             parsed = parse_cashflows(path)
         assert parsed == {a.asset_id: (a.starts, a.months, a.cents) for a in assets}
+
+
+PARAMETER_GUARDS = [
+    pytest.param(RawAsset, ("A", 1.0, (), (), ()), "A: no cashflow records", id="no_records"),
+    pytest.param(
+        RawAsset, ("A", 1.0, (0, 1), (1,), (1, 1)), "A: cashflow columns differ in length",
+        id="unequal_columns",
+    ),
+    pytest.param(RawAsset, ("A", 0.0, (0,), (1,), (1,)), "A: dollar_age must be > 0", id="age_0"),
+    pytest.param(
+        RawAsset, ("A", 1.0, (0,), (2,), (1,)), "period_months must be 1 or 3, got 2", id="period_2"
+    ),
+    pytest.param(annualize, ("A", (), (), ()), "no records", id="annualize_empty"),
+    pytest.param(filter_zero_years, ((1.0,), -1), "zero_floor must be >= 0", id="floor_-1"),
+    pytest.param(filter_dollar_age, (1.0, 0), "oldest_age must be > 0", id="oldest_age_0"),
+    pytest.param(filter_dollar_age, (1.0, 1.0, -1), "tolerance must be >= 0", id="tolerance_-1"),
+]
+
+
+@pytest.mark.parametrize("function,args,message", PARAMETER_GUARDS)
+def test_parameter_guard_rejects_its_argument(function, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(*args)

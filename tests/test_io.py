@@ -42,7 +42,10 @@ class TestReadTable:
         "bad_row,message",
         [
             ("z\n", "expected 2 fields, got 1"),
-            (f"z,{'1' * (csv.field_size_limit() + 1)}\n", "field larger than field limit"),
+            (
+                f"z,{'1' * (csv.field_size_limit() + 1)}\n",
+                f"a field is longer than the csv limit of {csv.field_size_limit()} characters",
+            ),
         ],
         ids=["field_count", "field_limit"],
     )
@@ -53,7 +56,9 @@ class TestReadTable:
 
     def test_unreadable_header_is_line_one(self, tmp_path):
         path = table_file(tmp_path, "a" * (csv.field_size_limit() + 1) + ",b\n")
-        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:line 1: field larger"):
+        limit = csv.field_size_limit()
+        message = f"line 1: a field is longer than the csv limit of {limit} characters"
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{message}$"):
             read_all(path)
 
 
@@ -87,13 +92,18 @@ class TestErrorsNameTheFile:
 
     @pytest.mark.parametrize(
         "text,cause",
-        [("[" * 100_000 + "]" * 100_000, "recursion"), ("1" * 5000, "digits")],
-        ids=["deep", "long_integer"],
+        [
+            ("[" * 100_000 + "]" * 100_000, "arrays or objects nested too deeply"),
+            ("1" * 5000, "integer of 5000 digits (at most 309)"),
+            ("-" + "1" * 310, "integer of 310 digits (at most 309)"),
+        ],
+        ids=["deep", "long_integer", "negative_310_digits"],
     )
     def test_unreadable_json_names_the_file(self, tmp_path, text, cause):
         path = tmp_path / "c.json"
         path.write_text(text)
-        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: invalid JSON: .*{cause}") as err:
+        message = f"{path}: invalid JSON: {cause}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as err:
             with read_json(path):
                 pass
         assert err.value.line is None

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import fields
 
 import pytest
@@ -412,3 +413,20 @@ class TestQuoteMultipliersFinite:
 
     def test_largest_finite_multiplier_accepted(self):
         assert implied_multipliers(quote(ltm=1e-300, bid=None, ask=1.0))[1] == 1.0 / 1e-300
+
+
+PARAMETER_GUARDS = [
+    pytest.param(filter_quotes, ([], 0), "max_duration must be >= 1", id="max_duration_0"),
+    pytest.param(
+        filter_quotes, ([], 10, 1.5), "min_bid_ask_ratio must be in [0, 1]", id="ratio_1.5"
+    ),
+    pytest.param(
+        round_half_up, (-1,), "round_half_up expects a non-negative value", id="round_-1"
+    ),
+]
+
+
+@pytest.mark.parametrize("function,args,message", PARAMETER_GUARDS)
+def test_parameter_guard_rejects_its_argument(function, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(*args)

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 
 import pytest
@@ -358,3 +359,18 @@ class TestDomainTypes:
     def test_surface_rejects_gap_in_count_horizons(self):
         with pytest.raises(ValueError):
             ShareSurface(1, (50.0,), {}, {1: 5, 3: 2})
+
+
+PARAMETER_GUARDS = [
+    pytest.param(price, (-1.0, 1.0), "multiplier must be finite and >= 0", id="multiplier_-1"),
+    pytest.param(price, (math.nan, 1.0), "multiplier must be finite and >= 0", id="multiplier_nan"),
+    pytest.param(
+        multiplier_table, (flat_surface(), 0.1, 0), "max_duration must be >= 1", id="table_0"
+    ),
+]
+
+
+@pytest.mark.parametrize("function,args,message", PARAMETER_GUARDS)
+def test_parameter_guard_rejects_its_argument(function, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(*args)

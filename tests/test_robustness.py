@@ -3,7 +3,8 @@
 Each input file the CLI reads gets arbitrary bytes spliced into a valid
 copy, and the population spec and the config get one value swapped for an
 arbitrary JSON value. A Python traceback out of `main` fails the test, and
-so does an exit-1 message that does not name the changed file.
+so does an exit-1 message that is not one `error: ` line naming the
+changed file as `<path>:`.
 """
 
 import contextlib
@@ -93,10 +94,16 @@ def run(files: dict[str, bytes]) -> tuple[int, str, Path]:
 
 
 def check(files: dict[str, bytes]) -> None:
-    """The run exits 0, 1 or 2, and on 1 names the first file."""
+    """The run exits 0, 1 or 2, and on 1 prints one line that starts
+    `error: <path>:`, naming the first file; an error joining the
+    cashflows and assets files names both, as `<cashflows>, <assets>:`."""
     code, err, path = run(files)
     assert code in (0, 1, 2)
-    assert code != 1 or str(path) in err, err
+    if code == 1:
+        joined = f"{path.with_name(NAMES['cashflows'])}, {path.with_name(NAMES['assets'])}:"
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert err.startswith((f"error: {path}:", f"error: {joined}")), err
+        assert str(path) in err, err
 
 
 FUZZ = settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])

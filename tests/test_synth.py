@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 
 import pytest
@@ -249,3 +250,22 @@ class TestGenQuotes:
         assert surface.cell_horizons() == []  # nobody is older than 9 + 1
         quotes = gen_quotes(dataset, seed=13)
         assert quotes == []
+
+
+PARAMETER_GUARDS = [
+    pytest.param(PopulationSpec, ((), 1), "population needs at least one group", id="no_groups"),
+    pytest.param(closed_form_multiplier, (-1.0, 0.1, 1), "g must be > -1", id="g_-1"),
+    pytest.param(closed_form_multiplier, (0.0, -0.1, 1), "r must be >= 0", id="r_-0.1"),
+    pytest.param(closed_form_multiplier, (0.0, 0.1, 0), "d must be >= 1", id="d_0"),
+    pytest.param(
+        gen_quotes, ([], 0.1, 25.0), "bid/ask levels must be one of (10.0, 50.0, 90.0)",
+        id="bid_level_25",
+    ),
+    pytest.param(gen_quotes, ([], 0.1, 10.0, 50.0, 0, 1.0), "noise must be in [0, 1)", id="noise_1"),
+]
+
+
+@pytest.mark.parametrize("function,args,message", PARAMETER_GUARDS)
+def test_parameter_guard_rejects_its_argument(function, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(*args)
