@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence, get_args, get_type_hints
 
 _MAX_JSON_INT_DIGITS = len(str(int(sys.float_info.max)))  # 309
+_QUOTED_CHARS = 40
 
 
 class ParseError(ValueError):
@@ -36,6 +37,25 @@ class ParseError(ValueError):
         self.path = path
 
 
+def quoted(text: str) -> str:
+    """repr(text), the way a message shows a field of input. A text longer
+    than 40 characters shows its first 40 and its length, such as
+    ``'1111…' (5000 characters)``, so no field makes a long message."""
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTED_CHARS] + '…'!r} ({len(text)} characters)"
+
+
+def check_id(asset_id: str) -> None:
+    """Raise ValueError unless `asset_id` is a non-empty printable text. A
+    line break or other control character would split the one-line
+    messages and report rows that name the asset."""
+    if not asset_id:
+        raise ValueError("empty asset_id")
+    if not asset_id.isprintable():
+        raise ValueError(f"asset_id must be printable, got {quoted(asset_id)}")
+
+
 def parse_number(text: str, kind: type = float):
     """kind(text), float or int, for a number written in ASCII without
     underscores; other text is a ValueError naming it.
@@ -44,11 +64,11 @@ def parse_number(text: str, kind: type = float):
     group underscores (``1_0`` is 10); an input file should hold neither.
     """
     if not text.isascii() or "_" in text:
-        raise ValueError(f"bad number {text!r} (ASCII digits only, no underscores)")
+        raise ValueError(f"bad number {quoted(text)} (ASCII digits only, no underscores)")
     try:
         return kind(text)
     except ValueError:
-        raise ValueError(f"bad {'integer' if kind is int else 'number'} {text!r}") from None
+        raise ValueError(f"bad {'integer' if kind is int else 'number'} {quoted(text)}") from None
 
 
 def json_object(value, where: str, keys, required=()):
@@ -123,8 +143,9 @@ def read_table(path: str | Path, header: tuple[str, ...]) -> Iterator[Iterator[I
             if first is None:
                 raise ParseError("file is empty, expected a header row", line=1, path=path)
             if tuple(map(str.strip, first)) != header:
+                shown = ", ".join(map(quoted, first))
                 raise ParseError(
-                    f"bad header {first!r}, expected {','.join(header)}", line=1, path=path
+                    f"bad header [{shown}], expected {','.join(header)}", line=1, path=path
                 )
             width = len(header)
             for line, row in enumerate(reader, start=2):

@@ -1,8 +1,10 @@
 """Cashflow ingestion: CSV parsing, annualization, and the acceptance filters.
 
-An asset's cashflows are three integer columns of equal length, sorted by
-period start: ``starts`` (month index ``year * 12 + month - 1``),
-``months`` (the period length, 1 or 3) and ``cents``. Amounts travel as
+An asset's cashflows are three ``Sequence[int]`` columns of equal length,
+sorted by period start: ``starts`` (month index ``year * 12 + month - 1``),
+``months`` (the period length, 1 or 3) and ``cents``. The parsers give
+tuples of starts and months and an ``array('q')`` of cents, or a tuple when
+an amount is 2**63 cents or more and so does not fit in one. Amounts travel as
 integer cents through this module, so annual bucket sums conserve input
 revenue exactly; each bucket becomes a ``Decimal`` once, and conversion to
 binary floats happens downstream where shares are formed. Filtering
@@ -16,6 +18,7 @@ import csv
 import io
 import math
 import re
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -26,7 +29,7 @@ from operator import add, eq, lt, ne
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ._io import ParseError, parse_number, read_table, write_csv
+from ._io import ParseError, check_id, parse_number, quoted, read_table, write_csv
 from .model import Amount, Asset
 
 CASHFLOWS_HEADER = ("asset_id", "period_start", "period_months", "amount")
@@ -56,7 +59,7 @@ _MAX_CANONICAL_ROW = 256 + 1 + 7 + 1 + 1 + 1 + 21 + 1  # with its commas and lin
 _BLOCK_CHARS = 1 << 16
 
 # One asset's (starts, months, cents) columns.
-Columns = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+Columns = tuple[Sequence[int], Sequence[int], Sequence[int]]
 
 
 class RejectReason(str, Enum):
@@ -100,9 +103,9 @@ class RawAsset:
 
     asset_id: str
     dollar_age: float
-    starts: tuple[int, ...]
-    months: tuple[int, ...]
-    cents: tuple[int, ...]
+    starts: Sequence[int]
+    months: Sequence[int]
+    cents: Sequence[int]
 
     def __post_init__(self):
         starts, months = self.starts, self.months
@@ -119,6 +122,16 @@ class RawAsset:
         overlap = next(compress(later, map(lt, later, map(add, starts, months))), None)
         if overlap is not None:
             raise ValueError(f"{self.asset_id}: records overlap at {_month_text(overlap)}")
+
+
+def cents_column(cents: list[int]) -> Sequence[int]:
+    """An asset's cents as one array('q'), eight bytes each, or as a tuple
+    when an amount does not fit in one: 2**63 cents or more, or below
+    -2**63."""
+    try:
+        return array("q", cents)
+    except OverflowError:
+        return tuple(cents)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +171,7 @@ def _read_canonical(path: str | Path) -> dict[str, Columns] | None:
 def _canonical_columns(handle) -> dict[str, Columns] | None:
     if handle.readline(len(_CANONICAL_HEADER)) != _CANONICAL_HEADER:
         return None
-    grouped: dict[str, tuple[list[int], list[int], list[int]]] = {}
+    grouped: dict[str, list] = {}
     month_index: dict[str, int] = {}
     tail = ""
     while chunk := handle.read(_BLOCK_CHARS):
@@ -175,7 +188,8 @@ def _canonical_columns(handle) -> dict[str, Columns] | None:
 def _add_block(block: str, grouped, month_index: dict[str, int]) -> bool:
     """Split a block of whole canonical lines into columns and append each
     run of one asset's rows to that asset's columns; False if the block is
-    not canonical."""
+    not canonical. An asset's cents are an array('q') until a run of them
+    does not fit in one, and a list from then on."""
     if not _CANONICAL_ROWS.fullmatch(block):
         return False
     if not block:
@@ -194,18 +208,24 @@ def _add_block(block: str, grouped, month_index: dict[str, int]) -> bool:
     for lo, hi in zip(runs, islice(runs, 1, None)):
         columns = grouped.get(ids[lo])
         if columns is None:
-            columns = grouped[ids[lo]] = ([], [], [])
-        columns[0].extend(starts[lo:hi])
-        columns[1].extend(months[lo:hi])
-        columns[2].extend(cents[lo:hi])
+            columns = grouped[ids[lo]] = [[], [], array("q")]
+        columns[0] += starts[lo:hi]
+        columns[1] += months[lo:hi]
+        run = cents_column(cents[lo:hi])
+        if type(run) is not array and type(columns[2]) is array:
+            columns[2] = columns[2].tolist()
+        columns[2] += run
     return True
 
 
 def _sorted_columns(grouped) -> dict[str, Columns] | None:
-    """Each asset's columns as tuples sorted by start; None if an asset
-    has two rows with one start."""
+    """Each asset's columns sorted by start, starts and months as tuples
+    and cents as an array('q') or cents_column's tuple; None if an asset
+    has two rows with one start. Empties `grouped` as it goes, so each
+    asset's lists are freed once its columns are built."""
     result = {}
-    for asset_id, (starts, months, cents) in grouped.items():
+    for asset_id in list(grouped):
+        starts, months, cents = grouped.pop(asset_id)
         if not all(map(lt, starts, islice(starts, 1, None))):
             order = sorted(range(len(starts)), key=starts.__getitem__)
             starts = [starts[k] for k in order]
@@ -213,7 +233,9 @@ def _sorted_columns(grouped) -> dict[str, Columns] | None:
                 return None
             months = [months[k] for k in order]
             cents = [cents[k] for k in order]
-        result[asset_id] = (tuple(starts), tuple(months), tuple(cents))
+        if type(cents) is not array:
+            cents = cents_column(cents)
+        result[asset_id] = (tuple(starts), tuple(months), cents)
     return result
 
 
@@ -226,13 +248,12 @@ def _parse_rows(path: str | Path) -> dict[str, Columns]:
         # every asset repeats the same months: check each distinct text once
         months_by_text: dict[str, int] = {}
         for asset_id, start_text, months_text, amount_text in rows:
-            if not asset_id:
-                raise ValueError("empty asset_id")
+            check_id(asset_id)
             start = months_by_text.get(start_text)
             if start is None:
                 m = _MONTH_RE.fullmatch(start_text)
                 if not m:
-                    raise ValueError(f"period_start must be YYYY-MM, got {start_text!r}")
+                    raise ValueError(f"period_start must be YYYY-MM, got {quoted(start_text)}")
                 month = int(m.group(2))
                 if not 1 <= month <= 12:
                     raise ValueError(f"month out of range: {month}")
@@ -240,11 +261,13 @@ def _parse_rows(path: str | Path) -> dict[str, Columns]:
             months = _PERIODS.get(months_text)
             if months is None:
                 raise ValueError(
-                    f"unknown frequency {months_text!r} (period_months must be 1 or 3)"
+                    f"unknown frequency {quoted(months_text)} (period_months must be 1 or 3)"
                 )
             m = _AMOUNT_RE.fullmatch(amount_text)
             if not m:
-                raise ValueError(f"bad amount {amount_text!r} (decimal with <= 2 fraction digits)")
+                raise ValueError(
+                    f"bad amount {quoted(amount_text)} (decimal with <= 2 fraction digits)"
+                )
             sign, whole, frac = m.groups()
             whole = whole.lstrip("0")
             if len(whole) > MAX_AMOUNT_DIGITS:
@@ -253,7 +276,7 @@ def _parse_rows(path: str | Path) -> dict[str, Columns]:
                 )
             cents = int(whole + (frac or "").ljust(2, "0"))
             if sign and cents:
-                raise ValueError(f"NEGATIVE_AMOUNT: amount {amount_text!r} is negative")
+                raise ValueError(f"NEGATIVE_AMOUNT: amount {quoted(amount_text)} is negative")
             key = (asset_id, start)
             if key in seen:
                 raise ValueError(f"duplicate record for {asset_id} at {start_text}")
@@ -272,16 +295,17 @@ def parse_assets(path: str | Path) -> dict[str, float]:
     with read_table(path, ASSETS_HEADER) as rows:
         ages: dict[str, float] = {}
         for asset_id, age_text in rows:
-            if not asset_id:
-                raise ValueError("empty asset_id")
+            check_id(asset_id)
             if asset_id in ages:
                 raise ValueError(f"duplicate asset {asset_id}")
             try:
                 age = parse_number(age_text)
             except ValueError:
-                raise ValueError(f"bad dollar_age {age_text!r}") from None
+                raise ValueError(f"bad dollar_age {quoted(age_text)}") from None
             if not (math.isfinite(age) and age > 0):
-                raise ValueError(f"dollar_age must be a positive finite number, got {age_text!r}")
+                raise ValueError(
+                    f"dollar_age must be a positive finite number, got {quoted(age_text)}"
+                )
             ages[asset_id] = age
         return ages
 

@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ._io import parse_number, read_table, record_header, record_rows, write_csv
+from ._io import check_id, parse_number, read_table, record_header, record_rows, write_csv
 from .curves import build_surfaces
 from .model import (
     BAND_LEVELS, DEFAULT_MAX_DURATION, Asset, MissingCellError, ShareSurface, multiplier_table,
@@ -270,8 +270,7 @@ def parse_quotes(path: str | Path) -> list[MarketQuote]:
         quotes = []
         seen: set[str] = set()
         for asset_id, ltm, bid, ask, duration, age in rows:
-            if not asset_id:
-                raise ValueError("empty asset_id")
+            check_id(asset_id)
             if asset_id in seen:
                 raise ValueError(f"duplicate quote {asset_id}")
             seen.add(asset_id)

@@ -15,12 +15,13 @@ import hashlib
 import math
 import random
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from statistics import NormalDist
 from typing import Sequence
 
 from ._io import int_fields, json_number, json_object
 from .curves import DEFAULT_MIN_COHORT, build_surfaces
-from .ingest import MAX_AMOUNT_DIGITS, RawAsset
+from .ingest import MAX_AMOUNT_DIGITS, RawAsset, cents_column
 from .market import MarketQuote, round_half_up
 from .model import BAND_LEVELS, DEFAULT_MAX_DURATION, DEFAULT_RATE, Asset, multiplier_table
 
@@ -114,6 +115,13 @@ def _normal(rng: random.Random, sigma: float) -> float:
 # Generation
 # ---------------------------------------------------------------------------
 
+@lru_cache
+def _starts(n: int) -> tuple[int, ...]:
+    """The starts of n monthly records from START_MONTH, one tuple shared
+    by every asset of that length."""
+    return tuple(range(START_MONTH, START_MONTH + n))
+
+
 def _split_cents(cents: int) -> list[int]:
     base = cents // 12
     return [base] * 11 + [cents - 11 * base]
@@ -147,8 +155,7 @@ def gen_asset(seed: int, group: GroupSpec, asset_id: str) -> RawAsset:
             raise ValueError(f"{asset_id}: revenue in year {k} is too large")
         monthly += _split_cents(cents)
     n = len(monthly)
-    starts = tuple(range(START_MONTH, START_MONTH + n))
-    return RawAsset(asset_id, float(group.age_years), starts, (1,) * n, tuple(monthly))
+    return RawAsset(asset_id, float(group.age_years), _starts(n), (1,) * n, cents_column(monthly))
 
 
 def gen_population(spec: PopulationSpec) -> list[RawAsset]:

@@ -553,10 +553,14 @@ class TestValue:
             ),
             (SURFACE_CSV_HEADER, " no surface rows"),
             (SURFACE_CSV_HEADER + "1,1.5,10,1.0,5\n", "line 2: bad integer '1.5'"),
+            (
+                SURFACE_CSV_HEADER + "1," + "1" * 5000 + ",10,1.0,5\n",
+                f"line 2: bad integer '{'1' * 40}…' (5000 characters)",
+            ),
         ],
         ids=[
             "empty", "header", "fields", "number", "arabic_digit", "mixed_ages", "huge_horizon",
-            "repeated_cell", "cohort_size_differs", "header_only", "integer",
+            "repeated_cell", "cohort_size_differs", "header_only", "integer", "integer_5000_digits",
         ],
     )
     def test_malformed_surface_csv_exits_one(self, tmp_path, capsys, body, message):
@@ -674,8 +678,12 @@ class TestCompare:
                 "Q1,100,,450,5,3.0\nQ2,100,,450,5,3.0\nQ1,100,,450,5,3.0\n",
                 "line 4: duplicate quote Q1",
             ),
+            (
+                'Q1,100,,450,5,3.0\n"A\nB",100,,450,5,3.0\n',
+                "line 3: asset_id must be printable, got 'A\\nB'",
+            ),
         ],
-        ids=["empty", "duplicate"],
+        ids=["empty", "duplicate", "not_printable"],
     )
     def test_bad_quote_id_exits_one(self, tmp_path, capsys, rows, message):
         cashflows, assets, _ = self._dataset_files(tmp_path)

@@ -1,6 +1,7 @@
 import itertools
 import re
 import tempfile
+from array import array
 from decimal import Decimal
 from pathlib import Path
 from unittest import mock
@@ -30,6 +31,7 @@ from royaltyval.ingest import (
     annualize,
     assemble_raw_assets,
     build_dataset,
+    cents_column,
     filter_dollar_age,
     filter_zero_years,
     oldest_cashflow_age,
@@ -143,6 +145,35 @@ PARSE_ERRORS = [
         "line 3: bad amount of 5000 characters (too many digits to read)",
         3,
     ),
+    pytest.param(
+        ['"A\nB",2019-01,1,10.00'], "line 2: asset_id must be printable, got 'A\\nB'", 2,
+        id="line_break_in_id",
+    ),
+    # a long field is cut in the message: its first 40 characters and its length
+    pytest.param(
+        ["A1," + "2" * 5000 + ",1,10.00"],
+        f"line 2: period_start must be YYYY-MM, got '{'2' * 40}…' (5000 characters)",
+        2,
+        id="5000_character_period_start",
+    ),
+    pytest.param(
+        ["A1,2019-01," + "1" * 5000 + ",10.00"],
+        f"line 2: unknown frequency '{'1' * 40}…' (5000 characters) (period_months must be 1 or 3)",
+        2,
+        id="5000_character_frequency",
+    ),
+    pytest.param(
+        ["A1,2019-01,1," + "x" * 5000],
+        f"line 2: bad amount '{'x' * 40}…' (5000 characters) (decimal with <= 2 fraction digits)",
+        2,
+        id="5000_character_amount",
+    ),
+    pytest.param(
+        ["A1,2019-01,1,-" + "0" * 4999 + "1"],
+        f"line 2: NEGATIVE_AMOUNT: amount '-{'0' * 39}…' (5001 characters) is negative",
+        2,
+        id="5001_character_negative_amount",
+    ),
 ]
 
 
@@ -204,6 +235,29 @@ class TestParseAssets:
         with pytest.raises(ParseError) as err:
             parse_assets(path)
         assert str(err.value) == f"{path}:line 3: empty asset_id"
+
+    def test_rejects_id_that_is_not_printable(self, tmp_path):
+        path = text_file(tmp_path, "assets.csv", 'asset_id,dollar_age\nA1,2.5\n"A\nB",3.0\n')
+        with pytest.raises(ParseError) as err:
+            parse_assets(path)
+        assert str(err.value) == f"{path}:line 3: asset_id must be printable, got 'A\\nB'"
+
+    @pytest.mark.parametrize(
+        "age,message",
+        [
+            ("1" * 4999 + "x", f"bad dollar_age '{'1' * 40}…' (5000 characters)"),
+            (
+                "0" * 5000,
+                f"dollar_age must be a positive finite number, got '{'0' * 40}…' (5000 characters)",
+            ),
+        ],
+        ids=["unreadable", "zero"],
+    )
+    def test_long_age_is_cut_in_its_message(self, tmp_path, age, message):
+        path = text_file(tmp_path, "assets.csv", f"asset_id,dollar_age\nA1,{age}\n")
+        with pytest.raises(ParseError) as err:
+            parse_assets(path)
+        assert str(err.value) == f"{path}:line 2: {message}"
 
     @pytest.mark.parametrize("age", ["٣", "1_0", "２.５"])
     def test_rejects_non_ascii_and_underscored_numbers(self, tmp_path, age):
@@ -646,7 +700,8 @@ class TestBlockRead:
         assert body[:cut].splitlines()[-1].split(",")[0] == body[cut:].split(",", 1)[0]
         fast = ingest._read_canonical(path)
         assert fast is not None and fast == ingest._parse_rows(path)
-        assert fast == {a.asset_id: (a.starts, a.months, a.cents) for a in assets}
+        cents_as_tuples = {k: (s, m, tuple(c)) for k, (s, m, c) in fast.items()}
+        assert cents_as_tuples == {a.asset_id: (a.starts, a.months, a.cents) for a in assets}
 
     def test_written_files_never_reach_the_row_parser(self, tmp_path):
         from royaltyval.synth import GroupSpec, PopulationSpec, gen_population
@@ -661,7 +716,79 @@ class TestBlockRead:
 
         with mock.patch.object(ingest, "_parse_rows", refuse):
             parsed = parse_cashflows(path)
-        assert parsed == {a.asset_id: (a.starts, a.months, a.cents) for a in assets}
+        cents_as_tuples = {k: (s, m, tuple(c)) for k, (s, m, c) in parsed.items()}
+        assert cents_as_tuples == {a.asset_id: (a.starts, a.months, tuple(a.cents)) for a in assets}
+
+
+# 2**63 - 1 cents, the most an array('q') holds, and one cent more
+INT64_EDGE = [
+    pytest.param("92233720368547758.07", array, id="2**63-1_cents"),
+    pytest.param("92233720368547758.08", tuple, id="2**63_cents"),
+]
+
+
+def edge_rows(amount: str, month_of_amount: int = 12) -> list[str]:
+    """Rows of a year of asset A, one month of which is `amount` and the
+    others 1.00, then a year of asset B at 2.50."""
+    return [
+        f"A,2019-{m:02d},1,{amount if m == month_of_amount else '1.00'}" for m in range(1, 13)
+    ] + [f"B,2019-{m:02d},1,2.50" for m in range(1, 13)]
+
+
+class TestCentsPastInt64:
+    @pytest.mark.parametrize("amount,kind", INT64_EDGE)
+    def test_block_and_row_readers_give_equal_columns(self, tmp_path, amount, kind):
+        text = HEADER_LINE + "".join(row + "\n" for row in edge_rows(amount))
+        canonical = text_file(tmp_path, "lf.csv", text)
+        crlf = text_file(tmp_path, "crlf.csv", text.replace("\n", "\r\n"))
+        fast = ingest._read_canonical(canonical)
+        assert fast is not None
+        assert ingest._read_canonical(crlf) is None
+        assert parse_cashflows(crlf) == fast
+        assert (type(fast["A"][2]), type(fast["B"][2])) == (kind, array)
+        assert tuple(fast["A"][2]) == (100,) * 11 + (cents(amount),)
+
+    @pytest.mark.parametrize("month_of_amount", [1, 6, 12])
+    @pytest.mark.parametrize("order", ["sorted", "reversed"])
+    def test_amount_past_int64_in_any_block_gives_a_tuple(self, tmp_path, month_of_amount, order):
+        rows = edge_rows("92233720368547758.08", month_of_amount)
+        if order == "reversed":
+            rows.reverse()
+        path = text_file(tmp_path, "cashflows.csv", HEADER_LINE + "".join(r + "\n" for r in rows))
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 64):
+            fast = ingest._read_canonical(path)
+        assert fast is not None and fast == ingest._parse_rows(path)
+        assert (type(fast["A"][2]), type(fast["B"][2])) == (tuple, array)
+
+    @pytest.mark.parametrize("amount,kind", INT64_EDGE)
+    def test_annual_sums_are_exact_and_the_writer_gives_the_bytes_back(self, tmp_path, amount, kind):
+        path = text_file(
+            tmp_path, "cashflows.csv", HEADER_LINE + "".join(r + "\n" for r in edge_rows(amount))
+        )
+        raw = assemble_raw_assets(parse_cashflows(path), {"A": 1.0, "B": 1.0})
+        accepted, _ = build_dataset(raw)
+        assert [a.amounts for a in accepted] == [(Decimal(amount) + 11,), (Decimal("30.00"),)]
+        written = tmp_path / "written.csv"
+        write_cashflows_csv(written, raw)
+        assert written.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("amount,kind", INT64_EDGE)
+    def test_raw_asset_built_in_code(self, tmp_path, amount, kind):
+        column = cents_column([100] * 11 + [cents(amount)])
+        assert type(column) is kind
+        starts = tuple(range(month(2019, 1), month(2019, 13)))
+        raw = RawAsset("A", 1.0, starts, (1,) * 12, column)
+        assert annualize("A", raw.starts, raw.months, raw.cents) == (Decimal(amount) + 11,)
+        path = tmp_path / "cashflows.csv"
+        write_cashflows_csv(path, [raw])
+        assert parse_cashflows(path) == {"A": (starts, (1,) * 12, column)}
+
+    @pytest.mark.parametrize(
+        "value,kind", [(2**63 - 1, array), (2**63, tuple), (-(2**63), array), (-(2**63) - 1, tuple)]
+    )
+    def test_cents_column_holds_an_array_while_every_amount_fits(self, value, kind):
+        column = cents_column([1, value, 2])
+        assert type(column) is kind and tuple(column) == (1, value, 2)
 
 
 PARAMETER_GUARDS = [

@@ -3,7 +3,15 @@ import re
 
 import pytest
 
-from royaltyval._io import ParseError, json_object, parse_number, read_json, read_table, write_json
+from royaltyval._io import (
+    ParseError,
+    json_object,
+    parse_number,
+    quoted,
+    read_json,
+    read_table,
+    write_json,
+)
 
 HEADER = ("a", "b")
 
@@ -52,6 +60,12 @@ class TestReadTable:
     def test_every_row_error_uses_the_row_count(self, tmp_path, bad_row, message):
         path = table_file(tmp_path, 'a,b\n"x\ny",1\n' + bad_row)
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:line 3: {message}"):
+            read_all(path)
+
+    def test_bad_header_quotes_each_field_by_the_one_rule(self, tmp_path):
+        path = table_file(tmp_path, "a," + "1" * 5000 + "\n")
+        message = f"line 1: bad header ['a', '{'1' * 40}…' (5000 characters)], expected a,b"
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{re.escape(message)}$"):
             read_all(path)
 
     def test_unreadable_header_is_line_one(self, tmp_path):
@@ -131,11 +145,36 @@ class TestJsonObject:
 class TestParseNumber:
     @pytest.mark.parametrize(
         "text,kind,message",
-        [("x", float, "bad number 'x'"), ("1.5", int, "bad integer '1.5'"), ("", int, "bad integer ''")],
+        [
+            ("x", float, "bad number 'x'"),
+            ("1.5", int, "bad integer '1.5'"),
+            ("", int, "bad integer ''"),
+            pytest.param(
+                "1" * 5000, int, f"bad integer '{'1' * 40}…' (5000 characters)", id="5000_digits"
+            ),
+            pytest.param(
+                "1_" * 2500,
+                float,
+                f"bad number '{'1_' * 20}…' (5000 characters) (ASCII digits only, no underscores)",
+                id="5000_characters_with_underscores",
+            ),
+        ],
     )
     def test_unreadable_text_is_named(self, text, kind, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_number(text, kind)
+
+
+class TestQuoted:
+    @pytest.mark.parametrize(
+        "text", ["", "x", "A\nB", "it's", "7" * 40], ids=["empty", "x", "line_break", "quote", "40"]
+    )
+    def test_a_text_of_at_most_40_characters_is_its_repr(self, text):
+        assert quoted(text) == repr(text)
+
+    def test_a_longer_text_shows_its_first_40_characters_and_its_length(self):
+        assert quoted("1" * 41) == f"'{'1' * 40}…' (41 characters)"
+        assert quoted("\n" * 5000) == "'" + "\\n" * 40 + "…' (5000 characters)"
 
 
 class TestWriteJson:

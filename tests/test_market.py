@@ -337,8 +337,12 @@ class TestQuotesCsv:
             ("Q,100,,450,0,3.0", "Q: duration_years must be >= 1"),
             ("Q,100,,450,1.5,3.0", "bad integer '1.5'"),
             ("Q,100,,450,5,0", "Q: dollar_age must be > 0"),
+            ("Q,100,,450," + "1" * 5000 + ",3.0", f"bad integer '{'1' * 40}…' (5000 characters)"),
         ],
-        ids=["ltm_text", "ask_zero", "bid_negative", "duration_zero", "duration_fraction", "age_zero"],
+        ids=[
+            "ltm_text", "ask_zero", "bid_negative", "duration_zero", "duration_fraction", "age_zero",
+            "duration_5000_digits",
+        ],
     )
     def test_bad_field_names_its_line(self, tmp_path, row, message):
         from royaltyval.ingest import ParseError

@@ -1,4 +1,5 @@
 import re
+from array import array
 from decimal import Decimal
 
 import pytest
@@ -39,11 +40,11 @@ def decaying_population(seed=5):
 class TestMonthlySplit:
     def test_even_split(self):
         asset = gen_asset(1, GroupSpec(1, 0.0, 0.0, 2, 1200.0), "A")
-        assert asset.cents == (10000,) * 24
+        assert tuple(asset.cents) == (10000,) * 24
 
     def test_remainder_cents_on_final_month(self):
         asset = gen_asset(1, GroupSpec(1, 0.0, 0.0, 2, 100.01), "A")
-        assert asset.cents == ((833,) * 11 + (838,)) * 2
+        assert tuple(asset.cents) == ((833,) * 11 + (838,)) * 2
 
 
 class TestGenAsset:
@@ -93,6 +94,18 @@ class TestGenAsset:
     def test_revenue_past_the_parse_bound_is_too_large(self, initial, growth, year):
         with pytest.raises(ValueError, match=f"^A: revenue in year {year} is too large$"):
             gen_asset(5, GroupSpec(1, growth, 0.0, 3, initial), asset_id="A")
+
+    def test_largest_revenue_below_the_bound_keeps_its_cents_in_an_array(self):
+        # 10**20 - 1 cents a year splits into months below 2**63 cents
+        asset = gen_asset(5, GroupSpec(1, 0.0, 0.0, 2, 9.9e17), "A")
+        assert type(asset.cents) is array
+        assert max(asset.cents) < 2**63
+        assert sum(asset.cents[:12]) == round(9.9e17 * 100)
+
+    def test_assets_of_one_length_share_one_starts_column(self):
+        first = gen_asset(1, GroupSpec(1, 0.0, 0.0, 3, 1200.0), "A")
+        second = gen_asset(2, GroupSpec(1, 0.5, 0.2, 3, 700.0), "B")
+        assert first.starts is second.starts
 
     def test_monthly_coverage_is_gap_free(self):
         asset = gen_asset(11, GroupSpec(1, 0.1, 0.3, 4, 2400.0), "A")
