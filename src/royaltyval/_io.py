@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Sequence, get_args, get_type_hints
 
 _MAX_JSON_INT_DIGITS = len(str(int(sys.float_info.max)))  # 309
 _QUOTED_CHARS = 40
+_LISTED_ITEMS = 10
 
 
 class ParseError(ValueError):
@@ -37,13 +38,37 @@ class ParseError(ValueError):
         self.path = path
 
 
+def _cut(text: str, form) -> str:
+    """form(text), or past 40 characters form of its first 40 and its length."""
+    if len(text) <= _QUOTED_CHARS:
+        return form(text)
+    return f"{form(text[:_QUOTED_CHARS] + '…')} ({len(text)} characters)"
+
+
 def quoted(text: str) -> str:
     """repr(text), the way a message shows a field of input. A text longer
     than 40 characters shows its first 40 and its length, such as
     ``'1111…' (5000 characters)``, so no field makes a long message."""
-    if len(text) <= _QUOTED_CHARS:
-        return repr(text)
-    return f"{text[:_QUOTED_CHARS] + '…'!r} ({len(text)} characters)"
+    return _cut(text, repr)
+
+
+def named(asset_id: str) -> str:
+    """An asset id as a message names it: as it is, or past 40 characters
+    cut the way quoted cuts a field, such as ``1111… (5000 characters)``."""
+    return _cut(asset_id, str)
+
+
+def shown(value) -> str:
+    """A decoded JSON value as a message shows it: a string as quoted shows
+    it, any other value as its repr, cut the same way."""
+    return quoted(value) if isinstance(value, str) else _cut(repr(value), str)
+
+
+def listed(items: Sequence, form) -> str:
+    """The first 10 items, each shown by `form`, joined by commas; past 10
+    the list ends with how many there are, such as ``…, 'j', … (12 in all)``."""
+    texts = ", ".join(map(form, items[:_LISTED_ITEMS]))
+    return texts if len(items) <= _LISTED_ITEMS else f"{texts}, … ({len(items)} in all)"
 
 
 def check_id(asset_id: str) -> None:
@@ -79,10 +104,10 @@ def json_object(value, where: str, keys, required=()):
         raise ValueError(f"{where} must be a JSON object")
     unknown = set(value) - set(keys)
     if unknown:
-        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ValueError(f"{where}: unknown keys [{listed(sorted(unknown), quoted)}]")
     missing = set(required) - set(value)
     if missing:
-        raise ValueError(f"{where}: missing keys {sorted(missing)}")
+        raise ValueError(f"{where}: missing keys [{listed(sorted(missing), quoted)}]")
     return value
 
 
@@ -92,12 +117,12 @@ def json_number(key: str, value, integral: bool = False):
     returned as int."""
     kind = "an integer" if integral else "a number"
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be {kind}, got {value!r}")
+        raise ValueError(f"{key} must be {kind}, got {shown(value)}")
     if integral and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+        raise ValueError(f"{key} must be an integer, got {shown(value)}")
     # int-float comparison is exact, so this also rejects ints too large for a float
     if not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{key} must be finite, got {value!r}")
+        raise ValueError(f"{key} must be finite, got {shown(value)}")
     return int(value) if integral else value
 
 
@@ -143,9 +168,9 @@ def read_table(path: str | Path, header: tuple[str, ...]) -> Iterator[Iterator[I
             if first is None:
                 raise ParseError("file is empty, expected a header row", line=1, path=path)
             if tuple(map(str.strip, first)) != header:
-                shown = ", ".join(map(quoted, first))
+                given = listed(first, quoted)
                 raise ParseError(
-                    f"bad header [{shown}], expected {','.join(header)}", line=1, path=path
+                    f"bad header [{given}], expected {','.join(header)}", line=1, path=path
                 )
             width = len(header)
             for line, row in enumerate(reader, start=2):
@@ -226,7 +251,7 @@ def write_json(path: str | Path, payload) -> None:
         handle.write(text + "\n")
 
 
-def int_fields(cls) -> set[str]:
+def int_field_names(cls) -> set[str]:
     """The fields of dataclass `cls` declared int."""
     hints = get_type_hints(cls)
     return {f.name for f in fields(cls) if hints[f.name] is int}

@@ -11,13 +11,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 from . import curves as curves_mod
 from . import ingest, market, model, synth
-from ._io import int_fields, json_number, json_object, read_json, record_header, record_rows, write_csv, write_json
+from ._io import (
+    int_field_names, json_number, json_object, read_json, record_header, record_rows, shown,
+    write_csv, write_json,
+)
 from .model import MissingCellError, MultiplierTable, ShareSurface, multiplier_table, price
 
 MULTIPLIERS_HEADER = ("base_age", "duration", "level", "multiplier")
@@ -41,9 +44,7 @@ class Config:
                 raise ValueError(f"{name} must be finite and >= 0")
         if not self.percentile_levels:
             raise ValueError("percentile_levels must be non-empty")
-        for p in self.percentile_levels:
-            if not 0.0 < p < 100.0:
-                raise ValueError(f"percentile level {p!r} outside (0, 100)")
+        model.check_levels(self.percentile_levels)
         # CSV outputs label levels with :g, which keeps six significant digits
         if len({f"{p:g}" for p in self.percentile_levels}) != len(self.percentile_levels):
             raise ValueError("percentile_levels must differ at six significant digits")
@@ -51,18 +52,15 @@ class Config:
             raise ValueError("min_cohort must be >= 1")
         if self.max_duration < 1:
             raise ValueError("max_duration must be >= 1")
-        # Copyright runs for the author's life plus 70 years, so no contract
-        # is longer; the bound also caps the per-horizon cohort lists.
-        if self.max_duration > 1000:
-            raise ValueError("max_duration must be <= 1000")
+        if self.max_duration > model.MAX_YEARS:
+            raise ValueError(f"max_duration must be <= {model.MAX_YEARS}")
         if not 0.0 <= self.min_bid_ask_ratio <= 1.0:
             raise ValueError("min_bid_ask_ratio must be in [0, 1]")
         if self.output_format not in ("csv", "json"):
             raise ValueError("output_format must be 'csv' or 'json'")
 
 
-_CONFIG_FIELDS = {f.name for f in fields(Config)}
-_INT_FIELDS = int_fields(Config)
+_INT_FIELDS = int_field_names(Config)
 
 # The flags that override a config value: flag -> (Config field, type, help).
 _CONFIG_FLAGS = {
@@ -77,7 +75,7 @@ _CONFIG_FLAGS = {
 def load_config_file(path: str | Path) -> dict:
     """Read a flat JSON config; unknown keys are an error to catch typos."""
     with read_json(path) as data:
-        json_object(data, "config", _CONFIG_FIELDS)
+        json_object(data, "config", record_header(Config))
         for key, value in data.items():
             if key == "percentile_levels":
                 try:
@@ -91,7 +89,7 @@ def load_config_file(path: str | Path) -> dict:
                 data[key] = levels
             elif key == "output_format":
                 if not isinstance(value, str):
-                    raise ValueError(f"output_format must be a string, got {value!r}")
+                    raise ValueError(f"output_format must be a string, got {shown(value)}")
             else:
                 data[key] = json_number(key, value, key in _INT_FIELDS)
         Config(**data)  # the range checks, so their errors name this file too

@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._io import json_number, json_object, parse_number, read_json, read_table
+from ._io import json_number, json_object, named, parse_number, read_json, read_table
 from .model import BAND_LEVELS, DEFAULT_MAX_DURATION, Asset, ShareSurface
 
 DEFAULT_MIN_COHORT = 5
@@ -35,7 +35,10 @@ def observed_share(asset: Asset, base_age: int, horizon: int) -> float | None:
         return None
     if len(asset.amounts) < target:
         return None
-    return float(asset.amounts[target - 1]) / float(asset.amounts[base_age - 1])
+    try:
+        return float(asset.amounts[target - 1]) / float(asset.amounts[base_age - 1])
+    except ZeroDivisionError:
+        raise ValueError(f"{named(asset.asset_id)}: no revenue in year {base_age}") from None
 
 
 def percentile(values: Sequence[float], level: float) -> float:
@@ -99,18 +102,22 @@ def build_surfaces(
     # An asset is observable through year n = min(len(amounts), floor(dollar
     # age)), so its cohort at (t, i) takes amounts[t+i-1] / amounts[t-1] for
     # t + i <= n: the float division observed_share does. As there, a base
-    # age below 1 is an error only once there is an asset to observe.
-    for asset in dataset:
-        if ages and ages[0] < 1:
-            raise ValueError("base_age and horizon must be >= 1")
-        n = min(len(asset.amounts), math.floor(asset.dollar_age))
-        series = [float(a) for a in asset.amounts[:n]]
-        for t in ages:
-            if t >= n:
-                break
-            base = series[t - 1]
-            for cohort, amount in zip(cohorts[t], series[t:]):
-                cohort.append(amount / base)
+    # age below 1 is an error only once there is an asset to observe. A zero
+    # base year has no finite share, so it fails as the check below does.
+    try:
+        for asset in dataset:
+            if ages and ages[0] < 1:
+                raise ValueError("base_age and horizon must be >= 1")
+            n = min(len(asset.amounts), math.floor(asset.dollar_age))
+            series = [float(a) for a in asset.amounts[:n]]
+            for t in ages:
+                if t >= n:
+                    break
+                base = series[t - 1]
+                for cohort, amount in zip(cohorts[t], series[t:]):
+                    cohort.append(amount / base)
+    except ZeroDivisionError:
+        raise ValueError("cohort shares must be finite and > 0") from None
 
     surfaces: dict[int, ShareSurface] = {}
     for t in ages:
@@ -149,6 +156,12 @@ def surface_csv_rows(surface: ShareSurface) -> list[tuple[str, str, str, str, st
     return rows
 
 
+def _check_new_cell(values: dict, i: int, p: float) -> None:
+    """Raise ValueError if a surface file gives cell (i, p) twice."""
+    if (i, p) in values:
+        raise ValueError(f"repeated cell at horizon {i}, level {p:g}")
+
+
 def parse_surface_csv(path: str | Path) -> ShareSurface:
     """Rebuild a surface from its CSV form (celled horizons only). A
     repeated cell, or rows of one horizon with different cohort sizes, is
@@ -165,8 +178,7 @@ def parse_surface_csv(path: str | Path) -> ShareSurface:
                 raise ValueError("surface rows mix base ages")
             i, p = parse_number(horizon, int), parse_number(level)
             share, n = parse_number(share), parse_number(n, int)
-            if (i, p) in values:
-                raise ValueError(f"repeated cell at horizon {i}, level {p:g}")
+            _check_new_cell(values, i, p)
             if counts.setdefault(i, n) != n:
                 raise ValueError(f"cohort_size {n} at horizon {i} differs from {counts[i]}")
             values[(i, p)] = share
@@ -214,8 +226,7 @@ def surface_from_json_dict(data: dict) -> ShareSurface:
         json_object(cell, f"cells[{k}]", _CELL_KEYS, _CELL_KEYS)
         i = json_number("horizon", cell["horizon"], integral=True)
         p = float(json_number("level", cell["level"]))
-        if (i, p) in values:
-            raise ValueError(f"repeated cell at horizon {i}, level {p:g}")
+        _check_new_cell(values, i, p)
         values[(i, p)] = float(json_number("share", cell["share"]))
     return ShareSurface(base_age, levels, values, counts)
 

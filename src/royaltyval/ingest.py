@@ -29,8 +29,8 @@ from operator import add, eq, lt, ne
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ._io import ParseError, check_id, parse_number, quoted, read_table, write_csv
-from .model import Amount, Asset
+from ._io import ParseError, check_id, listed, named, parse_number, quoted, read_table, write_csv
+from .model import Asset
 
 CASHFLOWS_HEADER = ("asset_id", "period_start", "period_months", "amount")
 ASSETS_HEADER = ("asset_id", "dollar_age")
@@ -39,23 +39,25 @@ REPORT_HEADER = ("asset_id", "status", "reason")
 DEFAULT_ZERO_FLOOR = 0.0
 DEFAULT_AGE_TOLERANCE = 0.30
 MAX_AMOUNT_DIGITS = 18  # amounts below 10**18 dollars keep annual sums and shares finite
+_MAX_ID_CHARS = 256  # the longest id a canonical row holds
 
 # [0-9], not \d: \d also matches non-ASCII digits such as Arabic-Indic ones,
 # which int() reads as their ASCII values.
 _AMOUNT_RE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]{1,2}))?")
 _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
-# Rows exactly as write_cashflows_csv writes them: an id of 1..256 ASCII
-# characters from '!' to '~' other than '"' and ',', a YYYY-MM month, a
-# period of 1 or 3, an amount of 1..18 digits with two fraction digits, and
-# LF line ends. The bounds keep every field below the csv field limit and
-# every amount below int()'s digit limit.
+# Rows exactly as write_cashflows_csv writes them: an id of 1.._MAX_ID_CHARS
+# ASCII characters from '!' to '~' other than '"' and ',', a YYYY-MM month,
+# a period of 1 or 3, an amount of 1..MAX_AMOUNT_DIGITS digits with two
+# fraction digits, and LF line ends. The bounds keep every field below the
+# csv field limit and every amount below int()'s digit limit.
 _CANONICAL_ROWS = re.compile(
-    r"(?:[!#-+\x2d-~]{1,256},[0-9]{4}-(?:0[1-9]|1[0-2]),[13],[0-9]{1,18}\.[0-9]{2}\n)*"
+    rf"(?:[!#-+\x2d-~]{{1,{_MAX_ID_CHARS}}},[0-9]{{4}}-(?:0[1-9]|1[0-2]),[13],"
+    rf"[0-9]{{1,{MAX_AMOUNT_DIGITS}}}\.[0-9]{{2}}\n)*"
 )
 _PERIODS = {"1": 1, "3": 3}
 _CANONICAL_HEADER = ",".join(CASHFLOWS_HEADER) + "\n"
-_MAX_CANONICAL_ROW = 256 + 1 + 7 + 1 + 1 + 1 + 21 + 1  # with its commas and line end
+_MAX_CANONICAL_ROW = _MAX_ID_CHARS + len(",YYYY-MM,1,") + MAX_AMOUNT_DIGITS + len(".00\n")
 _BLOCK_CHARS = 1 << 16
 
 # One asset's (starts, months, cents) columns.
@@ -110,18 +112,18 @@ class RawAsset:
     def __post_init__(self):
         starts, months = self.starts, self.months
         if not starts:
-            raise ValueError(f"{self.asset_id}: no cashflow records")
+            raise ValueError(f"{named(self.asset_id)}: no cashflow records")
         if not len(starts) == len(months) == len(self.cents):
-            raise ValueError(f"{self.asset_id}: cashflow columns differ in length")
+            raise ValueError(f"{named(self.asset_id)}: cashflow columns differ in length")
         if not self.dollar_age > 0:
-            raise ValueError(f"{self.asset_id}: dollar_age must be > 0")
+            raise ValueError(f"{named(self.asset_id)}: dollar_age must be > 0")
         if not set(months) <= {1, 3}:
             bad = next(m for m in months if m != 1 and m != 3)
             raise ValueError(f"period_months must be 1 or 3, got {bad}")
         later = starts[1:]
         overlap = next(compress(later, map(lt, later, map(add, starts, months))), None)
         if overlap is not None:
-            raise ValueError(f"{self.asset_id}: records overlap at {_month_text(overlap)}")
+            raise ValueError(f"{named(self.asset_id)}: records overlap at {_month_text(overlap)}")
 
 
 def cents_column(cents: list[int]) -> Sequence[int]:
@@ -279,7 +281,7 @@ def _parse_rows(path: str | Path) -> dict[str, Columns]:
                 raise ValueError(f"NEGATIVE_AMOUNT: amount {quoted(amount_text)} is negative")
             key = (asset_id, start)
             if key in seen:
-                raise ValueError(f"duplicate record for {asset_id} at {start_text}")
+                raise ValueError(f"duplicate record for {named(asset_id)} at {start_text}")
             seen.add(key)
             columns = grouped.get(asset_id)
             if columns is None:
@@ -297,7 +299,7 @@ def parse_assets(path: str | Path) -> dict[str, float]:
         for asset_id, age_text in rows:
             check_id(asset_id)
             if asset_id in ages:
-                raise ValueError(f"duplicate asset {asset_id}")
+                raise ValueError(f"duplicate asset {named(asset_id)}")
             try:
                 age = parse_number(age_text)
             except ValueError:
@@ -322,10 +324,10 @@ def assemble_raw_assets(
     """
     unknown = sorted(set(cashflows) - set(dollar_ages))
     if unknown:
-        raise ParseError(f"cashflows reference unknown assets: {', '.join(unknown)}")
+        raise ParseError(f"cashflows reference unknown assets: {listed(unknown, named)}")
     missing = sorted(set(dollar_ages) - set(cashflows))
     if missing:
-        raise ParseError(f"assets have no cashflows: {', '.join(missing)}")
+        raise ParseError(f"assets have no cashflows: {listed(missing, named)}")
 
     assets = []
     for asset_id in sorted(cashflows):
@@ -340,12 +342,10 @@ def assemble_raw_assets(
 # Annualization and filters
 # ---------------------------------------------------------------------------
 
-def oldest_cashflow_age(starts: Sequence[int], months: Sequence[int]) -> float:
-    """Age in years of the oldest cashflow: months spanned from the first
-    period start to the end of the last covered period, divided by 12."""
-    if not starts:
-        raise ValueError("no records")
-    return (max(map(add, starts, months)) - min(starts)) / 12.0
+def _covered_months(starts: Sequence[int], months: Sequence[int]) -> int:
+    """Months from the first period start to the end of the last period, for
+    columns sorted by start without overlaps, as a RawAsset holds them."""
+    return starts[-1] + months[-1] - starts[0]
 
 
 def annualize(
@@ -367,25 +367,19 @@ def annualize(
     gap = next(compress(later, map(ne, later, map(add, starts, months))), None)
     if gap is not None:
         raise AnnualizeError(
-            RejectReason.GAP_IN_HISTORY, f"{asset_id}: coverage gap before {_month_text(gap)}"
+            RejectReason.GAP_IN_HISTORY,
+            f"{named(asset_id)}: coverage gap before {_month_text(gap)}",
         )
     origin = starts[0]
-    total_months = starts[-1] + months[-1] - origin
+    total_months = _covered_months(starts, months)
     complete_years = total_months // 12
     if complete_years < 1:
         raise AnnualizeError(
             RejectReason.INSUFFICIENT_HISTORY,
-            f"{asset_id}: only {total_months} months of coverage",
+            f"{named(asset_id)}: only {total_months} months of coverage",
         )
     bounds = [bisect_left(starts, origin + 12 * k) for k in range(complete_years + 1)]
     return tuple(Decimal(sum(cents[lo:hi])).scaleb(-2) for lo, hi in zip(bounds, bounds[1:]))
-
-
-def filter_zero_years(amounts: Sequence[Amount], zero_floor: float = DEFAULT_ZERO_FLOOR) -> bool:
-    """Accept unless any annual amount is at or below the floor."""
-    if zero_floor < 0:
-        raise ValueError("zero_floor must be >= 0")
-    return all(amount > zero_floor for amount in amounts)
 
 
 def filter_dollar_age(
@@ -456,8 +450,7 @@ def build_dataset(
     if dollar_age_tolerance < 0:
         raise ValueError("tolerance must be >= 0")
     ordered = sorted(raw_assets, key=lambda a: a.asset_id)
-    ids = [a.asset_id for a in ordered]
-    if len(set(ids)) != len(ids):
+    if len({a.asset_id for a in ordered}) != len(ordered):
         raise ValueError("duplicate asset_id in raw assets")
 
     accepted: list[Asset] = []
@@ -479,9 +472,9 @@ def _apply_filters(
         amounts = annualize(raw.asset_id, raw.starts, raw.months, raw.cents)
     except AnnualizeError as exc:
         return None, exc.reason
-    if not filter_zero_years(amounts, zero_floor):
+    if not min(amounts) > zero_floor:  # at or below the floor, or any year for a NaN floor
         return None, RejectReason.ZERO_REVENUE_YEAR
-    oldest = oldest_cashflow_age(raw.starts, raw.months)
+    oldest = _covered_months(raw.starts, raw.months) / 12.0
     if not filter_dollar_age(raw.dollar_age, oldest, tolerance):
         return None, RejectReason.DOLLAR_AGE_MISMATCH
     return amounts, None

@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ._io import check_id, parse_number, read_table, record_header, record_rows, write_csv
+from ._io import check_id, named, parse_number, read_table, record_header, record_rows, write_csv
 from .curves import build_surfaces
 from .model import (
     BAND_LEVELS, DEFAULT_MAX_DURATION, Asset, MissingCellError, ShareSurface, multiplier_table,
@@ -41,20 +41,20 @@ class MarketQuote:
 
     def __post_init__(self):
         if not (math.isfinite(self.ltm) and self.ltm > 0):
-            raise ValueError(f"{self.asset_id}: ltm must be > 0")
+            raise ValueError(f"{named(self.asset_id)}: ltm must be > 0")
         if not (math.isfinite(self.ask) and self.ask > 0):
-            raise ValueError(f"{self.asset_id}: ask must be > 0")
+            raise ValueError(f"{named(self.asset_id)}: ask must be > 0")
         if self.best_bid is not None and not (
             math.isfinite(self.best_bid) and self.best_bid >= 0
         ):
-            raise ValueError(f"{self.asset_id}: best_bid must be >= 0")
+            raise ValueError(f"{named(self.asset_id)}: best_bid must be >= 0")
         if self.duration_years < 1:
-            raise ValueError(f"{self.asset_id}: duration_years must be >= 1")
+            raise ValueError(f"{named(self.asset_id)}: duration_years must be >= 1")
         if not (math.isfinite(self.dollar_age) and self.dollar_age > 0):
-            raise ValueError(f"{self.asset_id}: dollar_age must be > 0")
+            raise ValueError(f"{named(self.asset_id)}: dollar_age must be > 0")
         for name, multiplier in zip(("best_bid", "ask"), implied_multipliers(self)):
             if multiplier is not None and not math.isfinite(multiplier):
-                raise ValueError(f"{self.asset_id}: {name}/ltm must be finite")
+                raise ValueError(f"{named(self.asset_id)}: {name}/ltm must be finite")
 
 
 def implied_multipliers(quote: MarketQuote) -> tuple[float | None, float]:
@@ -272,7 +272,7 @@ def parse_quotes(path: str | Path) -> list[MarketQuote]:
         for asset_id, ltm, bid, ask, duration, age in rows:
             check_id(asset_id)
             if asset_id in seen:
-                raise ValueError(f"duplicate quote {asset_id}")
+                raise ValueError(f"duplicate quote {named(asset_id)}")
             seen.add(asset_id)
             quotes.append(
                 MarketQuote(

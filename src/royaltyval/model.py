@@ -14,12 +14,18 @@ from decimal import Decimal
 from itertools import accumulate
 from typing import Mapping, Sequence, Union
 
+from ._io import named
+
 Amount = Union[Decimal, float, int]
 
 BAND_LEVELS = (10.0, 50.0, 90.0)  # the m10/m50/m90 band quotes are read against
 
 DEFAULT_RATE = 0.10
 DEFAULT_MAX_DURATION = 10  # also the deepest horizon a surface is built to
+# Copyright runs for the author's life plus 70 years, so no contract is longer
+# and no song older. Capping max_duration bounds the per-horizon cohort lists;
+# capping a synthetic age_years keeps every period_start in four-digit years.
+MAX_YEARS = 1000
 
 
 class MissingCellError(ValueError):
@@ -31,6 +37,13 @@ class MissingCellError(ValueError):
         )
         self.horizon = horizon
         self.level = level
+
+
+def check_levels(levels: Sequence[float]) -> None:
+    """Raise ValueError for the first percentile level not strictly between 0 and 100."""
+    for p in levels:
+        if not 0.0 < p < 100.0:
+            raise ValueError(f"percentile level {p!r} outside (0, 100)")
 
 
 def _is_finite(x: Amount) -> bool:
@@ -60,12 +73,12 @@ class Asset:
 
     def __post_init__(self):
         if not math.isfinite(self.dollar_age) or self.dollar_age <= 0:
-            raise ValueError(f"{self.asset_id}: dollar_age must be > 0")
+            raise ValueError(f"{named(self.asset_id)}: dollar_age must be > 0")
         if len(self.amounts) < 1:
-            raise ValueError(f"{self.asset_id}: annual series must be non-empty")
+            raise ValueError(f"{named(self.asset_id)}: annual series must be non-empty")
         for k, a in enumerate(self.amounts, start=1):
             if not _is_finite(a):
-                raise ValueError(f"{self.asset_id}: non-finite amount in year {k}")
+                raise ValueError(f"{named(self.asset_id)}: non-finite amount in year {k}")
 
 
 @dataclass
@@ -90,9 +103,7 @@ class ShareSurface:
             raise ValueError("base_age must be >= 1")
         if not self.levels:
             raise ValueError("at least one percentile level required")
-        for p in self.levels:
-            if not 0.0 < p < 100.0:
-                raise ValueError(f"percentile level {p!r} outside (0, 100)")
+        check_levels(self.levels)
         if list(self.levels) != sorted(set(self.levels)):
             raise ValueError("levels must be strictly increasing")
 

@@ -14,16 +14,18 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from statistics import NormalDist
 from typing import Sequence
 
-from ._io import int_fields, json_number, json_object
+from ._io import int_field_names, json_number, json_object, named, record_header
 from .curves import DEFAULT_MIN_COHORT, build_surfaces
 from .ingest import MAX_AMOUNT_DIGITS, RawAsset, cents_column
 from .market import MarketQuote, round_half_up
-from .model import BAND_LEVELS, DEFAULT_MAX_DURATION, DEFAULT_RATE, Asset, multiplier_table
+from .model import (
+    BAND_LEVELS, DEFAULT_MAX_DURATION, DEFAULT_RATE, MAX_YEARS, Asset, multiplier_table,
+)
 
 START_MONTH = 2015 * 12  # month index of 2015-01
 
@@ -49,10 +51,8 @@ class GroupSpec:
             raise ValueError("noise_sigma must be >= 0")
         if self.age_years < 2:
             raise ValueError("age_years must be >= 2")
-        # The same cap as max_duration; it also keeps every period_start
-        # within four-digit years.
-        if self.age_years > 1000:
-            raise ValueError("age_years must be <= 1000")
+        if self.age_years > MAX_YEARS:
+            raise ValueError(f"age_years must be <= {MAX_YEARS}")
         if not self.initial_revenue > 0:
             raise ValueError("initial_revenue must be > 0")
 
@@ -77,8 +77,8 @@ class PopulationSpec:
         if not isinstance(raw_groups, list) or not raw_groups:
             raise ValueError("groups must be a non-empty list")
         groups = []
-        group_keys = {f.name for f in fields(GroupSpec)}
-        integral = int_fields(GroupSpec)
+        group_keys = record_header(GroupSpec)
+        integral = int_field_names(GroupSpec)
         for idx, g in enumerate(raw_groups):
             json_object(g, f"groups[{idx}]", group_keys, group_keys)
             try:
@@ -147,12 +147,12 @@ def gen_asset(seed: int, group: GroupSpec, asset_id: str) -> RawAsset:
                 level *= math.exp(eps)
             annual.append(round(level * 100))
         except OverflowError:
-            raise ValueError(f"{asset_id}: revenue in year {k} is too large") from None
+            raise ValueError(f"{named(asset_id)}: revenue in year {k} is too large") from None
     # after the loop, so a float overflow is named before an earlier year past the bound
     monthly: list[int] = []
     for k, cents in enumerate(annual, start=1):
         if cents >= 10 ** (MAX_AMOUNT_DIGITS + 2):
-            raise ValueError(f"{asset_id}: revenue in year {k} is too large")
+            raise ValueError(f"{named(asset_id)}: revenue in year {k} is too large")
         monthly += _split_cents(cents)
     n = len(monthly)
     return RawAsset(asset_id, float(group.age_years), _starts(n), (1,) * n, cents_column(monthly))

@@ -905,11 +905,12 @@ class TestSynthCommand:
             ({"annual_growth": 1e300}, "groups[0]: G00A000: revenue in year 3 is too large"),
             ({"noise_sigma": 1e6}, "groups[0]: G00A000: revenue in year 1 is too large"),
             ({"age_years": 1001}, "groups[0]: age_years must be <= 1000"),
+            ({"noise_sigma": -0.1}, "groups[0]: noise_sigma must be >= 0"),
         ],
         ids=[
             "seed_null", "count_list", "age_inf", "count_fraction", "age_fraction", "count_string",
             "count_bool", "seed_fraction", "revenue_inf", "revenue_1e307", "growth_1e300",
-            "sigma_1e6", "age_1001",
+            "sigma_1e6", "age_1001", "sigma_negative",
         ],
     )
     def test_wrong_spec_value_type_exits_one(self, tmp_path, capsys, change, message):
@@ -1002,6 +1003,7 @@ class TestConfigPrecedence:
             ({"output_format": "xml"}, "output_format must be 'csv' or 'json'"),
             ({"max_duration": 0}, "max_duration must be >= 1"),
             ({"rate": 10**309}, "invalid JSON: integer of 310 digits (at most 309)"),
+            ({"min_bid_ask_ratio": 1.5}, "min_bid_ask_ratio must be in [0, 1]"),
         ],
     )
     def test_wrong_config_value_type_exits_one(self, tmp_path, capsys, config, message):
@@ -1129,7 +1131,6 @@ class TestDefaults:
             (market.filter_quotes, "min_bid_ask_ratio", "min_bid_ask_ratio"),
             (ingest.build_dataset, "zero_floor", "zero_floor"),
             (ingest.build_dataset, "dollar_age_tolerance", "dollar_age_tolerance"),
-            (ingest.filter_zero_years, "zero_floor", "zero_floor"),
             (ingest.filter_dollar_age, "tolerance", "dollar_age_tolerance"),
             (synth.gen_quotes, "rate", "rate"),
             (synth.gen_quotes, "max_duration", "max_duration"),
@@ -1186,3 +1187,76 @@ def test_non_utf8_input_exits_one_with_line(tmp_path, capsys, kind):
     assert capsys.readouterr().err == (
         f"error: {paths[kind]}:line 3: not UTF-8: b'\\xff' (invalid start byte)\n"
     )
+
+
+CASHFLOWS_TOP = "asset_id,period_start,period_months,amount\n"
+ASSETS_TOP = "asset_id,dollar_age\n"
+QUOTES_TOP = "asset_id,ltm,best_bid,ask,duration_years,dollar_age\n"
+LONG = "X" * 100_000
+LONG_ID = f"{'X' * 40}… (100000 characters)"
+LONG_TEXT = f"'{'X' * 40}…' (100000 characters)"
+
+# (input kind, its whole text, what the message says after the file's path; an
+# error joining the cashflows and assets files names both)
+HOSTILE_INPUTS = [
+    pytest.param(
+        "assets", "," * 100_000 + "\n",
+        f":line 1: bad header [{', '.join([repr('')] * 10)}, … (100001 in all)], "
+        "expected asset_id,dollar_age",
+        id="header_of_100000_commas",
+    ),
+    pytest.param(
+        "config", json.dumps({f"k{i:05d}": 1 for i in range(20_000)}),
+        f": config: unknown keys [{', '.join(repr(f'k{i:05d}') for i in range(10))}, "
+        "… (20000 in all)]",
+        id="20000_unknown_config_keys",
+    ),
+    pytest.param(
+        "cashflows", CASHFLOWS_TOP + "".join(f"A{i:02d},2019-01,1,1.00\n" for i in range(12)),
+        f", {{assets}}: cashflows reference unknown assets: "
+        f"{', '.join(f'A{i:02d}' for i in range(10))}, … (12 in all)",
+        id="12_unknown_assets",
+    ),
+    pytest.param(
+        "cashflows", CASHFLOWS_TOP + f"{LONG},2019-01,1,1.00\n" * 2,
+        f":line 3: duplicate record for {LONG_ID} at 2019-01", id="duplicate_record_long_id",
+    ),
+    pytest.param(
+        "assets", ASSETS_TOP + f"{LONG},1\n" * 2, f":line 3: duplicate asset {LONG_ID}",
+        id="duplicate_asset_long_id",
+    ),
+    pytest.param(
+        "quotes", QUOTES_TOP + f"{LONG},1,1,2,1,1.0\n" * 2, f":line 3: duplicate quote {LONG_ID}",
+        id="duplicate_quote_long_id",
+    ),
+    pytest.param(
+        "config", json.dumps({"rate": LONG}), f": rate must be a number, got {LONG_TEXT}",
+        id="long_config_value",
+    ),
+    pytest.param(
+        "config", json.dumps({LONG: 1}), f": config: unknown keys [{LONG_TEXT}]",
+        id="long_config_key",
+    ),
+]
+
+
+@pytest.mark.parametrize("kind,text,message", HOSTILE_INPUTS)
+def test_long_input_gives_one_short_message(tmp_path, capsys, kind, text, message):
+    """Lists in a message show at most 10 items, and ids, JSON keys and
+    JSON values at most 40 characters, so the line stays short."""
+    files = {
+        "cashflows": CASHFLOWS_TOP + "A,2019-01,1,1.00\n",
+        "assets": ASSETS_TOP + "A,1\n",
+        "quotes": QUOTES_TOP + "Q,1,1,2,1,1.0\n",
+        "config": "{}",
+        kind: text,
+    }
+    paths = {name: tmp_path / f"{name}.{'json' if name == 'config' else 'csv'}" for name in files}
+    for name, content in files.items():
+        paths[name].write_text(content, encoding="utf-8")
+    argv = ["--config", str(paths["config"]), "--out", str(tmp_path / "out"), "compare"]
+    argv += [f"--{name}={paths[name]}" for name in ("cashflows", "assets", "quotes")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {paths[kind]}{message.format(**paths)}\n"
+    assert len(err.encode("utf-8")) <= 500

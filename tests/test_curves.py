@@ -58,6 +58,10 @@ class TestObservedShare:
         with pytest.raises(ValueError):
             observed_share(asset("A", [10, 5]), 0, 1)
 
+    def test_zero_base_year_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^A: no revenue in year 1$"):
+            observed_share(asset("A", [0.0, 1.0, 1.0]), 1, 1)
+
 
 class TestPercentile:
     def test_singleton_any_level(self):
@@ -143,8 +147,9 @@ class TestBuildCohort:
         assert surface.values[(2, 50.0)] == 1.0
 
     def test_cohort_validation(self):
-        # a zero later year gives share 0; 1e300 / 1e-300 overflows to inf
-        for amounts in ([10.0, 0.0], [1e-300, 1e300]):
+        # a zero later year gives share 0; 1e300 / 1e-300 overflows to inf; a
+        # zero base year gives no share at all
+        for amounts in ([10.0, 0.0], [1e-300, 1e300], [0.0, 1.0]):
             dataset = [asset("A", amounts, 2.0), asset("B", [10.0, 5.0], 2.0)]
             with pytest.raises(ValueError, match="cohort shares must be finite and > 0"):
                 build_surfaces(dataset, [1], max_horizon=1, min_cohort=1)

@@ -1,0 +1,42 @@
+"""Design rules of the package, checked by reading its source.
+
+A module's public names are those without a leading underscore, so no
+module keeps an `__all__` list. Records are plain dataclasses that check
+their values once, when built, so none is frozen or patched through
+`object.__setattr__`. Only `_io` reads a dataclass's fields, with
+`dataclasses.fields`; every other module asks `_io` for them.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "royaltyval"
+MODULES = sorted(SRC.glob("*.py"))
+
+# (pattern, the modules where it may appear)
+RULES = [
+    pytest.param(r"\b__all__\b", (), id="no_all_list"),
+    pytest.param(r"\bobject\.__setattr__\b", (), id="no_object_setattr"),
+    pytest.param(r"\bfrozen\s*=\s*True\b", (), id="no_frozen_dataclass"),
+    pytest.param(
+        r"\bfields\(|^from dataclasses import .*\bfields\b", ("_io.py",), id="fields_in_io"
+    ),
+]
+
+
+def test_the_package_has_its_modules():
+    assert {"_io.py", "cli.py", "ingest.py", "model.py"} <= {path.name for path in MODULES}
+
+
+@pytest.mark.parametrize("pattern,allowed", RULES)
+def test_rule_holds_in_every_module(pattern, allowed):
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in MODULES
+        if path.name not in allowed
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if re.search(pattern, line)
+    ]
+    assert found == []

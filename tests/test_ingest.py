@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import re
 import tempfile
 from array import array
@@ -33,8 +35,6 @@ from royaltyval.ingest import (
     build_dataset,
     cents_column,
     filter_dollar_age,
-    filter_zero_years,
-    oldest_cashflow_age,
     parse_assets,
     parse_cashflows,
     write_assets_csv,
@@ -174,6 +174,13 @@ PARSE_ERRORS = [
         2,
         id="5001_character_negative_amount",
     ),
+    # an id past 40 characters is cut the same way, without the quotes
+    pytest.param(
+        ["I" * 5000 + ",2019-01,1,10.00"] * 2,
+        f"line 3: duplicate record for {'I' * 40}… (5000 characters) at 2019-01",
+        3,
+        id="5000_character_duplicate_id",
+    ),
 ]
 
 
@@ -229,6 +236,13 @@ class TestParseAssets:
         path = text_file(tmp_path, "assets.csv", "asset_id,dollar_age\nA1,2.5\nA1,3.0\n")
         with pytest.raises(ParseError, match="duplicate"):
             parse_assets(path)
+
+    def test_duplicate_long_id_is_cut(self, tmp_path):
+        long_id = "L" * 5000
+        path = text_file(tmp_path, "assets.csv", f"asset_id,dollar_age\n{long_id},2\n{long_id},3\n")
+        with pytest.raises(ParseError) as err:
+            parse_assets(path)
+        assert str(err.value) == f"{path}:line 3: duplicate asset {'L' * 40}… (5000 characters)"
 
     def test_rejects_empty_id(self, tmp_path):
         path = text_file(tmp_path, "assets.csv", "asset_id,dollar_age\nA1,2.5\n,3.0\n")
@@ -300,26 +314,54 @@ class TestAssembleRawAssets:
             assemble_raw_assets(tagged("X", monthly_records([1])), {"B": 1.0, "X": 1.0, "A": 1.0})
         assert str(err.value) == "assets have no cashflows: A, B"
 
+    def test_id_lists_show_ten_ids_and_long_ids_are_cut(self):
+        ids = [f"A{k:02d}" for k in range(12)]
+        cashflows = {i: columns(monthly_records([1])) for i in ids}
+        with pytest.raises(ParseError) as err:
+            assemble_raw_assets(cashflows, {})
+        assert str(err.value) == (
+            f"cashflows reference unknown assets: {', '.join(ids[:10])}, … (12 in all)"
+        )
+        with pytest.raises(ParseError) as err:
+            assemble_raw_assets({}, {i: 1.0 for i in ids[:10]})
+        assert str(err.value) == f"assets have no cashflows: {', '.join(ids[:10])}"
+        with pytest.raises(ParseError) as err:
+            assemble_raw_assets({}, {"L" * 41: 1.0})
+        assert str(err.value) == f"assets have no cashflows: {'L' * 40}… (41 characters)"
+
+
+def reason_of(raw: RawAsset, **options):
+    """build_dataset's outcome for the one asset `raw`."""
+    _, report = build_dataset([raw], **options)
+    return report.reasons[raw.asset_id]
+
 
 class TestOldestCashflowAge:
+    """The coverage span: months from the first period start to the end of
+    the last period. annualize buckets it, and build_dataset's dollar-age
+    check reads it in years; a tolerance of 0 accepts only an exact match."""
+
     def test_single_monthly_record(self):
-        starts, months, _ = columns(monthly_records([10]))
-        assert oldest_cashflow_age(starts, months) == pytest.approx(1 / 12)
+        raw = raw_monthly_asset("A", [10])
+        assert reason_of(raw) is RejectReason.INSUFFICIENT_HISTORY
+        with pytest.raises(AnnualizeError, match="^A: only 1 months of coverage$"):
+            annualize("A", raw.starts, raw.months, raw.cents)
 
     def test_two_years_monthly(self):
-        starts, months, _ = columns(monthly_records([1] * 24))
-        assert oldest_cashflow_age(starts, months) == 2.0
+        raw = raw_monthly_asset("A", [1] * 24, dollar_age=2.0)
+        assert reason_of(raw, dollar_age_tolerance=0.0) is None
+        raw.dollar_age = math.nextafter(2.0, 0.0)
+        assert reason_of(raw, dollar_age_tolerance=0.0) is RejectReason.DOLLAR_AGE_MISMATCH
 
     def test_two_years_quarterly(self):
-        # count-months oracle: 8 quarters cover 24 months
+        # count-months oracle: 8 quarters cover 24 months, so 2.0 years
         records = quarterly_records([1] * 8)
         covered = sum(months for _, months, _ in records)
-        starts, months, _ = columns(records)
-        assert oldest_cashflow_age(starts, months) == covered / 12 == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            oldest_cashflow_age([], [])
+        raw = RawAsset("Q", covered / 12, *columns(records))
+        assert raw.dollar_age == 2.0
+        assert reason_of(raw, dollar_age_tolerance=0.0) is None
+        raw.dollar_age = math.nextafter(2.0, 3.0)
+        assert reason_of(raw, dollar_age_tolerance=0.0) is RejectReason.DOLLAR_AGE_MISMATCH
 
 
 class TestAnnualize:
@@ -359,13 +401,23 @@ class TestAnnualize:
 
 class TestFilters:
     def test_zero_years_accepts_positive(self):
-        assert filter_zero_years((120.0, 80.0, 40.0), 0.0)
+        raw = raw_monthly_asset("A", [10] * 12 + [6] * 12 + [3] * 12)
+        assert reason_of(raw, zero_floor=0.0) is None
 
     def test_zero_years_rejects_zero(self):
-        assert not filter_zero_years((120.0, 0.0, 40.0), 0.0)
+        raw = raw_monthly_asset("A", [10] * 12 + [0] * 12 + [3] * 12)
+        assert reason_of(raw, zero_floor=0.0) is RejectReason.ZERO_REVENUE_YEAR
 
     def test_zero_years_floor_semantics(self):
-        assert not filter_zero_years((120.0, 0.005, 40.0), 0.01)
+        # a year at the floor is rejected, one cent above it passes; 0.5 is
+        # exact in binary, so only at-or-below tells its year from the floor
+        cases = [
+            (0.01, "0.01", RejectReason.ZERO_REVENUE_YEAR), (0.01, "0.02", None),
+            (0.5, "0.50", RejectReason.ZERO_REVENUE_YEAR), (0.5, "0.51", None),
+        ]
+        for floor, year, reason in cases:
+            raw = raw_monthly_asset("A", [10] * 12 + [year] + [0] * 11 + [3] * 12)
+            assert reason_of(raw, zero_floor=floor) is reason
 
     def test_dollar_age_exact_match(self):
         assert filter_dollar_age(7.0, 7.0, 0.30)
@@ -802,7 +854,10 @@ PARAMETER_GUARDS = [
         RawAsset, ("A", 1.0, (0,), (2,), (1,)), "period_months must be 1 or 3, got 2", id="period_2"
     ),
     pytest.param(annualize, ("A", (), (), ()), "no records", id="annualize_empty"),
-    pytest.param(filter_zero_years, ((1.0,), -1), "zero_floor must be >= 0", id="floor_-1"),
+    pytest.param(
+        functools.partial(build_dataset, zero_floor=-1), ([],), "zero_floor must be >= 0",
+        id="floor_-1",
+    ),
     pytest.param(filter_dollar_age, (1.0, 0), "oldest_age must be > 0", id="oldest_age_0"),
     pytest.param(filter_dollar_age, (1.0, 1.0, -1), "tolerance must be >= 0", id="tolerance_-1"),
 ]

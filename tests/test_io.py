@@ -6,10 +6,13 @@ import pytest
 from royaltyval._io import (
     ParseError,
     json_object,
+    listed,
+    named,
     parse_number,
     quoted,
     read_json,
     read_table,
+    shown,
     write_json,
 )
 
@@ -65,6 +68,12 @@ class TestReadTable:
     def test_bad_header_quotes_each_field_by_the_one_rule(self, tmp_path):
         path = table_file(tmp_path, "a," + "1" * 5000 + "\n")
         message = f"line 1: bad header ['a', '{'1' * 40}…' (5000 characters)], expected a,b"
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{re.escape(message)}$"):
+            read_all(path)
+
+    def test_bad_header_shows_ten_fields(self, tmp_path):
+        path = table_file(tmp_path, "," * 100_000 + "\n")
+        message = f"line 1: bad header [{', '.join([repr('')] * 10)}, … (100001 in all)], expected a,b"
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{re.escape(message)}$"):
             read_all(path)
 
@@ -130,12 +139,23 @@ class TestJsonObject:
             ([], "x must be a JSON object"),
             ({"a": 1, "c": 2, "b": 3}, "x: unknown keys ['b', 'c']"),
             ({}, "x: missing keys ['a']"),
+            (
+                {f"k{i:02d}": i for i in range(12)},
+                f"x: unknown keys [{', '.join(repr(f'k{i:02d}') for i in range(10))}, … (12 in all)]",
+            ),
+            ({"K" * 41: 1}, f"x: unknown keys ['{'K' * 40}…' (41 characters)]"),
         ],
-        ids=["list", "unknown", "missing"],
+        ids=["list", "unknown", "missing", "unknown_12", "unknown_41_characters"],
     )
     def test_error_texts(self, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             json_object(value, "x", ("a",), ("a",))
+
+    def test_missing_keys_show_ten(self):
+        keys = [f"k{i:02d}" for i in range(11)]
+        message = f"x: missing keys [{', '.join(map(repr, keys[:10]))}, … (11 in all)]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            json_object({}, "x", keys, keys)
 
     def test_returns_the_value(self):
         value = {"a": 1}
@@ -175,6 +195,26 @@ class TestQuoted:
     def test_a_longer_text_shows_its_first_40_characters_and_its_length(self):
         assert quoted("1" * 41) == f"'{'1' * 40}…' (41 characters)"
         assert quoted("\n" * 5000) == "'" + "\\n" * 40 + "…' (5000 characters)"
+
+
+class TestNamedShownListed:
+    def test_an_id_is_shown_as_it_is_up_to_40_characters(self):
+        assert named("7" * 40) == "7" * 40
+        assert named("7" * 41) == f"{'7' * 40}… (41 characters)"
+
+    def test_a_json_value_is_its_repr_cut_at_40_characters(self):
+        assert shown("x" * 41) == quoted("x" * 41)
+        assert [shown(v) for v in (None, True, 2.5, [1])] == ["None", "True", "2.5", "[1]"]
+        assert shown([1] * 20) == f"{str([1] * 20)[:40]}… (60 characters)"
+
+    @pytest.mark.parametrize("n", [0, 1, 10])
+    def test_a_list_of_at_most_10_items_is_shown_whole(self, n):
+        items = [f"i{k}" for k in range(n)]
+        assert listed(items, repr) == ", ".join(map(repr, items))
+
+    def test_a_longer_list_shows_10_items_and_its_length(self):
+        items = [f"i{k}" for k in range(11)]
+        assert listed(items, str) == f"{', '.join(items[:10])}, … (11 in all)"
 
 
 class TestWriteJson:

@@ -338,10 +338,11 @@ class TestQuotesCsv:
             ("Q,100,,450,1.5,3.0", "bad integer '1.5'"),
             ("Q,100,,450,5,0", "Q: dollar_age must be > 0"),
             ("Q,100,,450," + "1" * 5000 + ",3.0", f"bad integer '{'1' * 40}…' (5000 characters)"),
+            ("L" * 5000 + ",100,,0,5,3.0", f"{'L' * 40}… (5000 characters): ask must be > 0"),
         ],
         ids=[
             "ltm_text", "ask_zero", "bid_negative", "duration_zero", "duration_fraction", "age_zero",
-            "duration_5000_digits",
+            "duration_5000_digits", "ask_zero_5000_character_id",
         ],
     )
     def test_bad_field_names_its_line(self, tmp_path, row, message):

@@ -367,6 +367,10 @@ PARAMETER_GUARDS = [
     pytest.param(
         multiplier_table, (flat_surface(), 0.1, 0), "max_duration must be >= 1", id="table_0"
     ),
+    pytest.param(
+        Asset, ("L" * 41, 0.0, (1.0,)), f"{'L' * 40}… (41 characters): dollar_age must be > 0",
+        id="long_id",
+    ),
 ]
 
 
