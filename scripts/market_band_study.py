@@ -11,7 +11,6 @@ import argparse
 from pathlib import Path
 
 from royaltyval._io import write_csv
-from royaltyval.curves import DEFAULT_MIN_COHORT
 from royaltyval.ingest import build_dataset
 from royaltyval.market import (
     PLOT_HEADER,
@@ -23,7 +22,7 @@ from royaltyval.market import (
     filter_quotes,
     plot_csv_rows,
 )
-from royaltyval.model import DEFAULT_MAX_DURATION, DEFAULT_RATE
+from royaltyval.model import DEFAULT_MAX_DURATION, DEFAULT_MIN_COHORT, DEFAULT_RATE
 from royaltyval.synth import GroupSpec, PopulationSpec, gen_population, gen_quotes
 
 

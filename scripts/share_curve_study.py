@@ -12,9 +12,9 @@ import argparse
 from pathlib import Path
 
 from royaltyval._io import write_csv
-from royaltyval.curves import DEFAULT_MIN_COHORT, SURFACE_HEADER, build_surface, surface_csv_rows
+from royaltyval.curves import SURFACE_HEADER, build_surface, surface_csv_rows
 from royaltyval.ingest import build_dataset
-from royaltyval.model import BAND_LEVELS
+from royaltyval.model import BAND_LEVELS, DEFAULT_MIN_COHORT
 from royaltyval.synth import GroupSpec, PopulationSpec, gen_population
 
 

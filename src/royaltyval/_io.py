@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence, get_args, get_type_hints
 _MAX_JSON_INT_DIGITS = len(str(int(sys.float_info.max)))  # 309
 _QUOTED_CHARS = 40
 _LISTED_ITEMS = 10
+_LISTED_CHARS = 200
 
 
 class ParseError(ValueError):
@@ -65,10 +66,18 @@ def shown(value) -> str:
 
 
 def listed(items: Sequence, form) -> str:
-    """The first 10 items, each shown by `form`, joined by commas; past 10
-    the list ends with how many there are, such as ``…, 'j', … (12 in all)``."""
-    texts = ", ".join(map(form, items[:_LISTED_ITEMS]))
-    return texts if len(items) <= _LISTED_ITEMS else f"{texts}, … ({len(items)} in all)"
+    """The items, each shown by `form`, joined by commas: the first one, and
+    then more while there are at most 10 in at most 200 characters. A list
+    cut short ends with how many there are, such as ``…, 'j', … (12 in all)``."""
+    texts = []
+    size = 0
+    for text in map(form, items[:_LISTED_ITEMS]):
+        size += len(text) + len(", ")
+        if texts and size > _LISTED_CHARS:
+            break
+        texts.append(text)
+    joined = ", ".join(texts)
+    return joined if len(texts) == len(items) else f"{joined}, … ({len(items)} in all)"
 
 
 def check_id(asset_id: str) -> None:

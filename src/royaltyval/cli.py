@@ -4,6 +4,10 @@ Global flags (--config, --format, --out) come before the subcommand.
 Settings resolve as command-line flag over config-file value over built-in
 default. All outputs are plain CSV/JSON with no timestamps, so a command
 run twice on the same inputs produces byte-identical files.
+
+Each command imports the modules it runs when it runs, so a child process
+loads only those: `--help` needs no more than this module, `model` and
+`_io`, and `value --surface` adds `curves`.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from . import curves as curves_mod
-from . import ingest, market, model, synth
+from . import model
 from ._io import (
     int_field_names, json_number, json_object, read_json, record_header, record_rows, shown,
     write_csv, write_json,
@@ -31,11 +34,11 @@ REJECTED_QUOTES_HEADER = ("asset_id", "reason")
 class Config:
     rate: float = model.DEFAULT_RATE
     percentile_levels: tuple[float, ...] = model.BAND_LEVELS
-    dollar_age_tolerance: float = ingest.DEFAULT_AGE_TOLERANCE
-    zero_floor: float = ingest.DEFAULT_ZERO_FLOOR
-    min_cohort: int = curves_mod.DEFAULT_MIN_COHORT
+    dollar_age_tolerance: float = model.DEFAULT_AGE_TOLERANCE
+    zero_floor: float = model.DEFAULT_ZERO_FLOOR
+    min_cohort: int = model.DEFAULT_MIN_COHORT
     max_duration: int = model.DEFAULT_MAX_DURATION
-    min_bid_ask_ratio: float = market.DEFAULT_MIN_BID_ASK_RATIO
+    min_bid_ask_ratio: float = model.DEFAULT_MIN_BID_ASK_RATIO
     output_format: str = "csv"
 
     def __post_init__(self):
@@ -124,6 +127,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _load_dataset(args, cfg: Config):
+    from . import ingest
     cashflows = ingest.parse_cashflows(args.cashflows)
     ages = ingest.parse_assets(args.assets)
     try:
@@ -139,14 +143,15 @@ def _load_dataset(args, cfg: Config):
 
 def _surface_for(args, cfg: Config, levels: tuple[float, ...]) -> ShareSurface:
     """Surface from --surface file when given, else built from data paths."""
+    from . import curves
     if getattr(args, "surface", None) is not None:
-        return curves_mod.load_surface(args.surface)
+        return curves.load_surface(args.surface)
     if args.cashflows is None or args.assets is None or args.age is None:
         raise ValueError("need either --surface or --cashflows/--assets/--age")
     if args.age < 1:
         raise ValueError("--age must be >= 1")
     dataset, _ = _load_dataset(args, cfg)
-    return curves_mod.build_surface(
+    return curves.build_surface(
         dataset,
         args.age,
         levels,
@@ -182,6 +187,7 @@ def _multiplier_csv_rows(table: MultiplierTable) -> list[tuple[str, ...]]:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args, cfg: Config) -> int:
+    from . import ingest
     out = _out_dir(args)
     _, report = _load_dataset(args, cfg)
     ingest.write_filter_report_csv(out / "filter_report.csv", report)
@@ -191,6 +197,7 @@ def _cmd_validate(args, cfg: Config) -> int:
 
 
 def _cmd_curves(args, cfg: Config) -> int:
+    from . import curves
     out = _out_dir(args)
     surface = _surface_for(args, cfg, cfg.percentile_levels)
     if not surface.cell_horizons():
@@ -200,12 +207,12 @@ def _cmd_curves(args, cfg: Config) -> int:
         )
         return 2
     if cfg.output_format == "json":
-        write_json(out / f"surface_age{args.age}.json", curves_mod.surface_to_json_dict(surface))
+        write_json(out / f"surface_age{args.age}.json", curves.surface_to_json_dict(surface))
     else:
         write_csv(
             out / f"surface_age{args.age}.csv",
-            curves_mod.SURFACE_HEADER,
-            curves_mod.surface_csv_rows(surface),
+            curves.SURFACE_HEADER,
+            curves.surface_csv_rows(surface),
         )
     return 0
 
@@ -242,6 +249,7 @@ def _cmd_value(args, cfg: Config) -> int:
 
 
 def _cmd_compare(args, cfg: Config) -> int:
+    from . import market
     out = _out_dir(args)
     quotes = market.parse_quotes(args.quotes)
     if not quotes:
@@ -285,6 +293,7 @@ def _plot_json(axis: str, groups) -> dict:
 
 
 def _cmd_synth(args, cfg: Config) -> int:
+    from . import ingest, market, synth
     out = _out_dir(args)
     with read_json(args.spec) as data:
         spec = synth.PopulationSpec.from_json_dict(data)

@@ -13,9 +13,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ._io import json_number, json_object, named, parse_number, read_json, read_table
-from .model import BAND_LEVELS, DEFAULT_MAX_DURATION, Asset, ShareSurface
-
-DEFAULT_MIN_COHORT = 5
+from .model import BAND_LEVELS, DEFAULT_MAX_DURATION, DEFAULT_MIN_COHORT, Asset, ShareSurface
 
 SURFACE_HEADER = ("base_age", "horizon", "level", "share", "cohort_size")
 _SURFACE_KEYS = ("base_age", "levels", "counts", "cells")

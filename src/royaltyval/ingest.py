@@ -25,19 +25,17 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from itertools import compress, islice
-from operator import add, eq, lt, ne
+from operator import add, eq, getitem, lt, ne
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ._io import ParseError, check_id, listed, named, parse_number, quoted, read_table, write_csv
-from .model import Asset
+from .model import DEFAULT_AGE_TOLERANCE, DEFAULT_ZERO_FLOOR, Asset
 
 CASHFLOWS_HEADER = ("asset_id", "period_start", "period_months", "amount")
 ASSETS_HEADER = ("asset_id", "dollar_age")
 REPORT_HEADER = ("asset_id", "status", "reason")
 
-DEFAULT_ZERO_FLOOR = 0.0
-DEFAULT_AGE_TOLERANCE = 0.30
 MAX_AMOUNT_DIGITS = 18  # amounts below 10**18 dollars keep annual sums and shares finite
 _MAX_ID_CHARS = 256  # the longest id a canonical row holds
 
@@ -391,6 +389,11 @@ def filter_dollar_age(
         raise ValueError("oldest_age must be > 0")
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
+    return _dollar_age_fits(dollar_age, oldest_age, tolerance)
+
+
+def _dollar_age_fits(dollar_age: float, oldest_age: float, tolerance: float) -> bool:
+    """filter_dollar_age's rule, for an oldest_age > 0 and a tolerance >= 0."""
     return abs(dollar_age - oldest_age) <= tolerance * oldest_age
 
 
@@ -474,8 +477,10 @@ def _apply_filters(
         return None, exc.reason
     if not min(amounts) > zero_floor:  # at or below the floor, or any year for a NaN floor
         return None, RejectReason.ZERO_REVENUE_YEAR
+    # filter_dollar_age's checks hold: build_dataset checked the tolerance,
+    # and annualize passes only spans of 12 months or more
     oldest = _covered_months(raw.starts, raw.months) / 12.0
-    if not filter_dollar_age(raw.dollar_age, oldest, tolerance):
+    if not _dollar_age_fits(raw.dollar_age, oldest, tolerance):
         return None, RejectReason.DOLLAR_AGE_MISMATCH
     return amounts, None
 
@@ -484,11 +489,16 @@ def _apply_filters(
 # Serialization
 # ---------------------------------------------------------------------------
 
-class _MonthTexts(dict):
-    """Month index -> YYYY-MM text, each formatted once."""
+class _Middles(dict):
+    """Period start -> the ``,YYYY-MM,<period>,`` text between a row's id
+    and its amount, for one period length; each formatted once."""
 
-    def __missing__(self, month_index: int) -> str:
-        text = self[month_index] = _month_text(month_index)
+    def __init__(self, months: int):
+        super().__init__()
+        self.months = months
+
+    def __missing__(self, start: int) -> str:
+        text = self[start] = f",{_month_text(start)},{self.months},"
         return text
 
 
@@ -502,18 +512,22 @@ def _csv_cell(text: str) -> str:
 def write_cashflows_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> None:
     """One row per record, assets in id order: the canonical form that
     parse_cashflows reads a block at a time whenever the ids need no
-    quoting. Each asset's rows are written with one string."""
-    texts = _MonthTexts()
+    quoting. Each asset's rows are one string, joined from texts formatted
+    once: a row's middle once per (start, period) in the file, and its
+    amount once per distinct amount of the asset, so that cache is freed
+    with the asset."""
+    middles = {m: _Middles(m) for m in _PERIODS.values()}
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(_CANONICAL_HEADER)
         for asset in sorted(raw_assets, key=lambda a: a.asset_id):
             cell = _csv_cell(asset.asset_id)
-            columns = zip(asset.starts, asset.months, asset.cents)
-            if min(asset.cents) >= 0:
-                rows = [f"{cell},{texts[s]},{m},{c // 100}.{c % 100:02d}\n" for s, m, c in columns]
-            else:
-                rows = [f"{cell},{texts[s]},{m},{_cents_text(c)}\n" for s, m, c in columns]
-            handle.write("".join(rows))
+            tails = {c: f"{_cents_text(c)}\n" for c in set(asset.cents)}
+            rows = map(
+                add,
+                map(getitem, map(middles.__getitem__, asset.months), asset.starts),
+                map(tails.__getitem__, asset.cents),
+            )
+            handle.write(cell + cell.join(rows))
 
 
 def write_assets_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> None:

@@ -17,10 +17,9 @@ from typing import Iterable, Mapping, Sequence
 from ._io import check_id, named, parse_number, read_table, record_header, record_rows, write_csv
 from .curves import build_surfaces
 from .model import (
-    BAND_LEVELS, DEFAULT_MAX_DURATION, Asset, MissingCellError, ShareSurface, multiplier_table,
+    BAND_LEVELS, DEFAULT_MAX_DURATION, DEFAULT_MIN_BID_ASK_RATIO, Asset, MissingCellError,
+    ShareSurface, multiplier_table,
 )
-
-DEFAULT_MIN_BID_ASK_RATIO = 0.5
 
 
 class QuoteRejectReason(str, Enum):

@@ -22,6 +22,12 @@ BAND_LEVELS = (10.0, 50.0, 90.0)  # the m10/m50/m90 band quotes are read against
 
 DEFAULT_RATE = 0.10
 DEFAULT_MAX_DURATION = 10  # also the deepest horizon a surface is built to
+# The defaults of the other settings, here so that the CLI's Config reads
+# them without importing the module that uses each.
+DEFAULT_AGE_TOLERANCE = 0.30
+DEFAULT_ZERO_FLOOR = 0.0
+DEFAULT_MIN_COHORT = 5
+DEFAULT_MIN_BID_ASK_RATIO = 0.5
 # Copyright runs for the author's life plus 70 years, so no contract is longer
 # and no song older. Capping max_duration bounds the per-horizon cohort lists;
 # capping a synthetic age_years keeps every period_start in four-digit years.

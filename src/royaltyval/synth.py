@@ -20,11 +20,12 @@ from statistics import NormalDist
 from typing import Sequence
 
 from ._io import int_field_names, json_number, json_object, named, record_header
-from .curves import DEFAULT_MIN_COHORT, build_surfaces
+from .curves import build_surfaces
 from .ingest import MAX_AMOUNT_DIGITS, RawAsset, cents_column
 from .market import MarketQuote, round_half_up
 from .model import (
-    BAND_LEVELS, DEFAULT_MAX_DURATION, DEFAULT_RATE, MAX_YEARS, Asset, multiplier_table,
+    BAND_LEVELS, DEFAULT_MAX_DURATION, DEFAULT_MIN_COHORT, DEFAULT_RATE, MAX_YEARS, Asset,
+    multiplier_table,
 )
 
 START_MONTH = 2015 * 12  # month index of 2015-01

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from royaltyval import curves, ingest, market, synth
+from royaltyval import curves, ingest, market, model, synth
 from royaltyval.cli import Config, load_config_file, main
 from royaltyval.ingest import write_assets_csv, write_cashflows_csv
 from royaltyval.market import (
@@ -78,15 +78,20 @@ def named_pipe(path, data: bytes):
     assert not writer.is_alive(), "the pipe was never read"
 
 
-def run_cli_child(*argv):
-    """The CLI run in a child process, so that a read blocked on a pipe
-    fails the test after a minute rather than hanging it."""
+def run_python_child(code, *argv):
+    """`python -c code *argv` in a fresh interpreter that imports the
+    package from this checkout, stopped after a minute."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    code = "import sys; from royaltyval.cli import main; sys.exit(main())"
     return subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def run_cli_child(*argv):
+    """The CLI run in a child process, so that a read blocked on a pipe
+    fails the test after a minute rather than hanging it."""
+    return run_python_child("import sys; from royaltyval.cli import main; sys.exit(main())", *argv)
 
 
 class TestValidate:
@@ -1152,6 +1157,79 @@ class TestDefaults:
                 shown = re.search(rf"{flag} [A-Z_]+ [^()]*\(default ([^)]*)\)", text)
                 assert float(shown.group(1)) == getattr(Config(), setting), flag
 
+    @pytest.mark.parametrize(
+        "name, module, setting",
+        [
+            ("DEFAULT_AGE_TOLERANCE", ingest, "dollar_age_tolerance"),
+            ("DEFAULT_ZERO_FLOOR", ingest, "zero_floor"),
+            ("DEFAULT_MIN_COHORT", curves, "min_cohort"),
+            ("DEFAULT_MIN_BID_ASK_RATIO", market, "min_bid_ask_ratio"),
+        ],
+    )
+    def test_default_lives_in_model(self, name, module, setting):
+        """Config reads the default from model, and the module that uses it
+        names model's value, so --help need not import that module."""
+        assert getattr(module, name) is getattr(model, name)
+        assert getattr(Config(), setting) == getattr(model, name)
+
+
+# Runs cli.main on its arguments and prints its exit status and the names
+# of the modules it imported that were not loaded before.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from royaltyval.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+HELP_MODULES = {"royaltyval", "royaltyval.cli", "royaltyval.model", "royaltyval._io"}
+
+
+class TestImportBudget:
+    """A command imports only the modules it runs, each checked in a fresh
+    interpreter: `--help` needs cli, model and _io, and `value --surface`
+    also curves. Neither loads synth's hashlib and statistics."""
+
+    @staticmethod
+    def loaded(*argv):
+        """The exit status of the command and the package and costly stdlib
+        modules it loaded."""
+        child = run_python_child(IMPORT_PROBE, *argv)
+        code, names = json.loads(child.stdout)
+        return code, {n for n in names if n.split(".")[0] in ("royaltyval", "hashlib", "statistics")}
+
+    def test_help(self):
+        assert self.loaded("--help") == (0, HELP_MODULES)
+
+    def test_value_from_a_surface_file(self, tmp_path):
+        surface = write_flat_surface(tmp_path / "surface.json")
+        argv = ["value", "--surface", str(surface), "--ltm", "100", "--duration", "3"]
+        assert self.loaded(*argv) == (0, HELP_MODULES | {"royaltyval.curves"})
+
+    def test_validate(self, tmp_path):
+        cashflows, assets = flat_population_files(tmp_path)
+        code, names = self.loaded(
+            "--out", str(tmp_path), "validate", "--cashflows", str(cashflows),
+            "--assets", str(assets),
+        )
+        assert code == 0 and "royaltyval.ingest" in names
+        assert not names & {"royaltyval.market", "royaltyval.synth", "hashlib", "statistics"}
+
+    def test_compare(self, tmp_path):
+        cashflows, assets = flat_population_files(tmp_path)
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(QUOTES_TOP + "Q,1200,1000,2000,1,6\n")
+        code, names = self.loaded(
+            "--out", str(tmp_path), "compare", "--cashflows", str(cashflows),
+            "--assets", str(assets), "--quotes", str(quotes),
+        )
+        assert code == 0 and "royaltyval.market" in names
+        assert not names & {"royaltyval.synth", "hashlib", "statistics"}
+
 
 @pytest.mark.parametrize(
     "kind", ["cashflows", "assets", "quotes", "surface_csv", "surface_json", "config", "spec"]
@@ -1195,6 +1273,7 @@ QUOTES_TOP = "asset_id,ltm,best_bid,ask,duration_years,dollar_age\n"
 LONG = "X" * 100_000
 LONG_ID = f"{'X' * 40}… (100000 characters)"
 LONG_TEXT = f"'{'X' * 40}…' (100000 characters)"
+WIDE_FIELD = f"'{'X' * 40}…' (1000 characters)"
 
 # (input kind, its whole text, what the message says after the file's path; an
 # error joining the cashflows and assets files names both)
@@ -1204,6 +1283,12 @@ HOSTILE_INPUTS = [
         f":line 1: bad header [{', '.join([repr('')] * 10)}, … (100001 in all)], "
         "expected asset_id,dollar_age",
         id="header_of_100000_commas",
+    ),
+    pytest.param(
+        "cashflows", ",".join(["X" * 1000] * 12) + "\n",
+        f":line 1: bad header [{', '.join([WIDE_FIELD] * 3)}, … (12 in all)], "
+        "expected asset_id,period_start,period_months,amount",
+        id="header_of_12_fields_of_1000_characters",
     ),
     pytest.param(
         "config", json.dumps({f"k{i:05d}": 1 for i in range(20_000)}),
@@ -1242,8 +1327,9 @@ HOSTILE_INPUTS = [
 
 @pytest.mark.parametrize("kind,text,message", HOSTILE_INPUTS)
 def test_long_input_gives_one_short_message(tmp_path, capsys, kind, text, message):
-    """Lists in a message show at most 10 items, and ids, JSON keys and
-    JSON values at most 40 characters, so the line stays short."""
+    """Lists in a message show at most 10 items in at most 200 characters,
+    and ids, JSON keys and JSON values at most 40 characters, so the line
+    stays short."""
     files = {
         "cashflows": CASHFLOWS_TOP + "A,2019-01,1,1.00\n",
         "assets": ASSETS_TOP + "A,1\n",

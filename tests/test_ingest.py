@@ -1,4 +1,6 @@
+import csv
 import functools
+import io
 import itertools
 import math
 import re
@@ -611,6 +613,69 @@ class TestCashflowsWriterQuoting:
         written = (tmp_path / "written.csv").read_bytes()
         assert written == (tmp_path / "oracle.csv").read_bytes()
         assert b'"a,b",2019-02,1,-2.05' in written and b'"say ""hi""",2019-04,3,3.10' in written
+
+
+def per_row_cashflows_text(raw_assets) -> str:
+    """The cashflows file as write_cashflows_csv wrote it one f-string per
+    record: the reference its joined texts must match byte for byte."""
+    lines = [",".join(CASHFLOWS_HEADER) + "\n"]
+    for asset in sorted(raw_assets, key=lambda a: a.asset_id):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="").writerow((asset.asset_id, ""))
+        cell = buffer.getvalue()[:-1]
+        for s, m, c in zip(asset.starts, asset.months, asset.cents):
+            sign, whole, frac = "-" if c < 0 else "", abs(c) // 100, abs(c) % 100
+            lines.append(f"{cell},{s // 12:04d}-{s % 12 + 1:02d},{m},{sign}{whole}.{frac:02d}\n")
+    return "".join(lines)
+
+
+JAN = month(2019, 1)
+WRITER_CASES = [
+    pytest.param(
+        [RawAsset("a,b", 1.0, (JAN, JAN + 1), (1, 1), (100, 250)),
+         RawAsset('a"b', 1.0, (JAN,), (3,), (999,))],
+        id="ids_that_need_quoting",
+    ),
+    pytest.param(
+        [RawAsset("A", 1.0, (JAN, JAN + 1, JAN + 2), (1, 1, 1), array("q", [-550, -5, 1200]))],
+        id="negative_cents",
+    ),
+    pytest.param(
+        [RawAsset("Q", 1.0, (JAN, JAN + 3, JAN + 6, JAN + 9), (3,) * 4, (700, 850, 700, 1175))],
+        id="quarterly",
+    ),
+    pytest.param(
+        [RawAsset("M", 1.0, (JAN, JAN + 1, JAN + 4, JAN + 5), (1, 3, 1, 3), (1, 2, 1, 4)),
+         RawAsset("N", 1.0, (JAN, JAN + 3), (3, 1), (5, 5))],
+        id="mixed_periods_at_shared_starts",
+    ),
+    pytest.param(
+        [RawAsset("G", 1.0, (JAN, JAN + 5, JAN + 6), (1, 1, 1), (100, 100, 100))],
+        id="gap_in_coverage",
+    ),
+    pytest.param(
+        [RawAsset("Z", 1.0, tuple(range(JAN, JAN + 6)), (1,) * 6, (0, 1, 9, 10, 99, 100))],
+        id="zero_and_under_a_dollar",
+    ),
+    pytest.param(
+        [RawAsset("P", 1.0, (JAN, JAN + 1, JAN + 2), (1,) * 3,
+                  cents_column([2**63, 2**63 + 12_345, 5])),
+         RawAsset("R", 1.0, (JAN,), (1,), cents_column([10 ** 20 - 1]))],
+        id="cents_at_2_to_the_63_or_more",
+    ),
+    pytest.param(
+        [RawAsset("L", 1.0, [JAN, JAN + 1, JAN + 4], [1, 3, 1], [5, -5, 5]),
+         RawAsset("K", 1.0, [JAN + 1], [1], [700])],
+        id="list_columns",
+    ),
+]
+
+
+@pytest.mark.parametrize("assets", WRITER_CASES)
+def test_cashflows_writer_gives_the_per_row_bytes(tmp_path, assets):
+    path = tmp_path / "cashflows.csv"
+    write_cashflows_csv(path, assets)
+    assert path.read_bytes() == per_row_cashflows_text(assets).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,12 @@ class TestNamedShownListed:
         items = [f"i{k}" for k in range(11)]
         assert listed(items, str) == f"{', '.join(items[:10])}, … (11 in all)"
 
+    def test_a_list_shows_items_up_to_200_characters_and_at_least_one(self):
+        items = ["x" * 60] * 4
+        assert listed(items, str) == f"{', '.join(items[:3])}, … (4 in all)"
+        assert listed(["x" * 300] * 2, str) == f"{'x' * 300}, … (2 in all)"
+        assert listed(["x" * 300], str) == "x" * 300
+
 
 class TestWriteJson:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
