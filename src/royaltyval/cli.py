@@ -13,6 +13,7 @@ loads only those: `--help` needs no more than this module, `model` and
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -308,6 +309,7 @@ def _cmd_synth(args, cfg: Config) -> int:
         zero_floor=cfg.zero_floor,
         dollar_age_tolerance=cfg.dollar_age_tolerance,
     )
+    del population  # the records, freed before the quotes' surfaces are built
     quotes = synth.gen_quotes(
         dataset,
         rate=cfg.rate,
@@ -399,5 +401,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry: main with the cycle collector off, as the
+    pipeline builds its records without reference cycles, and the heap
+    frozen as the process exits, so that the collections at interpreter
+    shutdown skip it. main, which in-process callers use, leaves the
+    collector as it finds it."""
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:  # also on argparse's exit, for --help and usage errors
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import add, eq, getitem, lt, ne
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -115,9 +115,13 @@ class RawAsset:
             raise ValueError(f"{named(self.asset_id)}: cashflow columns differ in length")
         if not self.dollar_age > 0:
             raise ValueError(f"{named(self.asset_id)}: dollar_age must be > 0")
-        if not set(months) <= {1, 3}:
+        periods = set(months)
+        if not periods <= {1, 3}:
             bad = next(m for m in months if m != 1 and m != 3)
             raise ValueError(f"period_months must be 1 or 3, got {bad}")
+        # one-month records overlap exactly where the starts fail to increase
+        if periods == {1} and all(map(lt, starts, islice(starts, 1, None))):
+            return
         later = starts[1:]
         overlap = next(compress(later, map(lt, later, map(add, starts, months))), None)
         if overlap is not None:
@@ -346,6 +350,18 @@ def _covered_months(starts: Sequence[int], months: Sequence[int]) -> int:
     return starts[-1] + months[-1] - starts[0]
 
 
+def _raise_gap(asset_id: str, starts: Sequence[int], months: Sequence[int]) -> None:
+    """Raise GAP_IN_HISTORY naming the first start that does not follow its
+    predecessor's period, if one does not."""
+    later = starts[1:]
+    gap = next(compress(later, map(ne, later, map(add, starts, months))), None)
+    if gap is not None:
+        raise AnnualizeError(
+            RejectReason.GAP_IN_HISTORY,
+            f"{named(asset_id)}: coverage gap before {_month_text(gap)}",
+        )
+
+
 def annualize(
     asset_id: str, starts: Sequence[int], months: Sequence[int], cents: Sequence[int]
 ) -> tuple[Decimal, ...]:
@@ -361,22 +377,29 @@ def annualize(
     """
     if not starts:
         raise ValueError("no records")
-    later = starts[1:]
-    gap = next(compress(later, map(ne, later, map(add, starts, months))), None)
-    if gap is not None:
-        raise AnnualizeError(
-            RejectReason.GAP_IN_HISTORY,
-            f"{named(asset_id)}: coverage gap before {_month_text(gap)}",
-        )
-    origin = starts[0]
+    _raise_gap(asset_id, starts, months)
+    return _annual_sums(asset_id, starts, months, cents)
+
+
+def _annual_sums(
+    asset_id: str, starts: Sequence[int], months: Sequence[int], cents: Sequence[int]
+) -> tuple[Decimal, ...]:
+    """annualize for non-empty columns sorted by start without overlaps, as
+    a RawAsset holds them. Those are gap-free exactly when their span equals
+    the sum of their periods, so the columns are walked only to name a gap."""
     total_months = _covered_months(starts, months)
+    if total_months != sum(months):
+        _raise_gap(asset_id, starts, months)
     complete_years = total_months // 12
     if complete_years < 1:
         raise AnnualizeError(
             RejectReason.INSUFFICIENT_HISTORY,
             f"{named(asset_id)}: only {total_months} months of coverage",
         )
-    bounds = [bisect_left(starts, origin + 12 * k) for k in range(complete_years + 1)]
+    if total_months == len(months):  # every record one month: a year is 12 of them
+        bounds = range(0, 12 * complete_years + 1, 12)
+    else:
+        bounds = [bisect_left(starts, starts[0] + 12 * k) for k in range(complete_years + 1)]
     return tuple(Decimal(sum(cents[lo:hi])).scaleb(-2) for lo, hi in zip(bounds, bounds[1:]))
 
 
@@ -472,7 +495,7 @@ def _apply_filters(
     if min(raw.cents) < 0:
         return None, RejectReason.NEGATIVE_AMOUNT
     try:
-        amounts = annualize(raw.asset_id, raw.starts, raw.months, raw.cents)
+        amounts = _annual_sums(raw.asset_id, raw.starts, raw.months, raw.cents)
     except AnnualizeError as exc:
         return None, exc.reason
     if not min(amounts) > zero_floor:  # at or below the floor, or any year for a NaN floor
@@ -490,15 +513,15 @@ def _apply_filters(
 # ---------------------------------------------------------------------------
 
 class _Middles(dict):
-    """Period start -> the ``,YYYY-MM,<period>,`` text between a row's id
-    and its amount, for one period length; each formatted once."""
+    """Period start -> the template of a row after its id, ``,YYYY-MM,<period>,%s``
+    and the line end, for one period length; each formatted once."""
 
     def __init__(self, months: int):
         super().__init__()
         self.months = months
 
     def __missing__(self, start: int) -> str:
-        text = self[start] = f",{_month_text(start)},{self.months},"
+        text = self[start] = f",{_month_text(start)},{self.months},%s\n"
         return text
 
 
@@ -512,22 +535,29 @@ def _csv_cell(text: str) -> str:
 def write_cashflows_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> None:
     """One row per record, assets in id order: the canonical form that
     parse_cashflows reads a block at a time whenever the ids need no
-    quoting. Each asset's rows are one string, joined from texts formatted
-    once: a row's middle once per (start, period) in the file, and its
-    amount once per distinct amount of the asset, so that cache is freed
-    with the asset."""
+    quoting. Each asset's rows are one string: its id cell joined between
+    the row templates of its column layout, (starts, months), and filled by
+    one % with its amount texts. The layout's templates are gathered again
+    only when it differs from the asset before's, each formatted once per
+    (start, period) in the file; an amount text is formatted once per
+    distinct amount of the asset, so that cache is freed with the asset."""
     middles = {m: _Middles(m) for m in _PERIODS.values()}
+    layout = pieces = None
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(_CANONICAL_HEADER)
         for asset in sorted(raw_assets, key=lambda a: a.asset_id):
-            cell = _csv_cell(asset.asset_id)
-            tails = {c: f"{_cents_text(c)}\n" for c in set(asset.cents)}
-            rows = map(
-                add,
-                map(getitem, map(middles.__getitem__, asset.months), asset.starts),
-                map(tails.__getitem__, asset.cents),
-            )
-            handle.write(cell + cell.join(rows))
+            if layout != (asset.starts, asset.months):
+                layout = (asset.starts, asset.months)
+                pieces = tuple(map(getitem, map(middles.__getitem__, asset.months), asset.starts))
+            values = set(asset.cents)
+            if min(values) >= 0:
+                texts = map("%d.%02d".__mod__, map(divmod, values, repeat(100)))
+            else:
+                texts = map(_cents_text, values)
+            amount_text = dict(zip(values, texts))
+            cell = _csv_cell(asset.asset_id).replace("%", "%%")
+            rows = (cell + cell.join(pieces)) % tuple(map(amount_text.__getitem__, asset.cents))
+            handle.write(rows)
 
 
 def write_assets_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> None:

@@ -29,6 +29,7 @@ from .model import (
 )
 
 START_MONTH = 2015 * 12  # month index of 2015-01
+_MAX_ANNUAL_CENTS = 10 ** (MAX_AMOUNT_DIGITS + 2)  # a year of 10**18 dollars, past the parse bound
 
 _NORMAL = NormalDist()
 
@@ -101,10 +102,6 @@ def derive_seed(master_seed: int, *labels) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _stream(master_seed: int, *labels) -> random.Random:
-    return random.Random(derive_seed(master_seed, *labels))
-
-
 def _normal(rng: random.Random, sigma: float) -> float:
     u = rng.random()
     if u == 0.0:
@@ -123,11 +120,6 @@ def _starts(n: int) -> tuple[int, ...]:
     return tuple(range(START_MONTH, START_MONTH + n))
 
 
-def _split_cents(cents: int) -> list[int]:
-    base = cents // 12
-    return [base] * 11 + [cents - 11 * base]
-
-
 def gen_asset(seed: int, group: GroupSpec, asset_id: str) -> RawAsset:
     """One synthetic asset of `group` (whose count is not used) with
     monthly records from START_MONTH and exact integer dollar age.
@@ -137,13 +129,17 @@ def gen_asset(seed: int, group: GroupSpec, asset_id: str) -> RawAsset:
     sigma is zero), rounded to cents, then split uniformly across twelve
     monthly records with remainder cents on the last month.
     """
-    rng = random.Random(seed)
+    return _gen_asset(random.Random(seed), group, asset_id)
 
+
+def _gen_asset(rng: random.Random, group: GroupSpec, asset_id: str) -> RawAsset:
+    """gen_asset drawing from `rng`, seeded for this asset."""
+    sigma, growth = group.noise_sigma, 1.0 + group.annual_growth
     annual: list[int] = []
     for k in range(1, group.age_years + 1):
-        eps = _normal(rng, group.noise_sigma) if group.noise_sigma > 0 else 0.0
+        eps = _normal(rng, sigma) if sigma > 0 else 0.0
         try:
-            level = group.initial_revenue * (1.0 + group.annual_growth) ** (k - 1)
+            level = group.initial_revenue * growth ** (k - 1)
             if eps:
                 level *= math.exp(eps)
             annual.append(round(level * 100))
@@ -152,21 +148,26 @@ def gen_asset(seed: int, group: GroupSpec, asset_id: str) -> RawAsset:
     # after the loop, so a float overflow is named before an earlier year past the bound
     monthly: list[int] = []
     for k, cents in enumerate(annual, start=1):
-        if cents >= 10 ** (MAX_AMOUNT_DIGITS + 2):
+        if cents >= _MAX_ANNUAL_CENTS:
             raise ValueError(f"{named(asset_id)}: revenue in year {k} is too large")
-        monthly += _split_cents(cents)
+        base = cents // 12  # split evenly, the remainder on the last month
+        monthly += [base] * 11
+        monthly.append(cents - 11 * base)
     n = len(monthly)
     return RawAsset(asset_id, float(group.age_years), _starts(n), (1,) * n, cents_column(monthly))
 
 
 def gen_population(spec: PopulationSpec) -> list[RawAsset]:
-    """All groups' assets, ids G<group>A<index>, each from its own stream."""
+    """All groups' assets, ids G<group>A<index>, each from its own stream:
+    one generator, seeded again for each asset, draws what a new one
+    seeded alike would."""
     assets = []
+    rng = random.Random()
     for gi, group in enumerate(spec.groups):
         try:
             for ai in range(group.count):
-                seed = derive_seed(spec.seed, "asset", gi, ai)
-                assets.append(gen_asset(seed, group, f"G{gi:02d}A{ai:03d}"))
+                rng.seed(derive_seed(spec.seed, "asset", gi, ai))
+                assets.append(_gen_asset(rng, group, f"G{gi:02d}A{ai:03d}"))
         except ValueError as exc:
             raise ValueError(f"groups[{gi}]: {exc}") from None
     return assets
@@ -226,11 +227,12 @@ def gen_quotes(
 
     tables = {t: multiplier_table(s, rate, s.depth) for t, s in surfaces.items() if s.depth}
     quotes = []
+    rng = random.Random()
     for asset in assets:
         table = tables.get(round_half_up(asset.dollar_age))
         if table is None:
             continue
-        rng = _stream(seed, "quote", asset.asset_id)
+        rng.seed(derive_seed(seed, "quote", asset.asset_id))
         duration = rng.randint(1, len(table.columns[0]))  # its depth, <= max_duration
         ltm = float(asset.amounts[-1])
         bid_mult = table.entry(duration, bid_level)

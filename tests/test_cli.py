@@ -1,4 +1,5 @@
 import csv
+import gc
 import inspect
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from royaltyval import curves, ingest, market, model, synth
+from royaltyval import cli, curves, ingest, market, model, synth
 from royaltyval.cli import Config, load_config_file, main
 from royaltyval.ingest import write_assets_csv, write_cashflows_csv
 from royaltyval.market import (
@@ -1229,6 +1230,71 @@ class TestImportBudget:
         )
         assert code == 0 and "royaltyval.market" in names
         assert not names & {"royaltyval.synth", "hashlib", "statistics"}
+
+
+def gc_state():
+    return gc.isenabled(), gc.get_freeze_count()
+
+
+class TestProcessEntry:
+    """cli.run, the process entry, turns the cycle collector off and freezes
+    the heap before the interpreter exits; main, which in-process callers
+    use, leaves the collector as it finds it."""
+
+    def test_main_leaves_the_collector_as_it_was(self, tmp_path, capsys):
+        before = gc_state()
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert gc_state() == before
+        cashflows, assets = flat_population_files(tmp_path)
+        argv = ["--cashflows", str(cashflows), "--assets", str(assets)]
+        assert main(["--out", str(tmp_path), "validate", *argv]) == 0
+        assert gc_state() == before
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_run_exits_with_mains_status_and_a_frozen_heap(self, monkeypatch, code):
+        monkeypatch.setattr(cli, "main", lambda: code)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+            assert exc.value.code == code
+            assert not gc.isenabled() and gc.get_freeze_count() > 0
+        finally:
+            gc.enable()
+            gc.unfreeze()
+
+    def test_run_freezes_on_argparses_exit(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["royaltyval", "--help"])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+            assert exc.value.code == 0
+            assert not gc.isenabled() and gc.get_freeze_count() > 0
+        finally:
+            gc.enable()
+            gc.unfreeze()
+        assert "usage: royaltyval" in capsys.readouterr().out
+
+    def test_module_run_gives_mains_status_and_output(self, tmp_path):
+        cashflows, assets = flat_population_files(tmp_path)
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+
+        def child(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "royaltyval.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+
+        inputs = ["--cashflows", str(cashflows), "--assets", str(assets)]
+        ok = child("--out", str(tmp_path), "validate", *inputs)
+        assert (ok.returncode, ok.stdout, ok.stderr) == (0, "accepted 5 of 5 assets\n", "")
+        bad = child("validate", "--cashflows", str(tmp_path / "none.csv"), "--assets", str(assets))
+        assert bad.returncode == 1 and bad.stderr.startswith("error: ")
+
+    def test_the_installed_script_is_run(self):
+        pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.search(r'^royaltyval = "royaltyval\.cli:run"$', pyproject, re.MULTILINE)
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,7 @@ from royaltyval.ingest import (
     write_assets_csv,
     write_cashflows_csv,
 )
+from royaltyval.model import DEFAULT_AGE_TOLERANCE, DEFAULT_ZERO_FLOOR
 
 
 def text_file(directory, name: str, text: str) -> Path:
@@ -668,6 +669,26 @@ WRITER_CASES = [
          RawAsset("K", 1.0, [JAN + 1], [1], [700])],
         id="list_columns",
     ),
+    pytest.param(
+        [RawAsset(i, 1.0, (JAN, JAN + 1), (1, 1), (100, -205))
+         for i in ("%", "%s", "%%", "%(x)s", "a%d,b", '"%s"')],
+        id="ids_holding_percent_signs",
+    ),
+    pytest.param(
+        [RawAsset("S1", 1.0, (JAN, JAN + 1), (1, 1), (1, 2)),
+         RawAsset("S2", 1.0, (JAN, JAN + 1), (1, 1), (3, 4)),
+         RawAsset("S3", 1.0, (JAN, JAN + 1), (1, 1), (5, 6)),
+         RawAsset("S4", 1.0, (JAN, JAN + 3), (3, 3), (7, 8)),
+         RawAsset("S5", 1.0, (JAN, JAN + 1), (1, 1), (9, 10)),
+         RawAsset("S6", 1.0, (JAN + 1, JAN + 2), (1, 1), (11, 12))],
+        id="one_layout_three_times_then_quarterly_then_the_first_again",
+    ),
+    pytest.param(
+        [RawAsset("T1", 1.0, (JAN, JAN + 1), (1, 1), (1, 2)),
+         RawAsset("T2", 1.0, [JAN, JAN + 1], [1, 1], [3, 4]),
+         RawAsset("T3", 1.0, (JAN, JAN + 1), (1, 1), array("q", [5, 6]))],
+        id="list_columns_in_a_tuple_neighbours_layout",
+    ),
 ]
 
 
@@ -676,6 +697,115 @@ def test_cashflows_writer_gives_the_per_row_bytes(tmp_path, assets):
     path = tmp_path / "cashflows.csv"
     write_cashflows_csv(path, assets)
     assert path.read_bytes() == per_row_cashflows_text(assets).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "starts,months,where",
+    [
+        pytest.param((JAN + 1, JAN), (1, 1), "2019-01", id="monthly_unsorted"),
+        pytest.param((JAN, JAN), (1, 1), "2019-01", id="monthly_one_start_twice"),
+        pytest.param((JAN, JAN + 2, JAN + 1), (1, 1, 1), "2019-02", id="monthly_late_step_back"),
+        pytest.param((JAN, JAN + 2), (3, 1), "2019-03", id="mixed_inside_a_quarter"),
+        pytest.param((JAN, JAN + 3, JAN + 3), (3, 3, 3), "2019-04", id="quarterly_repeat"),
+    ],
+)
+def test_raw_asset_names_the_first_overlap(starts, months, where):
+    with pytest.raises(ValueError, match=f"^A: records overlap at {where}$"):
+        RawAsset("A", 1.0, starts, months, (1,) * len(starts))
+
+
+def walked_years(starts, months, cents):
+    """annualize's (reason, buckets) as it found them when it walked every
+    record: a gap is a start that does not follow its predecessor's
+    period, and bucket k holds the records that start in the k-th twelve
+    months."""
+    if any(b != a + m for a, m, b in zip(starts, months, starts[1:])):
+        return RejectReason.GAP_IN_HISTORY, None
+    span = starts[-1] + months[-1] - starts[0]
+    if span < 12:
+        return RejectReason.INSUFFICIENT_HISTORY, None
+    return None, tuple(
+        Decimal(sum(c for s, c in zip(starts, cents) if 12 * k <= s - starts[0] < 12 * (k + 1)))
+        .scaleb(-2)
+        for k in range(span // 12)
+    )
+
+
+def walked_outcome(raw: RawAsset):
+    """build_dataset's (reason, amounts) for `raw`, at the default options,
+    around walked_years."""
+    if min(raw.cents) < 0:
+        return RejectReason.NEGATIVE_AMOUNT, None
+    reason, years = walked_years(raw.starts, raw.months, raw.cents)
+    if reason is not None:
+        return reason, None
+    if not min(years) > DEFAULT_ZERO_FLOOR:
+        return RejectReason.ZERO_REVENUE_YEAR, None
+    oldest = (raw.starts[-1] + raw.months[-1] - raw.starts[0]) / 12
+    if abs(raw.dollar_age - oldest) > DEFAULT_AGE_TOLERANCE * oldest:
+        return RejectReason.DOLLAR_AGE_MISMATCH, None
+    return None, years
+
+
+@st.composite
+def period_columns(draw, steps=st.sampled_from([0, 0, 0, 0, 1, 2])):
+    """(starts, months, cents) of up to 40 records, monthly, quarterly or
+    mixed, each start its predecessor's end plus a step drawn from `steps`,
+    so with or without gaps; a few cents are zero or negative."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    kind = draw(st.sampled_from(["monthly", "quarterly", "mixed"]))
+    if kind == "mixed":
+        months = draw(st.lists(st.sampled_from([1, 3]), min_size=n, max_size=n))
+    else:
+        months = [1 if kind == "monthly" else 3] * n
+    gaps = draw(st.lists(steps, min_size=n, max_size=n)) if draw(st.booleans()) else [0] * n
+    starts = [JAN]
+    for m, gap in zip(months, gaps[1:]):
+        starts.append(starts[-1] + m + gap)
+    amounts = st.integers(min_value=0, max_value=10**7) | st.sampled_from([0, -1])
+    cents = draw(st.lists(amounts, min_size=n, max_size=n))
+    return tuple(starts), tuple(months), cents_column(cents)
+
+
+@given(st.lists(period_columns(), min_size=1, max_size=6), st.sampled_from([0, 0.5, 7.0]))
+@settings(max_examples=150, deadline=None)
+def test_build_dataset_matches_the_walked_filters(all_columns, age_shift):
+    raws = []
+    for k, (starts, months, amounts) in enumerate(all_columns):
+        span = starts[-1] + months[-1] - starts[0]
+        raws.append(RawAsset(f"A{k}", span / 12 + age_shift, starts, months, amounts))
+    accepted, report = build_dataset(raws)
+    expected = {raw.asset_id: walked_outcome(raw) for raw in raws}
+    assert report.reasons == {i: reason for i, (reason, _) in expected.items()}
+    assert {a.asset_id: a.amounts for a in accepted} == {
+        i: years for i, (reason, years) in expected.items() if reason is None
+    }
+
+
+@given(period_columns(steps=st.sampled_from([-3, -1, 0, 0, 0, 1])))
+@settings(max_examples=150, deadline=None)
+def test_annualize_matches_the_walk_on_unsorted_and_overlapping_columns(columns_):
+    reason, years = walked_years(*columns_)
+    if reason is None:
+        assert annualize("A", *columns_) == years
+    else:
+        with pytest.raises(AnnualizeError) as err:
+            annualize("A", *columns_)
+        assert err.value.reason is reason
+
+
+@pytest.mark.parametrize(
+    "starts,months,message",
+    [
+        ((0, 0, 2), (1, 1, 1), "A: coverage gap before 0000-01"),
+        ((JAN, JAN + 2, JAN + 3), (3, 1, 1), "A: coverage gap before 2019-03"),
+        ((JAN, JAN + 1, JAN + 1), (1, 1, 1), "A: coverage gap before 2019-02"),
+    ],
+)
+def test_annualize_names_the_first_gap_in_overlapping_columns(starts, months, message):
+    with pytest.raises(AnnualizeError, match=f"^{message}$") as err:
+        annualize("A", starts, months, (1,) * len(starts))
+    assert err.value.reason is RejectReason.GAP_IN_HISTORY
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from royaltyval.synth import (
     GroupSpec,
     PopulationSpec,
     closed_form_multiplier,
+    derive_seed,
     gen_asset,
     gen_population,
     gen_quotes,
@@ -123,6 +124,21 @@ class TestGenPopulation:
 
     def test_deterministic(self):
         assert gen_population(decaying_population()) == gen_population(decaying_population())
+
+    def test_each_asset_is_gen_asset_on_its_own_stream(self):
+        """One generator, seeded again for each asset, draws what a new one
+        seeded alike does, also after a group that draws nothing."""
+        spec = PopulationSpec(
+            (GroupSpec(3, -0.1, 0.3, 4, 900.0), GroupSpec(2, 0.0, 0.0, 2, 50.0),
+             GroupSpec(3, 0.2, 0.1, 3, 700.0)),
+            seed=17,
+        )
+        expected = [
+            gen_asset(derive_seed(17, "asset", gi, ai), group, f"G{gi:02d}A{ai:03d}")
+            for gi, group in enumerate(spec.groups)
+            for ai in range(group.count)
+        ]
+        assert gen_population(spec) == expected
 
     def test_group_validation(self):
         with pytest.raises(ValueError):
