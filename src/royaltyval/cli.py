@@ -402,12 +402,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The process entry: main with the cycle collector off, as the
-    pipeline builds its records without reference cycles, and the heap
-    frozen as the process exits, so that the collections at interpreter
-    shutdown skip it. main, which in-process callers use, leaves the
-    collector as it finds it."""
-    gc.disable()
+    """The process entry: main, with the heap frozen as the process exits,
+    so that the collections at interpreter shutdown skip it."""
     try:
         sys.exit(main())
     finally:  # also on argparse's exit, for --help and usage errors

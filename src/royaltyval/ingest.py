@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 from operator import add, eq, getitem, lt, ne
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -90,8 +90,7 @@ def _month_text(month_index: int) -> str:
 
 
 def _cents_text(cents: int) -> str:
-    whole, frac = divmod(abs(cents), 100)
-    return f"{'-' if cents < 0 else ''}{whole}.{frac:02d}"
+    return ("%d.%02d" if cents >= 0 else "-%d.%02d") % divmod(abs(cents), 100)
 
 
 @dataclass
@@ -549,12 +548,7 @@ def write_cashflows_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> Non
             if layout != (asset.starts, asset.months):
                 layout = (asset.starts, asset.months)
                 pieces = tuple(map(getitem, map(middles.__getitem__, asset.months), asset.starts))
-            values = set(asset.cents)
-            if min(values) >= 0:
-                texts = map("%d.%02d".__mod__, map(divmod, values, repeat(100)))
-            else:
-                texts = map(_cents_text, values)
-            amount_text = dict(zip(values, texts))
+            amount_text = {c: _cents_text(c) for c in set(asset.cents)}
             cell = _csv_cell(asset.asset_id).replace("%", "%%")
             rows = (cell + cell.join(pieces)) % tuple(map(amount_text.__getitem__, asset.cents))
             handle.write(rows)

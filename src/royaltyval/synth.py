@@ -29,7 +29,6 @@ from .model import (
 )
 
 START_MONTH = 2015 * 12  # month index of 2015-01
-_MAX_ANNUAL_CENTS = 10 ** (MAX_AMOUNT_DIGITS + 2)  # a year of 10**18 dollars, past the parse bound
 
 _NORMAL = NormalDist()
 
@@ -120,6 +119,11 @@ def _starts(n: int) -> tuple[int, ...]:
     return tuple(range(START_MONTH, START_MONTH + n))
 
 
+def _split_cents(cents: int) -> list[int]:
+    base = cents // 12
+    return [base] * 11 + [cents - 11 * base]
+
+
 def gen_asset(seed: int, group: GroupSpec, asset_id: str) -> RawAsset:
     """One synthetic asset of `group` (whose count is not used) with
     monthly records from START_MONTH and exact integer dollar age.
@@ -134,12 +138,11 @@ def gen_asset(seed: int, group: GroupSpec, asset_id: str) -> RawAsset:
 
 def _gen_asset(rng: random.Random, group: GroupSpec, asset_id: str) -> RawAsset:
     """gen_asset drawing from `rng`, seeded for this asset."""
-    sigma, growth = group.noise_sigma, 1.0 + group.annual_growth
     annual: list[int] = []
     for k in range(1, group.age_years + 1):
-        eps = _normal(rng, sigma) if sigma > 0 else 0.0
+        eps = _normal(rng, group.noise_sigma) if group.noise_sigma > 0 else 0.0
         try:
-            level = group.initial_revenue * growth ** (k - 1)
+            level = group.initial_revenue * (1.0 + group.annual_growth) ** (k - 1)
             if eps:
                 level *= math.exp(eps)
             annual.append(round(level * 100))
@@ -148,11 +151,9 @@ def _gen_asset(rng: random.Random, group: GroupSpec, asset_id: str) -> RawAsset:
     # after the loop, so a float overflow is named before an earlier year past the bound
     monthly: list[int] = []
     for k, cents in enumerate(annual, start=1):
-        if cents >= _MAX_ANNUAL_CENTS:
+        if cents >= 10 ** (MAX_AMOUNT_DIGITS + 2):
             raise ValueError(f"{named(asset_id)}: revenue in year {k} is too large")
-        base = cents // 12  # split evenly, the remainder on the last month
-        monthly += [base] * 11
-        monthly.append(cents - 11 * base)
+        monthly += _split_cents(cents)
     n = len(monthly)
     return RawAsset(asset_id, float(group.age_years), _starts(n), (1,) * n, cents_column(monthly))
 

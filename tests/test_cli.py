@@ -1237,9 +1237,9 @@ def gc_state():
 
 
 class TestProcessEntry:
-    """cli.run, the process entry, turns the cycle collector off and freezes
-    the heap before the interpreter exits; main, which in-process callers
-    use, leaves the collector as it finds it."""
+    """cli.run, the process entry, freezes the heap before the interpreter
+    exits; main, which in-process callers use, leaves the collector as it
+    finds it."""
 
     def test_main_leaves_the_collector_as_it_was(self, tmp_path, capsys):
         before = gc_state()
@@ -1258,9 +1258,8 @@ class TestProcessEntry:
             with pytest.raises(SystemExit) as exc:
                 cli.run()
             assert exc.value.code == code
-            assert not gc.isenabled() and gc.get_freeze_count() > 0
+            assert gc.isenabled() and gc.get_freeze_count() > 0
         finally:
-            gc.enable()
             gc.unfreeze()
 
     def test_run_freezes_on_argparses_exit(self, monkeypatch, capsys):
@@ -1269,9 +1268,8 @@ class TestProcessEntry:
             with pytest.raises(SystemExit) as exc:
                 cli.run()
             assert exc.value.code == 0
-            assert not gc.isenabled() and gc.get_freeze_count() > 0
+            assert gc.isenabled() and gc.get_freeze_count() > 0
         finally:
-            gc.enable()
             gc.unfreeze()
         assert "usage: royaltyval" in capsys.readouterr().out
 
