@@ -243,6 +243,8 @@ def read_json(path: str | Path) -> Iterator:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write `header` and then each row as it comes, so that an iterator of
+    rows is never held whole."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -271,15 +273,16 @@ def record_header(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
-def record_rows(cls, records: Iterable, float_spec: str) -> list[tuple[str, ...]]:
-    """CSV rows of dataclass `cls` records, a cell per field formatted by
-    its declared type: a str as it is, an int with str, a float with
-    `float_spec` ("" writes repr's text) and a float that is None blank."""
+def record_rows(cls, records: Iterable, float_spec: str) -> Iterator[tuple[str, ...]]:
+    """CSV rows of dataclass `cls` records, made one at a time as they are
+    read, a cell per field formatted by its declared type: a str as it is,
+    an int with str, a float with `float_spec` ("" writes repr's text) and
+    a float that is None blank."""
     names, hints = record_header(cls), get_type_hints(cls)
     specs = [float_spec if float in (hints[n], *get_args(hints[n])) else "" for n in names]
-    return [
+    return (
         tuple(map(format, values, specs))
         if None not in values
         else tuple(["" if v is None else format(v, s) for v, s in zip(values, specs)])
         for values in map(attrgetter(*names), records)
-    ]
+    )

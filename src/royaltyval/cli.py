@@ -266,7 +266,7 @@ def _cmd_compare(args, cfg: Config) -> int:
     write_csv(
         out / "rejected_quotes.csv",
         REJECTED_QUOTES_HEADER,
-        [(q.asset_id, reason.value) for q, reason in rejected],
+        ((q.asset_id, reason.value) for q, reason in rejected),
     )
     write_csv(
         out / "comparison_errors.csv",
@@ -398,6 +398,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except ValueError as exc:  # ParseError is a ValueError
         _fail(str(exc))
+        return 1
+    except MemoryError:
+        _fail("out of memory")
         return 1
 
 

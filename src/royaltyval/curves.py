@@ -9,6 +9,7 @@ exist at both years; surfaces store chosen percentiles of those cohorts.
 from __future__ import annotations
 
 import math
+from array import array
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -83,11 +84,14 @@ def build_surfaces(
 ) -> dict[int, ShareSurface]:
     """Percentile shares for horizons 1..max_horizon at every base age.
 
-    One walk over the dataset appends each observed share to its
-    (base age, horizon) cohort; each cohort is then sorted once and every
-    level read from it. Cohort sizes are recorded for every horizon; cells
-    are emitted only where the cohort reaches min_cohort, so thin tails
-    stay blank rather than producing meaningless percentiles.
+    The observable years that some cohort reads, of each asset observed
+    past the first base age, become floats once. The cohorts are then
+    built one (base age, horizon) at a time, the shares in dataset order:
+    each is sorted once, every level read from it and freed before the
+    next, so only one cohort is alive at a time. Cohort sizes are recorded
+    for every horizon; cells are emitted only where the cohort reaches
+    min_cohort, so thin tails stay blank rather than producing meaningless
+    percentiles.
     """
     if max_horizon < 1:
         raise ValueError("max_horizon must be >= 1")
@@ -95,35 +99,41 @@ def build_surfaces(
         raise ValueError("min_cohort must be >= 1")
     level_tuple = tuple(float(p) for p in levels)
     ages = sorted(set(base_ages))
-    cohorts = {t: [[] for _ in range(max_horizon)] for t in ages}
 
     # An asset is observable through year n = min(len(amounts), floor(dollar
     # age)), so its cohort at (t, i) takes amounts[t+i-1] / amounts[t-1] for
-    # t + i <= n: the float division observed_share does. As there, a base
-    # age below 1 is an error only once there is an asset to observe. A zero
-    # base year has no finite share, so it fails as the check below does.
-    try:
-        for asset in dataset:
-            if ages and ages[0] < 1:
-                raise ValueError("base_age and horizon must be >= 1")
-            n = min(len(asset.amounts), math.floor(asset.dollar_age))
-            series = [float(a) for a in asset.amounts[:n]]
-            for t in ages:
-                if t >= n:
-                    break
-                base = series[t - 1]
-                for cohort, amount in zip(cohorts[t], series[t:]):
-                    cohort.append(amount / base)
-    except ZeroDivisionError:
-        raise ValueError("cohort shares must be finite and > 0") from None
+    # t + i <= n: the float division observed_share does. No cohort reads a
+    # year before the first base age or past the last one's deepest horizon,
+    # so series[k] holds amounts[skip:n] of an asset with n > skip + 1. As in
+    # observed_share, a base age below 1 is an error only once there is an
+    # asset to observe.
+    skip = ages[0] - 1 if ages else 0
+    stop = ages[-1] + max_horizon if ages else 0
+    series = []
+    for asset in dataset:
+        if skip < 0:
+            raise ValueError("base_age and horizon must be >= 1")
+        n = min(len(asset.amounts), math.floor(asset.dollar_age), stop)
+        if n > skip + 1:
+            series.append(array("d", map(float, asset.amounts[skip:n])))
 
     surfaces: dict[int, ShareSurface] = {}
     for t in ages:
         values: dict[tuple[int, float], float] = {}
         counts: dict[int, int] = {}
-        for i, cohort in enumerate(cohorts[t], start=1):
-            cohort.sort()
-            if cohort and not (cohort[0] > 0.0 and math.isfinite(cohort[-1])):
+        base = t - 1 - skip  # the index of year t in a series
+        members = series
+        for i in range(1, max_horizon + 1):
+            year = base + i  # of year t+i
+            members = [s for s in members if len(s) > year]
+            if not members:
+                counts.update(dict.fromkeys(range(i, max_horizon + 1), 0))
+                break
+            try:
+                cohort = sorted([s[year] / s[base] for s in members])
+            except ZeroDivisionError:  # a zero base year has no finite share
+                raise ValueError("cohort shares must be finite and > 0") from None
+            if not (cohort[0] > 0.0 and math.isfinite(cohort[-1])):
                 raise ValueError("cohort shares must be finite and > 0")
             counts[i] = len(cohort)
             if len(cohort) >= min_cohort:

@@ -555,16 +555,16 @@ def write_cashflows_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> Non
 
 
 def write_assets_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> None:
-    rows = [
+    rows = (
         (a.asset_id, f"{a.dollar_age:.6f}")
         for a in sorted(raw_assets, key=lambda a: a.asset_id)
-    ]
+    )
     write_csv(path, ASSETS_HEADER, rows)
 
 
 def write_filter_report_csv(path: str | Path, report: FilterReport) -> None:
-    rows = [
+    rows = (
         (asset_id, "accepted", "") if reason is None else (asset_id, "rejected", reason.value)
         for asset_id, reason in report.reasons.items()
-    ]
+    )
     write_csv(path, REPORT_HEADER, rows)

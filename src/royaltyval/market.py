@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._io import check_id, named, parse_number, read_table, record_header, record_rows, write_csv
 from .curves import build_surfaces
@@ -287,14 +287,15 @@ def parse_quotes(path: str | Path) -> list[MarketQuote]:
 
 
 def write_quotes_csv(path: str | Path, quotes: Iterable[MarketQuote]) -> None:
-    """Write quotes with full-precision prices (repr round-trips floats)."""
+    """Write quotes in asset_id order with full-precision prices (repr
+    round-trips floats), a row at a time."""
     quotes = sorted(quotes, key=lambda q: q.asset_id)
     write_csv(path, QUOTES_HEADER, record_rows(MarketQuote, quotes, ""))
 
 
-def comparison_csv_rows(rows: Sequence[ComparisonRow]) -> list[tuple[str, ...]]:
+def comparison_csv_rows(rows: Iterable[ComparisonRow]) -> Iterator[tuple[str, ...]]:
     return record_rows(ComparisonRow, rows, ".6f")
 
 
-def plot_csv_rows(groups: Sequence[PlotGroup]) -> list[tuple[str, ...]]:
+def plot_csv_rows(groups: Iterable[PlotGroup]) -> Iterator[tuple[str, ...]]:
     return record_rows(PlotGroup, groups, ".6f")

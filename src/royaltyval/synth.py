@@ -30,6 +30,13 @@ from .model import (
 
 START_MONTH = 2015 * 12  # month index of 2015-01
 
+# The most monthly records a population spec may ask for. The `synth` child
+# peaks at 24.9 MiB on the 198,000-record benchmark spec and at 44.0 MiB on
+# five times its counts: about 25 bytes a record over a 20 MiB floor. So the
+# cap's 10 million records need about 270 MB, and write a cashflows file of
+# about 265 MB (26.5 bytes a row).
+MAX_RECORDS = 10_000_000
+
 _NORMAL = NormalDist()
 
 
@@ -66,6 +73,9 @@ class PopulationSpec:
     def __post_init__(self):
         if not self.groups:
             raise ValueError("population needs at least one group")
+        records = sum(12 * g.count * g.age_years for g in self.groups)
+        if records > MAX_RECORDS:
+            raise ValueError(f"population of {records} records is over the cap of {MAX_RECORDS}")
 
     def to_json_dict(self) -> dict:
         return {"seed": self.seed, "groups": [asdict(g) for g in self.groups]}
@@ -119,6 +129,12 @@ def _starts(n: int) -> tuple[int, ...]:
     return tuple(range(START_MONTH, START_MONTH + n))
 
 
+@lru_cache
+def _ones(n: int) -> tuple[int, ...]:
+    """The months column of n monthly records, shared like _starts."""
+    return (1,) * n
+
+
 def _split_cents(cents: int) -> list[int]:
     base = cents // 12
     return [base] * 11 + [cents - 11 * base]
@@ -155,7 +171,7 @@ def _gen_asset(rng: random.Random, group: GroupSpec, asset_id: str) -> RawAsset:
             raise ValueError(f"{named(asset_id)}: revenue in year {k} is too large")
         monthly += _split_cents(cents)
     n = len(monthly)
-    return RawAsset(asset_id, float(group.age_years), _starts(n), (1,) * n, cents_column(monthly))
+    return RawAsset(asset_id, float(group.age_years), _starts(n), _ones(n), cents_column(monthly))
 
 
 def gen_population(spec: PopulationSpec) -> list[RawAsset]:

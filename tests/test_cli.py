@@ -929,6 +929,19 @@ class TestSynthCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    def test_spec_past_the_record_cap_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        group = {"count": 100_000_000, "annual_growth": 0, "noise_sigma": 0, "age_years": 1000,
+                 "initial_revenue": 10}
+        path = tmp_path / "population.json"
+        path.write_text(json.dumps({"seed": 1, "groups": [group]}))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "synth", "--spec", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: population of 1200000000000 records is over the cap of "
+            f"{synth.MAX_RECORDS}\n"
+        )
+        assert list(out.glob("*")) == []
+
     def test_flat_spec_reproduces_initial(self, tmp_path):
         path = tmp_path / "population.json"
         path.write_text(
@@ -1293,6 +1306,17 @@ class TestProcessEntry:
     def test_the_installed_script_is_run(self):
         pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
         assert re.search(r'^royaltyval = "royaltyval\.cli:run"$', pyproject, re.MULTILINE)
+
+
+def test_running_out_of_memory_exits_one_with_one_error_line(tmp_path, monkeypatch, capsys):
+    def exhausted(args, cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_validate", exhausted)
+    cashflows, assets = flat_population_files(tmp_path)
+    argv = ["--cashflows", str(cashflows), "--assets", str(assets)]
+    assert main(["--out", str(tmp_path), "validate", *argv]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 @pytest.mark.parametrize(

@@ -396,14 +396,14 @@ class TestSchema:
 
     def test_cells_follow_the_declared_type_not_the_value_type(self):
         row = ComparisonRow("Q1", 3, 5, None, 2, 1, 1, 1, None, 1.0)
-        assert market.comparison_csv_rows([row]) == [
+        assert list(market.comparison_csv_rows([row])) == [
             ("Q1", "3", "5.000000", "", "2.000000", "1.000000", "1.000000", "1.000000", "",
              "1.000000")
         ]
 
     def test_plot_cells(self):
         group = PlotGroup(4, 2, None, 1.5, 1, 2, 3)
-        assert market.plot_csv_rows([group]) == [
+        assert list(market.plot_csv_rows([group])) == [
             ("4", "2", "", "1.500000", "1.000000", "2.000000", "3.000000")
         ]
 

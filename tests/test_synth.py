@@ -16,6 +16,7 @@ from royaltyval.ingest import (
 from royaltyval.market import compare
 from royaltyval.model import multiplier_table
 from royaltyval.synth import (
+    MAX_RECORDS,
     GroupSpec,
     PopulationSpec,
     closed_form_multiplier,
@@ -108,6 +109,12 @@ class TestGenAsset:
         second = gen_asset(2, GroupSpec(1, 0.5, 0.2, 3, 700.0), "B")
         assert first.starts is second.starts
 
+    def test_assets_of_one_length_share_one_months_column(self):
+        first = gen_asset(1, GroupSpec(1, 0.0, 0.0, 3, 1200.0), "A")
+        second = gen_asset(2, GroupSpec(1, 0.5, 0.2, 3, 700.0), "B")
+        assert first.months is second.months
+        assert first.months == (1,) * 36
+
     def test_monthly_coverage_is_gap_free(self):
         asset = gen_asset(11, GroupSpec(1, 0.1, 0.3, 4, 2400.0), "A")
         assert len(records_of(asset)) == 48
@@ -147,6 +154,20 @@ class TestGenPopulation:
             GroupSpec(1, -1.0, 0.0, 3, 100.0)
         with pytest.raises(ValueError):
             GroupSpec(1, 0.0, 0.0, 1, 100.0)
+
+
+    def test_records_past_the_cap_are_refused_before_any_asset(self):
+        """12 * count * age_years, summed over the groups, may reach the cap
+        and not pass it."""
+        count = MAX_RECORDS // 24
+        PopulationSpec((GroupSpec(count, 0.0, 0.0, 2, 1.0),), seed=1)
+        over = 24 * count + 36
+        with pytest.raises(
+            ValueError, match=f"^population of {over} records is over the cap of {MAX_RECORDS}$"
+        ):
+            PopulationSpec(
+                (GroupSpec(count, 0.0, 0.0, 2, 1.0), GroupSpec(1, 0.0, 0.0, 3, 1.0)), seed=1
+            )
 
 
 class TestPopulationSpecJson:
