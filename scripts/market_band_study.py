@@ -23,7 +23,7 @@ from royaltyval.market import (
     plot_csv_rows,
 )
 from royaltyval.model import DEFAULT_MAX_DURATION, DEFAULT_MIN_COHORT, DEFAULT_RATE
-from royaltyval.synth import GroupSpec, PopulationSpec, gen_population, gen_quotes
+from royaltyval.synth import QUOTE_NOISE, GroupSpec, PopulationSpec, gen_population, gen_quotes
 
 
 def population(seed):
@@ -53,7 +53,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--noise", type=float, default=0.05, help="quote noise amplitude")
+    parser.add_argument("--noise", type=float, default=QUOTE_NOISE, help="quote noise amplitude")
     args = parser.parse_args()
 
     out_dir = Path(args.out)

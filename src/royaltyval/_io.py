@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -252,14 +253,27 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
 
 
 def write_json(path: str | Path, payload) -> None:
-    """Write `payload`; one holding NaN or an infinity, which JSON cannot
-    represent, raises ValueError naming the path and writes nothing."""
+    """Write `payload` as json.dumps gives it, a piece at a time as it is
+    encoded, to a file beside `path` that then takes its name. One holding
+    NaN or an infinity, which JSON cannot represent, raises ValueError
+    naming the path and leaves no file."""
+    temp = Path(f"{path}.tmp")
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        with open(temp, "w", encoding="utf-8") as handle:
+            handle.writelines(encoder.iterencode(payload))
+            handle.write("\n")
+        os.replace(temp, path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    finally:
+        temp.unlink(missing_ok=True)
+
+
+def record_dict(record) -> dict:
+    """The fields of dataclass `record` by name, as asdict gives them for a
+    record holding no records, lists or dicts, without its deep copy."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def int_field_names(cls) -> set[str]:

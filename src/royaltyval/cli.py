@@ -16,14 +16,14 @@ import argparse
 import gc
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from . import model
 from ._io import (
-    int_field_names, json_number, json_object, read_json, record_header, record_rows, shown,
-    write_csv, write_json,
+    int_field_names, json_number, json_object, read_json, record_dict, record_header, record_rows,
+    shown, write_csv, write_json,
 )
 from .model import MissingCellError, MultiplierTable, ShareSurface, multiplier_table, price
 
@@ -277,8 +277,8 @@ def _cmd_compare(args, cfg: Config) -> int:
     by_age = market.aggregate_plot_data(rows, "dollar_age_bucket")
     if cfg.output_format == "json":
         write_json(out / "comparison.json", {
-            "rows": [asdict(r) for r in rows],
-            "errors": [asdict(e) for e in errors],
+            "rows": list(map(record_dict, rows)),
+            "errors": list(map(record_dict, errors)),
         })
         write_json(out / "by_duration.json", _plot_json("duration", by_duration))
         write_json(out / "by_dollar_age.json", _plot_json("dollar_age_bucket", by_age))
@@ -290,7 +290,7 @@ def _cmd_compare(args, cfg: Config) -> int:
 
 
 def _plot_json(axis: str, groups) -> dict:
-    return {"axis": axis, "groups": [asdict(g) for g in groups]}
+    return {"axis": axis, "groups": list(map(record_dict, groups))}
 
 
 def _cmd_synth(args, cfg: Config) -> int:
@@ -299,7 +299,7 @@ def _cmd_synth(args, cfg: Config) -> int:
     with read_json(args.spec) as data:
         spec = synth.PopulationSpec.from_json_dict(data)
         if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
+            spec = synth.PopulationSpec(spec.groups, args.seed)
         population = synth.gen_population(spec)
     ingest.write_cashflows_csv(out / "cashflows.csv", population)
     ingest.write_assets_csv(out / "assets.csv", population)
@@ -314,7 +314,7 @@ def _cmd_synth(args, cfg: Config) -> int:
         dataset,
         rate=cfg.rate,
         seed=spec.seed,
-        noise=0.05,
+        noise=synth.QUOTE_NOISE,
         min_cohort=cfg.min_cohort,
         max_duration=cfg.max_duration,
     )

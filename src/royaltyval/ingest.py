@@ -3,13 +3,13 @@
 An asset's cashflows are three ``Sequence[int]`` columns of equal length,
 sorted by period start: ``starts`` (month index ``year * 12 + month - 1``),
 ``months`` (the period length, 1 or 3) and ``cents``. The parsers give
-tuples of starts and months and an ``array('q')`` of cents, or a tuple when
-an amount is 2**63 cents or more and so does not fit in one. Amounts travel as
-integer cents through this module, so annual bucket sums conserve input
-revenue exactly; each bucket becomes a ``Decimal`` once, and conversion to
-binary floats happens downstream where shares are formed. Filtering
-applies a fixed check order per asset and the first failing check wins,
-which keeps rejection reports reproducible.
+tuples of starts and months and an ``array('q')`` of cents, which every
+amount below 10**16 dollars fits. Amounts travel as integer cents through
+this module, so annual bucket sums conserve input revenue exactly; each
+bucket becomes a ``Decimal`` once, and conversion to binary floats happens
+downstream where shares are formed. Filtering applies a fixed check order
+per asset and the first failing check wins, which keeps rejection reports
+reproducible.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from functools import cache
 from itertools import compress, islice
-from operator import add, eq, getitem, lt, ne
+from operator import add, eq, lt, ne
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -36,7 +37,7 @@ CASHFLOWS_HEADER = ("asset_id", "period_start", "period_months", "amount")
 ASSETS_HEADER = ("asset_id", "dollar_age")
 REPORT_HEADER = ("asset_id", "status", "reason")
 
-MAX_AMOUNT_DIGITS = 18  # amounts below 10**18 dollars keep annual sums and shares finite
+MAX_AMOUNT_DIGITS = 16  # amounts below 10**16 dollars fit an array('q') of cents
 _MAX_ID_CHARS = 256  # the longest id a canonical row holds
 
 # [0-9], not \d: \d also matches non-ASCII digits such as Arabic-Indic ones,
@@ -127,16 +128,6 @@ class RawAsset:
             raise ValueError(f"{named(self.asset_id)}: records overlap at {_month_text(overlap)}")
 
 
-def cents_column(cents: list[int]) -> Sequence[int]:
-    """An asset's cents as one array('q'), eight bytes each, or as a tuple
-    when an amount does not fit in one: 2**63 cents or more, or below
-    -2**63."""
-    try:
-        return array("q", cents)
-    except OverflowError:
-        return tuple(cents)
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -151,7 +142,7 @@ def parse_cashflows(path: str | Path) -> dict[str, Columns]:
     path that is not a regular file (a named pipe, /dev/stdin), which is
     read once. That gives the same columns or raises ParseError naming the
     file and its 1-based line for malformed rows, unknown frequencies,
-    negative amounts, amounts of 10**18 dollars or more and duplicate
+    negative amounts, amounts of 10**16 dollars or more and duplicate
     (asset_id, period_start) pairs.
     """
     columns = _read_canonical(path)
@@ -191,8 +182,7 @@ def _canonical_columns(handle) -> dict[str, Columns] | None:
 def _add_block(block: str, grouped, month_index: dict[str, int]) -> bool:
     """Split a block of whole canonical lines into columns and append each
     run of one asset's rows to that asset's columns; False if the block is
-    not canonical. An asset's cents are an array('q') until a run of them
-    does not fit in one, and a list from then on."""
+    not canonical."""
     if not _CANONICAL_ROWS.fullmatch(block):
         return False
     if not block:
@@ -205,7 +195,7 @@ def _add_block(block: str, grouped, month_index: dict[str, int]) -> bool:
         month_index[text] = int(text[:4]) * 12 + int(text[5:]) - 1
     starts = list(map(month_index.__getitem__, month_texts))
     months = list(map(_PERIODS.__getitem__, fields[2::4]))
-    cents = list(map(int, ",".join(fields[3::4]).replace(".", "").split(",")))
+    cents = array("q", map(int, ",".join(fields[3::4]).replace(".", "").split(",")))
     n = len(ids)
     runs = [0, *compress(range(1, n), map(ne, ids, islice(ids, 1, None))), n]
     for lo, hi in zip(runs, islice(runs, 1, None)):
@@ -214,18 +204,15 @@ def _add_block(block: str, grouped, month_index: dict[str, int]) -> bool:
             columns = grouped[ids[lo]] = [[], [], array("q")]
         columns[0] += starts[lo:hi]
         columns[1] += months[lo:hi]
-        run = cents_column(cents[lo:hi])
-        if type(run) is not array and type(columns[2]) is array:
-            columns[2] = columns[2].tolist()
-        columns[2] += run
+        columns[2] += cents[lo:hi]
     return True
 
 
 def _sorted_columns(grouped) -> dict[str, Columns] | None:
     """Each asset's columns sorted by start, starts and months as tuples
-    and cents as an array('q') or cents_column's tuple; None if an asset
-    has two rows with one start. Empties `grouped` as it goes, so each
-    asset's lists are freed once its columns are built."""
+    and cents as an array('q'); None if an asset has two rows with one
+    start. Empties `grouped` as it goes, so each asset's lists are freed
+    once its columns are built."""
     result = {}
     for asset_id in list(grouped):
         starts, months, cents = grouped.pop(asset_id)
@@ -235,9 +222,7 @@ def _sorted_columns(grouped) -> dict[str, Columns] | None:
             if any(map(eq, starts, islice(starts, 1, None))):
                 return None
             months = [months[k] for k in order]
-            cents = [cents[k] for k in order]
-        if type(cents) is not array:
-            cents = cents_column(cents)
+            cents = array("q", map(cents.__getitem__, order))
         result[asset_id] = (tuple(starts), tuple(months), cents)
     return result
 
@@ -246,7 +231,7 @@ def _parse_rows(path: str | Path) -> dict[str, Columns]:
     """parse_cashflows one row at a time: the reader of every form the
     canonical check turns down, and the source of every error text."""
     with read_table(path, CASHFLOWS_HEADER) as rows:
-        grouped: dict[str, tuple[list[int], list[int], list[int]]] = {}
+        grouped: dict[str, tuple[list[int], list[int], array]] = {}
         seen: set[tuple[str, int]] = set()
         # every asset repeats the same months: check each distinct text once
         months_by_text: dict[str, int] = {}
@@ -286,7 +271,7 @@ def _parse_rows(path: str | Path) -> dict[str, Columns]:
             seen.add(key)
             columns = grouped.get(asset_id)
             if columns is None:
-                columns = grouped[asset_id] = ([], [], [])
+                columns = grouped[asset_id] = ([], [], array("q"))
             columns[0].append(start)
             columns[1].append(months)
             columns[2].append(cents)
@@ -411,11 +396,6 @@ def filter_dollar_age(
         raise ValueError("oldest_age must be > 0")
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    return _dollar_age_fits(dollar_age, oldest_age, tolerance)
-
-
-def _dollar_age_fits(dollar_age: float, oldest_age: float, tolerance: float) -> bool:
-    """filter_dollar_age's rule, for an oldest_age > 0 and a tolerance >= 0."""
     return abs(dollar_age - oldest_age) <= tolerance * oldest_age
 
 
@@ -499,10 +479,8 @@ def _apply_filters(
         return None, exc.reason
     if not min(amounts) > zero_floor:  # at or below the floor, or any year for a NaN floor
         return None, RejectReason.ZERO_REVENUE_YEAR
-    # filter_dollar_age's checks hold: build_dataset checked the tolerance,
-    # and annualize passes only spans of 12 months or more
     oldest = _covered_months(raw.starts, raw.months) / 12.0
-    if not _dollar_age_fits(raw.dollar_age, oldest, tolerance):
+    if not filter_dollar_age(raw.dollar_age, oldest, tolerance):
         return None, RejectReason.DOLLAR_AGE_MISMATCH
     return amounts, None
 
@@ -510,19 +488,6 @@ def _apply_filters(
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-class _Middles(dict):
-    """Period start -> the template of a row after its id, ``,YYYY-MM,<period>,%s``
-    and the line end, for one period length; each formatted once."""
-
-    def __init__(self, months: int):
-        super().__init__()
-        self.months = months
-
-    def __missing__(self, start: int) -> str:
-        text = self[start] = f",{_month_text(start)},{self.months},%s\n"
-        return text
-
 
 def _csv_cell(text: str) -> str:
     """`text` as csv.writer writes it in a row of several fields."""
@@ -540,14 +505,19 @@ def write_cashflows_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> Non
     only when it differs from the asset before's, each formatted once per
     (start, period) in the file; an amount text is formatted once per
     distinct amount of the asset, so that cache is freed with the asset."""
-    middles = {m: _Middles(m) for m in _PERIODS.values()}
+
+    @cache
+    def middle(start: int, months: int) -> str:
+        """The template of a row after its id: ``,YYYY-MM,<period>,%s`` and the line end."""
+        return f",{_month_text(start)},{months},%s\n"
+
     layout = pieces = None
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(_CANONICAL_HEADER)
         for asset in sorted(raw_assets, key=lambda a: a.asset_id):
             if layout != (asset.starts, asset.months):
                 layout = (asset.starts, asset.months)
-                pieces = tuple(map(getitem, map(middles.__getitem__, asset.months), asset.starts))
+                pieces = tuple(map(middle, asset.starts, asset.months))
             amount_text = {c: _cents_text(c) for c in set(asset.cents)}
             cell = _csv_cell(asset.asset_id).replace("%", "%%")
             rows = (cell + cell.join(pieces)) % tuple(map(amount_text.__getitem__, asset.cents))

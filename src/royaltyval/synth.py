@@ -14,14 +14,15 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import asdict, dataclass
+from array import array
+from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
 from typing import Sequence
 
-from ._io import int_field_names, json_number, json_object, named, record_header
+from ._io import int_field_names, json_number, json_object, named, record_dict, record_header
 from .curves import build_surfaces
-from .ingest import MAX_AMOUNT_DIGITS, RawAsset, cents_column
+from .ingest import MAX_AMOUNT_DIGITS, RawAsset
 from .market import MarketQuote, round_half_up
 from .model import (
     BAND_LEVELS, DEFAULT_MAX_DURATION, DEFAULT_MIN_COHORT, DEFAULT_RATE, MAX_YEARS, Asset,
@@ -36,6 +37,8 @@ START_MONTH = 2015 * 12  # month index of 2015-01
 # cap's 10 million records need about 270 MB, and write a cashflows file of
 # about 265 MB (26.5 bytes a row).
 MAX_RECORDS = 10_000_000
+
+QUOTE_NOISE = 0.05  # the quote noise of the synth command and the market study
 
 _NORMAL = NormalDist()
 
@@ -78,7 +81,7 @@ class PopulationSpec:
             raise ValueError(f"population of {records} records is over the cap of {MAX_RECORDS}")
 
     def to_json_dict(self) -> dict:
-        return {"seed": self.seed, "groups": [asdict(g) for g in self.groups]}
+        return {"seed": self.seed, "groups": list(map(record_dict, self.groups))}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PopulationSpec":
@@ -171,7 +174,7 @@ def _gen_asset(rng: random.Random, group: GroupSpec, asset_id: str) -> RawAsset:
             raise ValueError(f"{named(asset_id)}: revenue in year {k} is too large")
         monthly += _split_cents(cents)
     n = len(monthly)
-    return RawAsset(asset_id, float(group.age_years), _starts(n), _ones(n), cents_column(monthly))
+    return RawAsset(asset_id, float(group.age_years), _starts(n), _ones(n), array("q", monthly))
 
 
 def gen_population(spec: PopulationSpec) -> list[RawAsset]:

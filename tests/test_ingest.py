@@ -35,7 +35,6 @@ from royaltyval.ingest import (
     annualize,
     assemble_raw_assets,
     build_dataset,
-    cents_column,
     filter_dollar_age,
     parse_assets,
     parse_cashflows,
@@ -122,6 +121,9 @@ class TestParseCashflows:
         assert [r[0] for r in records] == ["B", "A"]
 
 
+# 10**18 - 1 cents: the largest amount a cashflows file may hold
+LARGEST_AMOUNT = "9999999999999999.99"
+
 # (rows after the header, exact error text, line); text and line are part of
 # the interface, since the CLI prints them for the user to find the row.
 PARSE_ERRORS = [
@@ -188,15 +190,15 @@ PARSE_ERRORS = [
 
 
 @pytest.mark.parametrize("zeros", ["", "00"], ids=["canonical", "row_by_row"])
-def test_parse_cashflows_reads_amounts_below_10_to_the_18_dollars(cashflows_csv, zeros):
-    top = "999999999999999999.99"
-    parsed = parse_cashflows(cashflows_csv(f"A1,2019-01,1,{zeros}{top}"))
-    assert flat(parsed) == [("A1", month(2019, 1), 1, 10**20 - 1)]
-    path = cashflows_csv(f"A1,2019-01,1,{zeros}1{'0' * 18}.00")
+def test_parse_cashflows_reads_amounts_below_10_to_the_16_dollars(cashflows_csv, zeros):
+    parsed = parse_cashflows(cashflows_csv(f"A1,2019-01,1,{zeros}{LARGEST_AMOUNT}"))
+    assert flat(parsed) == [("A1", month(2019, 1), 1, 10**18 - 1)]
+    assert type(parsed["A1"][2]) is array
+    path = cashflows_csv(f"A1,2019-01,1,{zeros}1{'0' * 16}.00")
     with pytest.raises(ParseError) as err:
         parse_cashflows(path)
     assert (str(err.value), err.value.line) == (
-        f"{path}:line 2: bad amount of {len(zeros) + 22} characters (too many digits to read)", 2
+        f"{path}:line 2: bad amount of {len(zeros) + 20} characters (too many digits to read)", 2
     )
 
 
@@ -659,9 +661,8 @@ WRITER_CASES = [
         id="zero_and_under_a_dollar",
     ),
     pytest.param(
-        [RawAsset("P", 1.0, (JAN, JAN + 1, JAN + 2), (1,) * 3,
-                  cents_column([2**63, 2**63 + 12_345, 5])),
-         RawAsset("R", 1.0, (JAN,), (1,), cents_column([10 ** 20 - 1]))],
+        [RawAsset("P", 1.0, (JAN, JAN + 1, JAN + 2), (1,) * 3, (2**63, 2**63 + 12_345, 5)),
+         RawAsset("R", 1.0, (JAN,), (1,), (10 ** 20 - 1,))],
         id="cents_at_2_to_the_63_or_more",
     ),
     pytest.param(
@@ -764,7 +765,7 @@ def period_columns(draw, steps=st.sampled_from([0, 0, 0, 0, 1, 2])):
         starts.append(starts[-1] + m + gap)
     amounts = st.integers(min_value=0, max_value=10**7) | st.sampled_from([0, -1])
     cents = draw(st.lists(amounts, min_size=n, max_size=n))
-    return tuple(starts), tuple(months), cents_column(cents)
+    return tuple(starts), tuple(months), array("q", cents)
 
 
 @given(st.lists(period_columns(), min_size=1, max_size=6), st.sampled_from([0, 0.5, 7.0]))
@@ -831,7 +832,7 @@ def canonical_rows(draw):
         first = draw(st.integers(0, 9990 * 12))
         for k in range(draw(st.integers(1, 30))):
             start = first + k * period
-            cents = draw(st.integers(0, 10**20 - 1))
+            cents = draw(st.integers(0, 10**18 - 1))
             rows.append(
                 f"{asset_id},{start // 12:04d}-{start % 12 + 1:02d},{period},{cents // 100}.{cents % 100:02d}"
             )
@@ -870,6 +871,8 @@ def mutate(rows, kind, k):
         rows[k] = f"{asset_id},{start},{period},\u0663{amount[1:]}"
     elif kind == "257-character id":
         rows[k] = f"{(asset_id * 257)[:257]},{start},{period},{amount}"
+    elif kind == "17-digit amount":
+        rows[k] = f"{asset_id},{start},{period},1{'0' * 16}.00"
     elif kind == "5000-digit amount":
         rows[k] = f"{asset_id},{start},{period},{'9' * 4998}.00"
     text = HEADER_LINE + "".join(row + "\n" for row in rows)
@@ -895,6 +898,7 @@ MUTATIONS = [
     "month 13",
     "arabic-indic digit",
     "257-character id",
+    "17-digit amount",
     "5000-digit amount",
     "not utf-8",
     "no final line end",
@@ -967,13 +971,6 @@ class TestBlockRead:
         assert cents_as_tuples == {a.asset_id: (a.starts, a.months, tuple(a.cents)) for a in assets}
 
 
-# 2**63 - 1 cents, the most an array('q') holds, and one cent more
-INT64_EDGE = [
-    pytest.param("92233720368547758.07", array, id="2**63-1_cents"),
-    pytest.param("92233720368547758.08", tuple, id="2**63_cents"),
-]
-
-
 def edge_rows(amount: str, month_of_amount: int = 12) -> list[str]:
     """Rows of a year of asset A, one month of which is `amount` and the
     others 1.00, then a year of asset B at 2.50."""
@@ -982,60 +979,81 @@ def edge_rows(amount: str, month_of_amount: int = 12) -> list[str]:
     ] + [f"B,2019-{m:02d},1,2.50" for m in range(1, 13)]
 
 
-class TestCentsPastInt64:
-    @pytest.mark.parametrize("amount,kind", INT64_EDGE)
-    def test_block_and_row_readers_give_equal_columns(self, tmp_path, amount, kind):
-        text = HEADER_LINE + "".join(row + "\n" for row in edge_rows(amount))
-        canonical = text_file(tmp_path, "lf.csv", text)
-        crlf = text_file(tmp_path, "crlf.csv", text.replace("\n", "\r\n"))
-        fast = ingest._read_canonical(canonical)
+def edge_file(directory, amount: str, month_of_amount: int = 12, line_end: str = "\n") -> Path:
+    """A file of edge_rows with the given line ends, named for them."""
+    text = HEADER_LINE + "".join(row + "\n" for row in edge_rows(amount, month_of_amount))
+    name = "lf.csv" if line_end == "\n" else "crlf.csv"
+    return text_file(directory, name, text.replace("\n", line_end))
+
+
+class TestAmountBound:
+    """An amount of at most 16 digits fills an array('q') of cents in both
+    readers; one of 17 digits or more is an error at its line."""
+
+    def test_block_and_row_readers_give_equal_arrays(self, tmp_path):
+        fast = ingest._read_canonical(edge_file(tmp_path, LARGEST_AMOUNT))
+        crlf = edge_file(tmp_path, LARGEST_AMOUNT, line_end="\r\n")
         assert fast is not None
         assert ingest._read_canonical(crlf) is None
-        assert parse_cashflows(crlf) == fast
-        assert (type(fast["A"][2]), type(fast["B"][2])) == (kind, array)
-        assert tuple(fast["A"][2]) == (100,) * 11 + (cents(amount),)
+        slow = parse_cashflows(crlf)
+        assert slow == fast
+        assert {type(cents) for _, _, cents in [*fast.values(), *slow.values()]} == {array}
+        assert tuple(fast["A"][2]) == (100,) * 11 + (10**18 - 1,)
 
     @pytest.mark.parametrize("month_of_amount", [1, 6, 12])
     @pytest.mark.parametrize("order", ["sorted", "reversed"])
-    def test_amount_past_int64_in_any_block_gives_a_tuple(self, tmp_path, month_of_amount, order):
-        rows = edge_rows("92233720368547758.08", month_of_amount)
+    def test_largest_amount_in_any_block_is_an_array(self, tmp_path, month_of_amount, order):
+        rows = edge_rows(LARGEST_AMOUNT, month_of_amount)
         if order == "reversed":
             rows.reverse()
         path = text_file(tmp_path, "cashflows.csv", HEADER_LINE + "".join(r + "\n" for r in rows))
         with mock.patch.object(ingest, "_BLOCK_CHARS", 64):
             fast = ingest._read_canonical(path)
         assert fast is not None and fast == ingest._parse_rows(path)
-        assert (type(fast["A"][2]), type(fast["B"][2])) == (tuple, array)
+        assert (type(fast["A"][2]), type(fast["B"][2])) == (array, array)
 
-    @pytest.mark.parametrize("amount,kind", INT64_EDGE)
-    def test_annual_sums_are_exact_and_the_writer_gives_the_bytes_back(self, tmp_path, amount, kind):
-        path = text_file(
-            tmp_path, "cashflows.csv", HEADER_LINE + "".join(r + "\n" for r in edge_rows(amount))
-        )
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_sums_are_exact_and_the_writer_gives_lf_bytes(self, tmp_path, line_end):
+        path = edge_file(tmp_path, LARGEST_AMOUNT, line_end=line_end)
         raw = assemble_raw_assets(parse_cashflows(path), {"A": 1.0, "B": 1.0})
         accepted, _ = build_dataset(raw)
-        assert [a.amounts for a in accepted] == [(Decimal(amount) + 11,), (Decimal("30.00"),)]
+        assert [a.amounts for a in accepted] == [(Decimal(LARGEST_AMOUNT) + 11,), (Decimal("30.00"),)]
         written = tmp_path / "written.csv"
         write_cashflows_csv(written, raw)
-        assert written.read_bytes() == path.read_bytes()
+        assert written.read_bytes() == path.read_bytes().replace(b"\r\n", b"\n")
 
-    @pytest.mark.parametrize("amount,kind", INT64_EDGE)
-    def test_raw_asset_built_in_code(self, tmp_path, amount, kind):
-        column = cents_column([100] * 11 + [cents(amount)])
-        assert type(column) is kind
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "amount", ["10000000000000000.00", "92233720368547758.08"],
+        ids=["10**16_dollars", "2**63_cents"],
+    )
+    def test_17_digits_fail_at_their_line(self, tmp_path, amount, line_end):
+        path = edge_file(tmp_path, amount, 6, line_end)
+        assert ingest._read_canonical(path) is None
+        for reader in (parse_cashflows, ingest._parse_rows):
+            with pytest.raises(ParseError) as err:
+                reader(path)
+            assert (str(err.value), err.value.line) == (
+                f"{path}:line 7: bad amount of 20 characters (too many digits to read)", 7
+            )
+
+
+class TestCentsPastInt64:
+    @pytest.mark.parametrize(
+        "value", [2**63 - 1, 2**63], ids=["2**63-1_cents", "2**63_cents"]
+    )
+    def test_raw_asset_built_in_code(self, tmp_path, value):
+        """A tuple of cents past what a file holds, even past an array('q'),
+        annualizes exactly; the file written from it is refused at its line."""
         starts = tuple(range(month(2019, 1), month(2019, 13)))
-        raw = RawAsset("A", 1.0, starts, (1,) * 12, column)
-        assert annualize("A", raw.starts, raw.months, raw.cents) == (Decimal(amount) + 11,)
+        raw = RawAsset("A", 1.0, starts, (1,) * 12, (100,) * 11 + (value,))
+        amount = Decimal(value + 1100).scaleb(-2)
+        assert annualize("A", raw.starts, raw.months, raw.cents) == (amount,)
+        assert [a.amounts for a in build_dataset([raw])[0]] == [(amount,)]
         path = tmp_path / "cashflows.csv"
         write_cashflows_csv(path, [raw])
-        assert parse_cashflows(path) == {"A": (starts, (1,) * 12, column)}
-
-    @pytest.mark.parametrize(
-        "value,kind", [(2**63 - 1, array), (2**63, tuple), (-(2**63), array), (-(2**63) - 1, tuple)]
-    )
-    def test_cents_column_holds_an_array_while_every_amount_fits(self, value, kind):
-        column = cents_column([1, value, 2])
-        assert type(column) is kind and tuple(column) == (1, value, 2)
+        with pytest.raises(ParseError, match="line 13: bad amount of 20 characters"):
+            parse_cashflows(path)
 
 
 PARAMETER_GUARDS = [

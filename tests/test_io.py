@@ -1,4 +1,5 @@
 import csv
+import json
 import re
 
 import pytest
@@ -228,8 +229,26 @@ class TestWriteJson:
     def test_non_finite_number_names_the_path_and_writes_nothing(self, tmp_path, value):
         path = tmp_path / "out.json"
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*not JSON compliant"):
-            write_json(path, {"groups": [{"mean": value}]})
-        assert not path.exists()
+            write_json(path, {"groups": [{"a": 1.0}] * 5000 + [{"mean": value}]})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_number_leaves_an_earlier_file_as_it_was(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"a": 1})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(path, {"a": float("nan")})
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert path.read_text() == '{\n  "a": 1\n}\n'
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{}, [], {"b": [1.5, None, True, "é\n"], "a": {"z": [], "y": {}}}, [{"x": -0.0, "y": 1e300}]],
+    )
+    def test_bytes_are_json_dumps_text_and_a_line_end(self, tmp_path, payload):
+        path = tmp_path / "out.json"
+        write_json(path, payload)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert path.read_bytes() == text.encode("utf-8")
 
     def test_finite_payload_is_indented_sorted_and_ends_in_newline(self, tmp_path):
         path = tmp_path / "out.json"

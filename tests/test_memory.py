@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from royaltyval import market
-from royaltyval._io import write_csv
+from royaltyval._io import record_dict, write_csv, write_json
 from royaltyval.ingest import RawAsset, parse_cashflows, write_assets_csv, write_cashflows_csv
 from royaltyval.market import ComparisonRow, MarketQuote, band_surfaces
 from royaltyval.model import Asset
@@ -119,6 +119,19 @@ def test_table_writers_peak_one_row_at_a_time(tmp_path):
     assert grown <= 16 * (len(many) - len(few)) + 16 * 1024
     few, many = comparison_rows(200), comparison_rows(20_000)
     assert peak_bytes(write_comparison(many)) - peak_bytes(write_comparison(few)) <= 4 * 1024
+
+
+def test_json_writer_peaks_one_piece_at_a_time(tmp_path):
+    """Writing 20,000 comparison rows, as the dicts of comparison.json,
+    peaks at most 64 KiB above writing 200: the text is written as it is
+    encoded. Encoding its 6 MB of text whole first, as json.dumps does,
+    adds about 39 MB."""
+    def write(records):
+        payload = {"rows": list(map(record_dict, records)), "errors": []}
+        return lambda: write_json(tmp_path / "comparison.json", payload)
+
+    few, many = comparison_rows(200), comparison_rows(20_000)
+    assert peak_bytes(write(many)) - peak_bytes(write(few)) <= 64 * 1024
 
 
 def test_band_surfaces_peak_holds_one_cohort_at_a_time():
