@@ -66,7 +66,8 @@ def main():
     accepted, rejected = filter_quotes(quotes)
     print(f"quotes: {len(accepted)} usable, {len(rejected)} filtered out")
 
-    surfaces = band_surfaces(dataset, DEFAULT_MAX_DURATION, DEFAULT_MIN_COHORT)
+    ages = [q.dollar_age for q in accepted]
+    surfaces = band_surfaces(dataset, ages, DEFAULT_MAX_DURATION, DEFAULT_MIN_COHORT)
 
     rows, errors = compare(accepted, surfaces, DEFAULT_RATE)
     print(f"comparison: {len(rows)} rows, {len(errors)} row errors")

@@ -260,7 +260,8 @@ def _cmd_compare(args, cfg: Config) -> int:
     accepted, rejected = market.filter_quotes(
         quotes, cfg.max_duration, cfg.min_bid_ask_ratio
     )
-    surfaces = market.band_surfaces(dataset, cfg.max_duration, cfg.min_cohort)
+    ages = [q.dollar_age for q in accepted]
+    surfaces = market.band_surfaces(dataset, ages, cfg.max_duration, cfg.min_cohort)
     rows, errors = market.compare(accepted, surfaces, cfg.rate)
 
     write_csv(

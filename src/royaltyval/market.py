@@ -122,20 +122,21 @@ class ComparisonError:
 
 
 def band_surfaces(
-    dataset: Sequence[Asset], max_horizon: int, min_cohort: int
+    dataset: Sequence[Asset], dollar_ages: Iterable[float], max_horizon: int, min_cohort: int
 ) -> dict[int, ShareSurface]:
-    """Band-level surfaces that have cells, the surfaces compare reads, at
-    base ages 1..n: an asset is observed for min(len(amounts), floor(dollar
-    age)) years, and n is the most of those, as no older age has cells."""
-    top_age = max((min(len(a.amounts), math.floor(a.dollar_age)) for a in dataset), default=0)
-    surfaces = build_surfaces(
-        dataset,
-        range(1, top_age + 1),
-        BAND_LEVELS,
-        max_horizon=max_horizon,
-        min_cohort=min_cohort,
-    )
-    return {t: s for t, s in surfaces.items() if s.depth}
+    """Band-level surfaces at the base ages compare reads for quotes of
+    these dollar ages: each rounded half up, then clamped into 1..top.
+
+    An asset is observed for n = min(len(amounts), floor(dollar age))
+    years, and age t has cells when at least min_cohort assets have
+    n >= t + 1. That count only falls as t grows, so the ages with cells
+    are 1..top, top being the min_cohort-th largest n less one, and every
+    surface returned has depth >= 1.
+    """
+    observed = sorted(min(len(a.amounts), math.floor(a.dollar_age)) for a in dataset)
+    top = observed[-min_cohort] - 1 if 0 < min_cohort <= len(observed) else 0
+    ages = {min(max(t, 1), top) for t in set(map(round_half_up, dollar_ages))} if top > 0 else ()
+    return build_surfaces(dataset, ages, BAND_LEVELS, max_horizon, min_cohort)
 
 
 def compare(

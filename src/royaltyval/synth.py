@@ -21,9 +21,8 @@ from statistics import NormalDist
 from typing import Sequence
 
 from ._io import int_field_names, json_number, json_object, named, record_dict, record_header
-from .curves import build_surfaces
 from .ingest import MAX_AMOUNT_DIGITS, RawAsset
-from .market import MarketQuote, round_half_up
+from .market import MarketQuote, band_surfaces, round_half_up
 from .model import (
     BAND_LEVELS, DEFAULT_MAX_DURATION, DEFAULT_MIN_COHORT, DEFAULT_RATE, MAX_YEARS, Asset,
     multiplier_table,
@@ -228,7 +227,10 @@ def gen_quotes(
     is drawn from the asset's stream within the horizons its age group
     supports, and bid/ask are LTM times the band multiplier at bid_level
     and ask_level, each perturbed by an independent uniform factor in
-    [1-noise, 1+noise]. Assets whose age has no usable cohort are skipped.
+    [1-noise, 1+noise]. The bands are market.band_surfaces at the assets'
+    dollar ages, each asset reading the one at its rounded age before any
+    clamping: an asset younger than half a year, or older than every age
+    with cells, finds none and is skipped.
     """
     if bid_level not in BAND_LEVELS or ask_level not in BAND_LEVELS:
         raise ValueError(f"bid/ask levels must be one of {BAND_LEVELS}")
@@ -236,16 +238,8 @@ def gen_quotes(
         raise ValueError("noise must be in [0, 1)")
 
     assets = sorted(dataset, key=lambda a: a.asset_id)
-    ages = {round_half_up(asset.dollar_age) for asset in assets}
-    surfaces = build_surfaces(
-        assets,
-        [t for t in ages if t >= 1],
-        BAND_LEVELS,
-        max_horizon=max_duration,
-        min_cohort=min_cohort,
-    )
-
-    tables = {t: multiplier_table(s, rate, s.depth) for t, s in surfaces.items() if s.depth}
+    surfaces = band_surfaces(assets, [a.dollar_age for a in assets], max_duration, min_cohort)
+    tables = {t: multiplier_table(s, rate, s.depth) for t, s in surfaces.items()}
     quotes = []
     rng = random.Random()
     for asset in assets:

@@ -676,6 +676,28 @@ class TestCompare:
         )
         assert code == 2
 
+    def test_min_cohort_above_the_asset_count_leaves_no_surfaces(self, tmp_path):
+        """18 assets and --min-cohort 19: no age has cells, so each accepted
+        quote is one row error and the run exits 2; Q3's 40-year contract
+        is rejected before it."""
+        cashflows, assets, _ = self._dataset_files(tmp_path)
+        quotes_path = tmp_path / "quotes.csv"
+        quotes_path.write_text(
+            "asset_id,ltm,best_bid,ask,duration_years,dollar_age\n"
+            "Q1,100,,450,2,3.0\nQ2,100,300,450,5,0.3\nQ3,100,,450,40,3.0\n"
+        )
+        code = main(
+            ["--out", str(tmp_path / "out"), "compare", "--min-cohort", "19", "--cashflows",
+             str(cashflows), "--assets", str(assets), "--quotes", str(quotes_path)]
+        )
+        assert code == 2
+        assert read_rows(tmp_path / "out" / "comparison_errors.csv") == [
+            ["asset_id", "error"],
+            ["Q1", "no surfaces available"],
+            ["Q2", "no surfaces available"],
+        ]
+        assert read_rows(tmp_path / "out" / "comparison.csv") == [list(market.COMPARISON_HEADER)]
+
     @pytest.mark.parametrize(
         "rows,message",
         [

@@ -5,7 +5,8 @@ module keeps an `__all__` list. Records are plain dataclasses that check
 their values once, when built, so none is frozen or patched through
 `object.__setattr__`. Only `_io` reads a dataclass's fields, with
 `dataclasses.fields`, `asdict` or `replace`; every other module asks `_io`
-for them.
+for them. Share surfaces are built in `curves` and, at the base ages that
+quotes read, in `market.band_surfaces`; every other module asks `market`.
 """
 
 import re
@@ -25,6 +26,7 @@ RULES = [
         r"\bfields\(|^from dataclasses import .*\b(asdict|fields|replace)\b", ("_io.py",),
         id="fields_in_io",
     ),
+    pytest.param(r"\bbuild_surfaces\(", ("curves.py", "market.py"), id="one_surface_loop"),
 ]
 
 

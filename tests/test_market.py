@@ -114,22 +114,31 @@ class TestRoundHalfUp:
 
 class TestBandSurfaces:
     def test_asks_only_for_observed_base_ages(self, monkeypatch):
-        # OLD claims a dollar age of 1e15 but is observed for 3 years
+        """Quotes at 0.3, 2.5 and 1e15 round to 0, 3 and 1e15; OLD claims a
+        dollar age of 1e15 but is observed for 3 years, so ages 1..2 have
+        cells and only the clamped ages are built."""
         dataset = [Asset("OLD", 1e15, (4.0, 2.0, 1.0)), Asset("NEW", 2.5, (3.0, 2.0, 1.0))]
         asked = []
         build = market.build_surfaces
 
         def spy(data, base_ages, *args, **kwargs):
-            asked.append(base_ages)
-            if len(base_ages) > 100:  # len of a range allocates nothing; building it would
-                return {}
+            asked.append(sorted(base_ages))
             return build(data, base_ages, *args, **kwargs)
 
         monkeypatch.setattr(market, "build_surfaces", spy)
-        surfaces = market.band_surfaces(dataset, max_horizon=3, min_cohort=1)
-        assert list(asked[0]) == [1, 2, 3]
-        assert sorted(surfaces) == [1, 2]
+        for ages, min_cohort, built in [
+            ([0.3, 2.5, 1e15], 1, [1, 2]),
+            ([1e15], 1, [2]),
+            ([0.3], 1, [1]),
+            ([2.5, 1e15], 2, [1]),
+            ([2.5], 3, []),
+        ]:
+            asked.clear()
+            surfaces = market.band_surfaces(dataset, ages, max_horizon=3, min_cohort=min_cohort)
+            assert asked == [built]
+            assert sorted(surfaces) == built
 
+    @settings(deadline=None)
     @given(
         st.lists(
             st.tuples(
@@ -138,14 +147,29 @@ class TestBandSurfaces:
             ),
             min_size=1,
             max_size=8,
-        )
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=5),
+                st.one_of(st.floats(min_value=0.01, max_value=15.0), st.just(1e15)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(min_value=1, max_value=4),
     )
-    def test_same_surfaces_as_every_age_to_the_oldest(self, assets):
+    def test_same_surfaces_as_every_age_to_the_oldest(self, assets, terms, min_cohort):
+        """compare reads the same bands as from every age to the oldest
+        that has cells, and every surface built has cells."""
         dataset = [Asset(f"A{k}", age, tuple(amounts)) for k, (amounts, age) in enumerate(assets)]
+        quotes = [quote(asset_id=f"Q{k}", duration=d, age=a) for k, (d, a) in enumerate(terms)]
         oldest = math.ceil(max(a.dollar_age for a in dataset))
-        every = build_surfaces(dataset, range(1, oldest + 1), BAND_LEVELS, 4, 2)
-        expected = {t: s for t, s in every.items() if s.depth}
-        assert market.band_surfaces(dataset, 4, 2) == expected
+        every = build_surfaces(dataset, range(1, oldest + 1), BAND_LEVELS, 4, min_cohort)
+        oracle = {t: s for t, s in every.items() if s.depth}
+        surfaces = market.band_surfaces(dataset, [q.dollar_age for q in quotes], 4, min_cohort)
+        assert all(s.depth >= 1 for s in surfaces.values())
+        assert surfaces == {t: oracle[t] for t in surfaces}
+        assert compare(quotes, surfaces, 0.1) == compare(quotes, oracle, 0.1)
 
 
 class TestCompare:
@@ -176,10 +200,10 @@ class TestCompare:
         assert rows[0].model_m50 > 0
 
     def test_hole_in_surface_ages_is_row_error(self):
-        surfaces = {1: flat_surface(base_age=1), 7: flat_surface(base_age=7)}
-        rows, errors = compare([quote(age=4.0, duration=2)], surfaces, 0.10)
+        surfaces = {1: flat_surface(base_age=1), 3: flat_surface(base_age=3)}
+        rows, errors = compare([quote(age=2.0, duration=2)], surfaces, 0.10)
         assert rows == []
-        assert "base age 4" in errors[0].error
+        assert [(e.asset_id, e.error) for e in errors] == [("Q1", "no surface for base age 2")]
 
     def test_duration_beyond_horizons_is_row_error(self):
         surfaces = {3: flat_surface(horizons=4)}

@@ -135,16 +135,17 @@ def test_json_writer_peaks_one_piece_at_a_time(tmp_path):
 
 
 def test_band_surfaces_peak_holds_one_cohort_at_a_time():
-    """200 assets of 40 years, horizon 30: the surfaces take about 330 KB
-    and the build peaks near 430 KB. Holding every base age's cohorts at
-    once, about 190,000 shares, peaks near 5.1 MB."""
+    """200 assets of 40 years, horizon 30, quoted at every base age 1..39:
+    the surfaces take about 330 KB and the build peaks near 430 KB.
+    Holding every base age's cohorts at once, about 190,000 shares, peaks
+    near 5.1 MB."""
     rng = random.Random(1)
     dataset = [
         Asset(f"A{k}", 40.0, tuple(rng.uniform(1.0, 100.0) for _ in range(40)))
         for k in range(200)
     ]
     surfaces = {}
-    peak = peak_bytes(lambda: surfaces.update(band_surfaces(dataset, 30, 5)))
+    peak = peak_bytes(lambda: surfaces.update(band_surfaces(dataset, range(1, 40), 30, 5)))
     assert len(surfaces) == 39
     assert peak <= 1024 * 1024
 
@@ -165,8 +166,10 @@ cli.run()
 def test_compare_on_a_long_history_fits_a_small_address_space(tmp_path):
     """120 quarterly assets of 200 years (96,000 records, 2.1 MB) compared
     with --max-duration 190, in 48 MiB more than the child maps once the
-    CLI is imported. Holding every base age's cohorts at once, 3.3 million
-    shares, needs over 100 MiB and runs out of memory."""
+    CLI is imported. The 5-year quotes at every base age 1..199 make the
+    child build every age that has cells; those to 195 reach 5 horizons.
+    Holding every base age's cohorts at once, 3.3 million shares, needs
+    over 100 MiB and runs out of memory."""
     years = 200
     starts, months = tuple(range(12_000, 12_000 + 12 * years, 3)), (3,) * (4 * years)
     population = []
@@ -177,7 +180,8 @@ def test_compare_on_a_long_history_fits_a_small_address_space(tmp_path):
     write_cashflows_csv(tmp_path / "cashflows.csv", population)
     write_assets_csv(tmp_path / "assets.csv", population)
     (tmp_path / "quotes.csv").write_text(
-        "asset_id,ltm,best_bid,ask,duration_years,dollar_age\nQ,1000,500,900,5,100\n"
+        "asset_id,ltm,best_bid,ask,duration_years,dollar_age\n"
+        + "".join(f"Q{t:03d},1000,500,900,5,{t}\n" for t in range(1, 200))
     )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -191,4 +195,5 @@ def test_compare_on_a_long_history_fits_a_small_address_space(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert (child.returncode, child.stderr) == (0, "")
-    assert (tmp_path / "out" / "comparison.csv").read_text().count("\n") == 2
+    assert (tmp_path / "out" / "comparison.csv").read_text().count("\n") == 1 + 195
+    assert (tmp_path / "out" / "comparison_errors.csv").read_text().count("\n") == 1 + 4
