@@ -10,17 +10,15 @@ that would back the usual scatter plots.
 import argparse
 from pathlib import Path
 
-from royaltyval._io import write_csv
+from royaltyval._io import write_records
 from royaltyval.ingest import build_dataset
 from royaltyval.market import (
-    PLOT_HEADER,
+    ComparisonRow,
+    PlotGroup,
     aggregate_plot_data,
     band_surfaces,
     compare,
-    comparison_csv_rows,
-    COMPARISON_HEADER,
     filter_quotes,
-    plot_csv_rows,
 )
 from royaltyval.model import DEFAULT_MAX_DURATION, DEFAULT_MIN_COHORT, DEFAULT_RATE
 from royaltyval.synth import QUOTE_NOISE, GroupSpec, PopulationSpec, gen_population, gen_quotes
@@ -72,11 +70,11 @@ def main():
     rows, errors = compare(accepted, surfaces, DEFAULT_RATE)
     print(f"comparison: {len(rows)} rows, {len(errors)} row errors")
 
-    write_csv(out_dir / "comparison.csv", COMPARISON_HEADER, comparison_csv_rows(rows))
+    write_records(out_dir / "comparison.csv", ComparisonRow, rows, ".6f")
     by_duration = aggregate_plot_data(rows, "duration")
     by_age = aggregate_plot_data(rows, "dollar_age_bucket")
-    write_csv(out_dir / "by_duration.csv", PLOT_HEADER, plot_csv_rows(by_duration))
-    write_csv(out_dir / "by_dollar_age.csv", PLOT_HEADER, plot_csv_rows(by_age))
+    write_records(out_dir / "by_duration.csv", PlotGroup, by_duration, ".6f")
+    write_records(out_dir / "by_dollar_age.csv", PlotGroup, by_age, ".6f")
 
     print_table("mean multipliers by contract duration", by_duration)
     print_table("mean multipliers by dollar-age bucket", by_age)

@@ -16,6 +16,8 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
+from functools import cache
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, get_args, get_type_hints
@@ -24,6 +26,7 @@ _MAX_JSON_INT_DIGITS = len(str(int(sys.float_info.max)))  # 309
 _QUOTED_CHARS = 40
 _LISTED_ITEMS = 10
 _LISTED_CHARS = 200
+_JSON_BATCH = 1024  # encoder pieces joined per write
 
 
 class ParseError(ValueError):
@@ -253,15 +256,16 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
 
 
 def write_json(path: str | Path, payload) -> None:
-    """Write `payload` as json.dumps gives it, a piece at a time as it is
-    encoded, to a file beside `path` that then takes its name. One holding
-    NaN or an infinity, which JSON cannot represent, raises ValueError
-    naming the path and leaves no file."""
+    """Write `payload` as json.dumps gives it, 1,024 encoder pieces at a
+    time as they are encoded, to a file beside `path` that then takes its
+    name. One holding NaN or an infinity, which JSON cannot represent,
+    raises ValueError naming the path and leaves no file."""
     temp = Path(f"{path}.tmp")
-    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+    pieces = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(payload)
     try:
         with open(temp, "w", encoding="utf-8") as handle:
-            handle.writelines(encoder.iterencode(payload))
+            while batch := "".join(islice(pieces, _JSON_BATCH)):
+                handle.write(batch)
             handle.write("\n")
         os.replace(temp, path)
     except ValueError as exc:
@@ -287,16 +291,53 @@ def record_header(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
+@cache
+def _record_layout(cls, float_spec: str) -> tuple[tuple[str, ...], tuple[str, ...], str]:
+    """The field names of dataclass `cls`, the format spec of each field,
+    `float_spec` for a float and "" for any other, and a record's line as
+    one str.format template of those specs."""
+    names, hints = record_header(cls), get_type_hints(cls)
+    specs = tuple(float_spec if float in (hints[n], *get_args(hints[n])) else "" for n in names)
+    return names, specs, ",".join(f"{{:{s}}}" for s in specs) + "\n"
+
+
 def record_rows(cls, records: Iterable, float_spec: str) -> Iterator[tuple[str, ...]]:
     """CSV rows of dataclass `cls` records, made one at a time as they are
     read, a cell per field formatted by its declared type: a str as it is,
     an int with str, a float with `float_spec` ("" writes repr's text) and
     a float that is None blank."""
-    names, hints = record_header(cls), get_type_hints(cls)
-    specs = [float_spec if float in (hints[n], *get_args(hints[n])) else "" for n in names]
+    names, specs, _ = _record_layout(cls, float_spec)
     return (
-        tuple(map(format, values, specs))
-        if None not in values
-        else tuple(["" if v is None else format(v, s) for v, s in zip(values, specs)])
+        tuple(map(format, values, specs)) if None not in values else tuple(_cells(values, specs))
         for values in map(attrgetter(*names), records)
     )
+
+
+def _cells(values: tuple, specs: tuple[str, ...]) -> list[str]:
+    """A record's cells, each value formatted with its spec and None blank."""
+    return ["" if v is None else format(v, s) for v, s in zip(values, specs)]
+
+
+def write_records(path: str | Path, cls, records: Iterable, float_spec: str) -> None:
+    """Write a table of dataclass `cls` records, a row at a time, with the
+    bytes write_csv gives record_header(cls) and record_rows.
+
+    A record's line is one str.format of its values, which formats each as
+    record_rows does. A record holding None, or whose line holds a quote,
+    a carriage return, a line break or more commas than the separators
+    between its fields, which covers every cell the csv module would
+    quote, is written by csv.writer from record_rows' cells instead.
+    """
+    names, specs, line = _record_layout(cls, float_spec)
+    commas = len(names) - 1
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(names)
+        for values in map(attrgetter(*names), records):
+            if None not in values:
+                text = line.format(*values)
+                if (text.count(",") == commas and text.count("\n") == 1
+                        and '"' not in text and "\r" not in text):
+                    handle.write(text)
+                    continue
+            writer.writerow(_cells(values, specs))

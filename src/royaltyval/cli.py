@@ -22,8 +22,8 @@ from typing import Sequence
 
 from . import model
 from ._io import (
-    int_field_names, json_number, json_object, read_json, record_dict, record_header, record_rows,
-    shown, write_csv, write_json,
+    int_field_names, json_number, json_object, read_json, record_dict, record_header, shown,
+    write_csv, write_json, write_records,
 )
 from .model import MissingCellError, MultiplierTable, ShareSurface, multiplier_table, price
 
@@ -269,11 +269,7 @@ def _cmd_compare(args, cfg: Config) -> int:
         REJECTED_QUOTES_HEADER,
         ((q.asset_id, reason.value) for q, reason in rejected),
     )
-    write_csv(
-        out / "comparison_errors.csv",
-        record_header(market.ComparisonError),
-        record_rows(market.ComparisonError, errors, ""),
-    )
+    write_records(out / "comparison_errors.csv", market.ComparisonError, errors, "")
     by_duration = market.aggregate_plot_data(rows, "duration")
     by_age = market.aggregate_plot_data(rows, "dollar_age_bucket")
     if cfg.output_format == "json":
@@ -284,9 +280,9 @@ def _cmd_compare(args, cfg: Config) -> int:
         write_json(out / "by_duration.json", _plot_json("duration", by_duration))
         write_json(out / "by_dollar_age.json", _plot_json("dollar_age_bucket", by_age))
     else:
-        write_csv(out / "comparison.csv", market.COMPARISON_HEADER, market.comparison_csv_rows(rows))
-        write_csv(out / "by_duration.csv", market.PLOT_HEADER, market.plot_csv_rows(by_duration))
-        write_csv(out / "by_dollar_age.csv", market.PLOT_HEADER, market.plot_csv_rows(by_age))
+        write_records(out / "comparison.csv", market.ComparisonRow, rows, ".6f")
+        write_records(out / "by_duration.csv", market.PlotGroup, by_duration, ".6f")
+        write_records(out / "by_dollar_age.csv", market.PlotGroup, by_age, ".6f")
     return 0 if rows else 2
 
 

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
+from itertools import islice
+from operator import itemgetter, truediv
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -85,13 +88,15 @@ def build_surfaces(
     """Percentile shares for horizons 1..max_horizon at every base age.
 
     The observable years that some cohort reads, of each asset observed
-    past the first base age, become floats once. The cohorts are then
-    built one (base age, horizon) at a time, the shares in dataset order:
-    each is sorted once, every level read from it and freed before the
-    next, so only one cohort is alive at a time. Cohort sizes are recorded
-    for every horizon; cells are emitted only where the cohort reaches
-    min_cohort, so thin tails stay blank rather than producing meaningless
-    percentiles.
+    past the first base age, become floats once, laid out a column per
+    year with the longest series first: the assets observed at a year are
+    then a prefix of those observed at any earlier one. The cohorts are
+    built one (base age, horizon) at a time, each sorted before any level
+    is read from it, so the order its shares are taken in changes nothing,
+    and freed before the next, so only one cohort is alive at a time.
+    Cohort sizes are recorded for every horizon; cells are emitted only
+    where the cohort reaches min_cohort, so thin tails stay blank rather
+    than producing meaningless percentiles.
     """
     if max_horizon < 1:
         raise ValueError("max_horizon must be >= 1")
@@ -104,33 +109,43 @@ def build_surfaces(
     # age)), so its cohort at (t, i) takes amounts[t+i-1] / amounts[t-1] for
     # t + i <= n: the float division observed_share does. No cohort reads a
     # year before the first base age or past the last one's deepest horizon,
-    # so series[k] holds amounts[skip:n] of an asset with n > skip + 1. As in
-    # observed_share, a base age below 1 is an error only once there is an
-    # asset to observe.
+    # so an asset counts for its n - skip years from year skip + 1, and only
+    # when n > skip + 1. As in observed_share, a base age below 1 is an error
+    # only once there is an asset to observe.
     skip = ages[0] - 1 if ages else 0
     stop = ages[-1] + max_horizon if ages else 0
-    series = []
+    observed = []  # (n - skip, amounts) of each asset that counts
     for asset in dataset:
         if skip < 0:
             raise ValueError("base_age and horizon must be >= 1")
         n = min(len(asset.amounts), math.floor(asset.dollar_age), stop)
         if n > skip + 1:
-            series.append(array("d", map(float, asset.amounts[skip:n])))
+            observed.append((n - skip, asset.amounts))
+
+    # Longest first, the assets observed at index y (year skip + y + 1) are
+    # the first k, k the count of spans above y, which bisect finds in the
+    # negated spans. columns[y] holds that year of each as a float, so the
+    # cohort at (t, i) divides columns[year] by as many leading entries of
+    # columns[base].
+    observed.sort(key=itemgetter(0), reverse=True)
+    negated = [-span for span, _ in observed]
+    columns = []
+    for y in range(-negated[0] if observed else 0):
+        members = islice(observed, bisect_left(negated, -y))
+        columns.append(array("d", [float(amounts[skip + y]) for _, amounts in members]))
 
     surfaces: dict[int, ShareSurface] = {}
     for t in ages:
         values: dict[tuple[int, float], float] = {}
         counts: dict[int, int] = {}
-        base = t - 1 - skip  # the index of year t in a series
-        members = series
+        base = t - 1 - skip  # the index of year t in columns
         for i in range(1, max_horizon + 1):
             year = base + i  # of year t+i
-            members = [s for s in members if len(s) > year]
-            if not members:
+            if year >= len(columns):
                 counts.update(dict.fromkeys(range(i, max_horizon + 1), 0))
                 break
             try:
-                cohort = sorted([s[year] / s[base] for s in members])
+                cohort = sorted(map(truediv, columns[year], columns[base]))
             except ZeroDivisionError:  # a zero base year has no finite share
                 raise ValueError("cohort shares must be finite and > 0") from None
             if not (cohort[0] > 0.0 and math.isfinite(cohort[-1])):

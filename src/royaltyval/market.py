@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ._io import check_id, named, parse_number, read_table, record_header, record_rows, write_csv
+from ._io import (
+    check_id, named, parse_number, read_table, record_header, record_rows, write_records,
+)
 from .curves import build_surfaces
 from .model import (
     BAND_LEVELS, DEFAULT_MAX_DURATION, DEFAULT_MIN_BID_ASK_RATIO, Asset, MissingCellError,
@@ -39,21 +42,22 @@ class MarketQuote:
     dollar_age: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.ltm) and self.ltm > 0):
+        ltm, bid, ask = self.ltm, self.best_bid, self.ask
+        if not 0 < ltm < math.inf:
             raise ValueError(f"{named(self.asset_id)}: ltm must be > 0")
-        if not (math.isfinite(self.ask) and self.ask > 0):
+        if not 0 < ask < math.inf:
             raise ValueError(f"{named(self.asset_id)}: ask must be > 0")
-        if self.best_bid is not None and not (
-            math.isfinite(self.best_bid) and self.best_bid >= 0
-        ):
+        if bid is not None and not 0 <= bid < math.inf:
             raise ValueError(f"{named(self.asset_id)}: best_bid must be >= 0")
         if self.duration_years < 1:
             raise ValueError(f"{named(self.asset_id)}: duration_years must be >= 1")
-        if not (math.isfinite(self.dollar_age) and self.dollar_age > 0):
+        if not 0 < self.dollar_age < math.inf:
             raise ValueError(f"{named(self.asset_id)}: dollar_age must be > 0")
-        for name, multiplier in zip(("best_bid", "ask"), implied_multipliers(self)):
-            if multiplier is not None and not math.isfinite(multiplier):
-                raise ValueError(f"{named(self.asset_id)}: {name}/ltm must be finite")
+        # the implied multipliers, each finite and >= 0 unless the division overflows
+        if bid is not None and not bid / ltm < math.inf:
+            raise ValueError(f"{named(self.asset_id)}: best_bid/ltm must be finite")
+        if not ask / ltm < math.inf:
+            raise ValueError(f"{named(self.asset_id)}: ask/ltm must be finite")
 
 
 def implied_multipliers(quote: MarketQuote) -> tuple[float | None, float]:
@@ -163,33 +167,39 @@ def compare(
             columns = dict(zip(table.levels, table.columns))
             missing = (None,) * s.depth
             bands[t] = list(zip(*(columns.get(p, missing) for p in BAND_LEVELS)))
+    quotes = sorted(quotes, key=attrgetter("asset_id"))
+    if not available:
+        return [], [ComparisonError(q.asset_id, "no surfaces available") for q in quotes]
+    low, high = available[0], available[-1]
     rows: list[ComparisonRow] = []
     errors: list[ComparisonError] = []
-    for quote in sorted(quotes, key=lambda q: q.asset_id):
-        if not available:
-            errors.append(ComparisonError(quote.asset_id, "no surfaces available"))
-            continue
-        t = round_half_up(quote.dollar_age)
+    for quote in quotes:
+        age = quote.dollar_age
+        t = math.floor(age + 0.5) if age >= 0 else round_half_up(age)
         # clamped with two compares: min(max(...)) costs more per quote
-        t = available[0] if t < available[0] else available[-1] if t > available[-1] else t
-        surface = surfaces_by_age.get(t)
-        if surface is None:
-            errors.append(ComparisonError(quote.asset_id, f"no surface for base age {t}"))
-            continue
+        t = low if t < low else high if t > high else t
         d = quote.duration_years
-        try:
-            surface.require_depth(d)
-            m10, m50, m90 = band = bands[t][d - 1]
-            if None in band:
+        column = bands.get(t)
+        band = column[d - 1] if column is not None and d <= len(column) else None
+        if band is None or None in band:
+            # worded by the surface: no surface, too few horizons or a missing level
+            surface = surfaces_by_age.get(t)
+            if surface is None:
+                errors.append(ComparisonError(quote.asset_id, f"no surface for base age {t}"))
+                continue
+            try:
+                surface.require_depth(d)
                 raise MissingCellError(d, BAND_LEVELS[band.index(None)])
-        except MissingCellError as exc:
-            errors.append(ComparisonError(quote.asset_id, f"base age {t}: {exc}"))
-            continue
-        bid_mult, ask_mult = implied_multipliers(quote)
+            except MissingCellError as exc:
+                errors.append(ComparisonError(quote.asset_id, f"base age {t}: {exc}"))
+                continue
+        m10, m50, m90 = band
+        ltm, bid = quote.ltm, quote.best_bid
+        bid_mult, ask_mult = None if bid is None else bid / ltm, quote.ask / ltm
         # positional, in field order: keywords cost this loop about a fifth
         rows.append(
             ComparisonRow(
-                quote.asset_id, d, quote.dollar_age, bid_mult, ask_mult, m10, m50, m90,
+                quote.asset_id, d, age, bid_mult, ask_mult, m10, m50, m90,
                 None if bid_mult is None else bid_mult - m10, ask_mult - m50,
             )
         )
@@ -218,16 +228,16 @@ def aggregate_plot_data(
     None. Groups come back sorted by axis value; empty input yields an
     empty table.
     """
+    # one grouping pass per axis: a key function would cost a call per row
+    grouped: dict[int, list[ComparisonRow]] = {}
     if axis == "duration":
-        key = lambda row: row.duration
+        for row in rows:
+            grouped.setdefault(row.duration, []).append(row)
     elif axis == "dollar_age_bucket":
-        key = lambda row: round_half_up(row.dollar_age)
+        for row in rows:
+            grouped.setdefault(round_half_up(row.dollar_age), []).append(row)
     else:
         raise ValueError(f"axis must be 'duration' or 'dollar_age_bucket', got {axis!r}")
-
-    grouped: dict[int, list[ComparisonRow]] = {}
-    for row in rows:
-        grouped.setdefault(key(row), []).append(row)
 
     def mean(values: list[float]) -> float:
         # the plain sum where it is finite; scaled terms where it overflows
@@ -274,24 +284,29 @@ def parse_quotes(path: str | Path) -> list[MarketQuote]:
             if asset_id in seen:
                 raise ValueError(f"duplicate quote {named(asset_id)}")
             seen.add(asset_id)
-            quotes.append(
-                MarketQuote(
-                    asset_id=asset_id,
-                    ltm=parse_number(ltm),
-                    best_bid=parse_number(bid) if bid else None,
-                    ask=parse_number(ask),
-                    duration_years=parse_number(duration, int),
-                    dollar_age=parse_number(age),
+            # one check of the row's number texts, then plain conversion; a
+            # row that fails either is read again, field by field, so that
+            # parse_number words the error
+            texts = ltm + bid + ask + duration + age
+            try:
+                if not texts.isascii() or "_" in texts:
+                    raise ValueError
+                numbers = (
+                    float(ltm), float(bid) if bid else None, float(ask), int(duration), float(age)
                 )
-            )
+            except ValueError:
+                numbers = (
+                    parse_number(ltm), parse_number(bid) if bid else None, parse_number(ask),
+                    parse_number(duration, int), parse_number(age),
+                )
+            quotes.append(MarketQuote(asset_id, *numbers))
         return quotes
 
 
 def write_quotes_csv(path: str | Path, quotes: Iterable[MarketQuote]) -> None:
     """Write quotes in asset_id order with full-precision prices (repr
     round-trips floats), a row at a time."""
-    quotes = sorted(quotes, key=lambda q: q.asset_id)
-    write_csv(path, QUOTES_HEADER, record_rows(MarketQuote, quotes, ""))
+    write_records(path, MarketQuote, sorted(quotes, key=attrgetter("asset_id")), "")
 
 
 def comparison_csv_rows(rows: Iterable[ComparisonRow]) -> Iterator[tuple[str, ...]]:

@@ -173,6 +173,42 @@ class TestBuildCohort:
         assert surfaces[3].counts == {1: 5, 2: 0, 3: 0}
 
 
+class TestCohortOrder:
+    """build_surfaces takes each cohort as a prefix of the series sorted
+    longest first; the dataset's order must change no value, count or
+    depth, also where a cohort is one short of min_cohort, at it or one
+    past it."""
+
+    AGES = (1, 2, 4, 7, 9)
+
+    @staticmethod
+    def dataset():
+        # lengths 1..14 with repeats, and dollar ages some below the length
+        rng = random.Random(11)
+        return [
+            asset(
+                f"A{k:02d}",
+                [rng.uniform(1.0, 100.0) for _ in range(rng.randint(1, 14))],
+                rng.choice([None, rng.uniform(1.0, 15.0)]),
+            )
+            for k in range(60)
+        ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_dataset_gives_the_same_surfaces(self, seed):
+        dataset = self.dataset()
+        sizes = build_surfaces(dataset, self.AGES, max_horizon=8, min_cohort=1)
+        cohorts = sorted({n for s in sizes.values() for n in s.counts.values() if n})
+        shuffled = random.Random(seed).sample(dataset, len(dataset))
+        for min_cohort in sorted({max(1, n + d) for n in cohorts[::4] for d in (-1, 0, 1)}):
+            in_order = build_surfaces(dataset, self.AGES, max_horizon=8, min_cohort=min_cohort)
+            other = build_surfaces(shuffled, self.AGES, max_horizon=8, min_cohort=min_cohort)
+            assert [(s.values, s.counts, s.depth) for s in other.values()] == [
+                (s.values, s.counts, s.depth) for s in in_order.values()
+            ]
+        assert any(0 < s.depth < 8 for s in in_order.values())
+
+
 def brute_force_cohort(dataset, base_age, horizon):
     shares = (observed_share(a, base_age, horizon) for a in dataset)
     return [s for s in shares if s is not None]

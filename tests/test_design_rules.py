@@ -7,6 +7,9 @@ their values once, when built, so none is frozen or patched through
 `dataclasses.fields`, `asdict` or `replace`; every other module asks `_io`
 for them. Share surfaces are built in `curves` and, at the base ages that
 quotes read, in `market.band_surfaces`; every other module asks `market`.
+A table of records is written by `_io.write_records`; only `_io` and the
+row functions `market` keeps for its tests and benchmark call
+`record_rows`.
 """
 
 import re
@@ -27,6 +30,7 @@ RULES = [
         id="fields_in_io",
     ),
     pytest.param(r"\bbuild_surfaces\(", ("curves.py", "market.py"), id="one_surface_loop"),
+    pytest.param(r"\brecord_rows\(", ("_io.py", "market.py"), id="one_record_writer"),
 ]
 
 

@@ -1,8 +1,11 @@
 import csv
 import json
 import re
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from royaltyval._io import (
     ParseError,
@@ -13,9 +16,14 @@ from royaltyval._io import (
     quoted,
     read_json,
     read_table,
+    record_header,
+    record_rows,
     shown,
+    write_csv,
     write_json,
+    write_records,
 )
+from royaltyval.market import ComparisonError, ComparisonRow, MarketQuote, PlotGroup
 
 HEADER = ("a", "b")
 
@@ -242,7 +250,10 @@ class TestWriteJson:
 
     @pytest.mark.parametrize(
         "payload",
-        [{}, [], {"b": [1.5, None, True, "é\n"], "a": {"z": [], "y": {}}}, [{"x": -0.0, "y": 1e300}]],
+        [
+            {}, [], {"b": [1.5, None, True, "é\n"], "a": {"z": [], "y": {}}}, [{"x": -0.0, "y": 1e300}],
+            {"rows": [{"k": k, "third": k / 3, "id": f"Q{k}"} for k in range(2000)]},
+        ],
     )
     def test_bytes_are_json_dumps_text_and_a_line_end(self, tmp_path, payload):
         path = tmp_path / "out.json"
@@ -254,3 +265,69 @@ class TestWriteJson:
         path = tmp_path / "out.json"
         write_json(path, {"b": 1.5, "a": [1]})
         assert path.read_text() == '{\n  "a": [\n    1\n  ],\n  "b": 1.5\n}\n'
+
+
+# Cell texts the csv module quotes (a comma, a quote, a line break) and a
+# carriage return, which it quotes in some Python versions.
+TEXTS = st.text(st.sampled_from('Qa1 ,"\r\né'), max_size=6)
+# A float field may hold an int or a Decimal, which format(v, spec) writes too.
+NUMBERS = st.one_of(
+    st.floats(), st.integers(-(10**9), 10**9), st.decimals(-(10**6), 10**6, places=8)
+)
+MAYBE = st.none() | NUMBERS
+QUOTE_PRICES = st.floats(0.01, 1e6) | st.integers(1, 10**6)
+
+RECORD_TABLES = [
+    pytest.param(
+        ComparisonRow, ".6f",
+        st.builds(
+            ComparisonRow, TEXTS, st.integers(1, 40), NUMBERS, MAYBE, NUMBERS, NUMBERS, NUMBERS,
+            NUMBERS, MAYBE, NUMBERS,
+        ),
+        id="comparison_row",
+    ),
+    pytest.param(
+        PlotGroup, ".6f",
+        st.builds(PlotGroup, st.integers(), st.integers(0), MAYBE, NUMBERS, NUMBERS, NUMBERS, NUMBERS),
+        id="plot_group",
+    ),
+    pytest.param(
+        MarketQuote, "",
+        st.builds(
+            MarketQuote, TEXTS, QUOTE_PRICES, st.none() | QUOTE_PRICES, QUOTE_PRICES,
+            st.integers(1, 40), st.floats(0.01, 100.0),
+        ),
+        id="market_quote",
+    ),
+    pytest.param(ComparisonError, "", st.builds(ComparisonError, TEXTS, TEXTS), id="comparison_error"),
+]
+
+
+@pytest.fixture(scope="module")
+def records_dir(tmp_path_factory):
+    """A directory whose two files each example writes anew."""
+    return tmp_path_factory.mktemp("records")
+
+
+class TestWriteRecords:
+    """write_records against the csv module over record_rows' cells."""
+
+    @pytest.mark.parametrize("cls,spec,records", RECORD_TABLES)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_are_csv_writer_over_record_rows(self, records_dir, cls, spec, records, data):
+        table = data.draw(st.lists(records, max_size=8))
+        write_records(records_dir / "lines.csv", cls, table, spec)
+        write_csv(records_dir / "cells.csv", record_header(cls), record_rows(cls, table, spec))
+        assert (records_dir / "lines.csv").read_bytes() == (records_dir / "cells.csv").read_bytes()
+
+    def test_cells_are_written_by_declared_type(self, tmp_path):
+        rows = [
+            ComparisonRow("Q1", 3, 5, None, Decimal("2.0000005"), 1, 1, 1, None, float("nan")),
+            ComparisonRow('Q"2', 3, 2.5, 1.0, 2.0, 1.0, 1.0, 1.0, float("inf"), 1.0),
+        ]
+        write_records(tmp_path / "c.csv", ComparisonRow, rows, ".6f")
+        assert (tmp_path / "c.csv").read_text().splitlines()[1:] == [
+            "Q1,3,5.000000,,2.000000,1.000000,1.000000,1.000000,,nan",
+            '"Q""2",3,2.500000,1.000000,2.000000,1.000000,1.000000,1.000000,inf,1.000000',
+        ]

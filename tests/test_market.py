@@ -379,6 +379,46 @@ class TestQuotesCsv:
         assert str(err.value) == f"{path}:line 2: {message}"
 
     @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("Q,nan,,450,5,3.0", "Q: ltm must be > 0"),
+            ("Q,inf,,450,5,3.0", "Q: ltm must be > 0"),
+            ("Q,100,nan,450,5,3.0", "Q: best_bid must be >= 0"),
+            ("Q,100,inf,450,5,3.0", "Q: best_bid must be >= 0"),
+            ("Q,100,,nan,5,3.0", "Q: ask must be > 0"),
+            ("Q,100,,-inf,5,3.0", "Q: ask must be > 0"),
+            ("Q,100,,450,5,nan", "Q: dollar_age must be > 0"),
+            ("Q,100,,450,5,inf", "Q: dollar_age must be > 0"),
+            ("Q,1e-300,1e10,450,5,3.0", "Q: best_bid/ltm must be finite"),
+            ("Q,1e-300,,1e10,5,3.0", "Q: ask/ltm must be finite"),
+            ("Q,100,,450,2.5,3.0", "bad integer '2.5'"),
+            ("Q,1_0,,450,5,3.0", "bad number '1_0' (ASCII digits only, no underscores)"),
+            ("Q,0,,nan,5,3.0", "Q: ltm must be > 0"),
+            ("Q,0,,450,2.5,3.0", "bad integer '2.5'"),
+            (",100,,450,5,3.0", "empty asset_id"),
+            ("Q\x07,100,,450,5,3.0", "asset_id must be printable, got 'Q\\x07'"),
+            ("Q0,100,,450,5,3.0", "duplicate quote Q0"),
+        ],
+        ids=[
+            "ltm_nan", "ltm_inf", "bid_nan", "bid_inf", "ask_nan", "ask_minus_inf", "age_nan",
+            "age_inf", "bid_over_ltm_overflows", "ask_over_ltm_overflows", "duration_2.5",
+            "ltm_underscore", "ltm_checked_before_ask", "texts_read_before_checks", "empty_id",
+            "unprintable_id", "repeated_id",
+        ],
+    )
+    def test_each_check_keeps_its_text_and_line_after_a_valid_row(self, tmp_path, row, message):
+        from royaltyval.ingest import ParseError
+
+        path = tmp_path / "quotes.csv"
+        path.write_text(
+            "asset_id,ltm,best_bid,ask,duration_years,dollar_age\nQ0,100,,450,5,3.0\n" + row + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as err:
+            parse_quotes(path)
+        assert str(err.value) == f"{path}:line 3: {message}"
+
+    @pytest.mark.parametrize(
         "row,bad",
         [
             ("Q1,١٠٠,,450,5,3.0", "١٠٠"),

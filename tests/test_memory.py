@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from royaltyval import market
-from royaltyval._io import record_dict, write_csv, write_json
+from royaltyval._io import record_dict, write_csv, write_json, write_records
 from royaltyval.ingest import RawAsset, parse_cashflows, write_assets_csv, write_cashflows_csv
 from royaltyval.market import ComparisonRow, MarketQuote, band_surfaces
 from royaltyval.model import Asset
@@ -105,8 +105,10 @@ def test_table_writers_peak_one_row_at_a_time(tmp_path):
     """Writing 20,000 quotes peaks at most 16 KiB above writing 200, past
     the 16 bytes a quote that putting them in id order takes (the sorted
     list and its keys); writing 20,000 comparison rows, which are written
-    as given, at most 4 KiB above 200. A list of the cell tuples adds about
-    7 MB for the quotes and 13 MB for the comparison rows."""
+    as given, at most 4 KiB above 200. Both hold for write_records, the
+    comparison rows at 4 KiB and the quotes, written as given, at 16 KiB,
+    and for write_csv over record_rows. A list of the cell tuples adds
+    about 7 MB for the quotes and 13 MB for the comparison rows."""
     def write_quotes(records):
         return lambda: market.write_quotes_csv(tmp_path / "quotes.csv", records)
 
@@ -114,11 +116,18 @@ def test_table_writers_peak_one_row_at_a_time(tmp_path):
         rows = market.comparison_csv_rows(records)
         return lambda: write_csv(tmp_path / "comparison.csv", market.COMPARISON_HEADER, rows)
 
+    def write_table(cls, spec):
+        return lambda records: lambda: write_records(tmp_path / "table.csv", cls, records, spec)
+
+    def grown(write, few, many):
+        return peak_bytes(write(many)) - peak_bytes(write(few))
+
     few, many = quotes(200), quotes(20_000)
-    grown = peak_bytes(write_quotes(many)) - peak_bytes(write_quotes(few))
-    assert grown <= 16 * (len(many) - len(few)) + 16 * 1024
+    assert grown(write_quotes, few, many) <= 16 * (len(many) - len(few)) + 16 * 1024
+    assert grown(write_table(MarketQuote, ""), few, many) <= 16 * 1024
     few, many = comparison_rows(200), comparison_rows(20_000)
-    assert peak_bytes(write_comparison(many)) - peak_bytes(write_comparison(few)) <= 4 * 1024
+    assert grown(write_comparison, few, many) <= 4 * 1024
+    assert grown(write_table(ComparisonRow, ".6f"), few, many) <= 4 * 1024
 
 
 def test_json_writer_peaks_one_piece_at_a_time(tmp_path):
