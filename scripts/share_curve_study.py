@@ -11,8 +11,8 @@ older catalogs interesting to value.
 import argparse
 from pathlib import Path
 
-from royaltyval._io import write_csv
-from royaltyval.curves import SURFACE_HEADER, build_surface, surface_csv_rows
+from royaltyval._io import write_table
+from royaltyval.curves import SURFACE_HEADER, SURFACE_SPECS, build_surface, surface_csv_rows
 from royaltyval.ingest import build_dataset
 from royaltyval.model import BAND_LEVELS, DEFAULT_MIN_COHORT
 from royaltyval.synth import GroupSpec, PopulationSpec, gen_population
@@ -43,7 +43,7 @@ def run(name, spec, base_age, max_horizon, out_dir):
     surface = build_surface(dataset, base_age, BAND_LEVELS, max_horizon, DEFAULT_MIN_COHORT)
 
     path = out_dir / f"{name}_age{base_age}_surface.csv"
-    write_csv(path, SURFACE_HEADER, surface_csv_rows(surface))
+    write_table(path, SURFACE_HEADER, surface_csv_rows(surface), SURFACE_SPECS)
 
     print(f"\n{name}: {report.accepted_count} assets, base age {base_age}")
     print("horizon  " + "  ".join(f"p{int(p):<8}" for p in BAND_LEVELS))

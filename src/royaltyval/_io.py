@@ -5,12 +5,16 @@ malformed input; read_table and read_json turn one raised in their block
 into ParseError naming the file and, for a table row, its 1-based line.
 The CLI reports it with exit status 1. Input files are UTF-8 and may start
 with a byte-order mark. Writers emit UTF-8 with ``\\n`` line ends and no
-timestamps, so equal inputs give equal bytes.
+timestamps, so equal inputs give equal bytes. Every CSV table is written by
+write_table; the cashflows rows, which ingest writes as joined templates,
+take their id cells from csv_cell. Only this module knows the CSV dialect,
+and plain_number_text is the one rule of how an input number is written.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import sys
@@ -94,14 +98,17 @@ def check_id(asset_id: str) -> None:
         raise ValueError(f"asset_id must be printable, got {quoted(asset_id)}")
 
 
+def plain_number_text(text: str) -> bool:
+    """Whether `text` is ASCII without underscores, as every number in an
+    input file is written. float() and int() also read non-ASCII digits
+    (``٣`` is 3) and digit group underscores (``1_0`` is 10)."""
+    return text.isascii() and "_" not in text
+
+
 def parse_number(text: str, kind: type = float):
     """kind(text), float or int, for a number written in ASCII without
-    underscores; other text is a ValueError naming it.
-
-    float() and int() also read non-ASCII digits (``٣`` is 3) and digit
-    group underscores (``1_0`` is 10); an input file should hold neither.
-    """
-    if not text.isascii() or "_" in text:
+    underscores; other text is a ValueError naming it."""
+    if not plain_number_text(text):
         raise ValueError(f"bad number {quoted(text)} (ASCII digits only, no underscores)")
     try:
         return kind(text)
@@ -246,13 +253,41 @@ def read_json(path: str | Path) -> Iterator:
         raise ParseError(str(exc), path=path) from None
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    """Write `header` and then each row as it comes, so that an iterator of
-    rows is never held whole."""
+def csv_cell(text: str) -> str:
+    """`text` as write_table writes it in a row of several fields: as it
+    is, or quoted when it holds a comma, a quote or a line break."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[:-2]
+
+
+def _cells(values: tuple, specs: tuple[str, ...]) -> list[str]:
+    """A row's cells, each value formatted with its spec and None blank."""
+    return ["" if v is None else format(v, s) for v, s in zip(values, specs)]
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable, specs: tuple) -> None:
+    """Write `header` and then each row, a tuple of values, as it comes, so
+    that an iterator of rows is never held whole. A cell is its value
+    formatted with its column's spec in `specs`, or blank for None.
+
+    A row's line is one str.format of its values. A row holding None, or
+    whose line holds a quote, a carriage return, a line break or more
+    commas than the separators between its cells, which covers every cell
+    the csv module would quote, is written by csv.writer from its cells.
+    """
+    line, commas = ",".join(f"{{:{s}}}" for s in specs) + "\n", len(specs) - 1
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        for values in rows:
+            if None not in values:
+                text = line.format(*values)
+                if (text.count(",") == commas and text.count("\n") == 1
+                        and '"' not in text and "\r" not in text):
+                    handle.write(text)
+                    continue
+            writer.writerow(_cells(values, specs))
 
 
 def write_json(path: str | Path, payload) -> None:
@@ -292,13 +327,12 @@ def record_header(cls) -> tuple[str, ...]:
 
 
 @cache
-def _record_layout(cls, float_spec: str) -> tuple[tuple[str, ...], tuple[str, ...], str]:
-    """The field names of dataclass `cls`, the format spec of each field,
-    `float_spec` for a float and "" for any other, and a record's line as
-    one str.format template of those specs."""
+def _record_layout(cls, float_spec: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The field names of dataclass `cls` and the format spec of each field:
+    `float_spec` for a float and "" for any other."""
     names, hints = record_header(cls), get_type_hints(cls)
     specs = tuple(float_spec if float in (hints[n], *get_args(hints[n])) else "" for n in names)
-    return names, specs, ",".join(f"{{:{s}}}" for s in specs) + "\n"
+    return names, specs
 
 
 def record_rows(cls, records: Iterable, float_spec: str) -> Iterator[tuple[str, ...]]:
@@ -306,38 +340,16 @@ def record_rows(cls, records: Iterable, float_spec: str) -> Iterator[tuple[str, 
     read, a cell per field formatted by its declared type: a str as it is,
     an int with str, a float with `float_spec` ("" writes repr's text) and
     a float that is None blank."""
-    names, specs, _ = _record_layout(cls, float_spec)
+    names, specs = _record_layout(cls, float_spec)
     return (
         tuple(map(format, values, specs)) if None not in values else tuple(_cells(values, specs))
         for values in map(attrgetter(*names), records)
     )
 
 
-def _cells(values: tuple, specs: tuple[str, ...]) -> list[str]:
-    """A record's cells, each value formatted with its spec and None blank."""
-    return ["" if v is None else format(v, s) for v, s in zip(values, specs)]
-
-
 def write_records(path: str | Path, cls, records: Iterable, float_spec: str) -> None:
-    """Write a table of dataclass `cls` records, a row at a time, with the
-    bytes write_csv gives record_header(cls) and record_rows.
-
-    A record's line is one str.format of its values, which formats each as
-    record_rows does. A record holding None, or whose line holds a quote,
-    a carriage return, a line break or more commas than the separators
-    between its fields, which covers every cell the csv module would
-    quote, is written by csv.writer from record_rows' cells instead.
-    """
-    names, specs, line = _record_layout(cls, float_spec)
-    commas = len(names) - 1
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(names)
-        for values in map(attrgetter(*names), records):
-            if None not in values:
-                text = line.format(*values)
-                if (text.count(",") == commas and text.count("\n") == 1
-                        and '"' not in text and "\r" not in text):
-                    handle.write(text)
-                    continue
-            writer.writerow(_cells(values, specs))
+    """Write a table of dataclass `cls` records, a row at a time, through
+    write_table: the field names as its header, each field's values as a
+    column formatted by its declared type, as record_rows formats it."""
+    names, specs = _record_layout(cls, float_spec)
+    write_table(path, names, map(attrgetter(*names), records), specs)

@@ -23,7 +23,7 @@ from typing import Sequence
 from . import model
 from ._io import (
     int_field_names, json_number, json_object, read_json, record_dict, record_header, shown,
-    write_csv, write_json, write_records,
+    write_json, write_records, write_table,
 )
 from .model import MissingCellError, MultiplierTable, ShareSurface, multiplier_table, price
 
@@ -177,12 +177,6 @@ def _multiplier_json(table: MultiplierTable) -> dict:
     }
 
 
-def _multiplier_csv_rows(table: MultiplierTable) -> list[tuple[str, ...]]:
-    return [
-        (str(table.base_age), str(d), f"{p:g}", f"{m:.6f}") for d, p, m in _multiplier_cells(table)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -210,10 +204,11 @@ def _cmd_curves(args, cfg: Config) -> int:
     if cfg.output_format == "json":
         write_json(out / f"surface_age{args.age}.json", curves.surface_to_json_dict(surface))
     else:
-        write_csv(
+        write_table(
             out / f"surface_age{args.age}.csv",
             curves.SURFACE_HEADER,
             curves.surface_csv_rows(surface),
+            curves.SURFACE_SPECS,
         )
     return 0
 
@@ -228,10 +223,11 @@ def _cmd_multipliers(args, cfg: Config) -> int:
     if cfg.output_format == "json":
         write_json(out / f"multipliers_age{table.base_age}.json", _multiplier_json(table))
     else:
-        write_csv(
+        write_table(
             out / f"multipliers_age{table.base_age}.csv",
             MULTIPLIERS_HEADER,
-            _multiplier_csv_rows(table),
+            ((table.base_age, *cell) for cell in _multiplier_cells(table)),
+            ("", "", "g", ".6f"),
         )
     return 0
 
@@ -264,10 +260,11 @@ def _cmd_compare(args, cfg: Config) -> int:
     surfaces = market.band_surfaces(dataset, ages, cfg.max_duration, cfg.min_cohort)
     rows, errors = market.compare(accepted, surfaces, cfg.rate)
 
-    write_csv(
+    write_table(
         out / "rejected_quotes.csv",
         REJECTED_QUOTES_HEADER,
         ((q.asset_id, reason.value) for q, reason in rejected),
+        ("", ""),
     )
     write_records(out / "comparison_errors.csv", market.ComparisonError, errors, "")
     by_duration = market.aggregate_plot_data(rows, "duration")

@@ -14,12 +14,13 @@ from bisect import bisect_left
 from itertools import islice
 from operator import itemgetter, truediv
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._io import json_number, json_object, named, parse_number, read_json, read_table
 from .model import BAND_LEVELS, DEFAULT_MAX_DURATION, DEFAULT_MIN_COHORT, Asset, ShareSurface
 
 SURFACE_HEADER = ("base_age", "horizon", "level", "share", "cohort_size")
+SURFACE_SPECS = ("", "", "g", ".6f", "")  # the format spec of each column
 _SURFACE_KEYS = ("base_age", "levels", "counts", "cells")
 _CELL_KEYS = ("horizon", "level", "share")
 
@@ -162,21 +163,12 @@ def build_surfaces(
 # Serialization
 # ---------------------------------------------------------------------------
 
-def surface_csv_rows(surface: ShareSurface) -> list[tuple[str, str, str, str, str]]:
-    """Canonical CSV rows (horizon ascending, level ascending), one per cell."""
-    rows = []
-    for horizon in surface.cell_horizons():
-        for p in surface.levels:
-            rows.append(
-                (
-                    str(surface.base_age),
-                    str(horizon),
-                    f"{p:g}",
-                    f"{surface.values[(horizon, p)]:.6f}",
-                    str(surface.counts[horizon]),
-                )
-            )
-    return rows
+def surface_csv_rows(surface: ShareSurface) -> Iterator[tuple[int, int, float, float, int]]:
+    """Canonical CSV rows (horizon ascending, level ascending), one per
+    cell, as values that SURFACE_SPECS formats."""
+    t, values, counts = surface.base_age, surface.values, surface.counts
+    for i in surface.cell_horizons():
+        yield from ((t, i, p, values[(i, p)], counts[i]) for p in surface.levels)
 
 
 def _check_new_cell(values: dict, i: int, p: float) -> None:

@@ -14,8 +14,6 @@ reproducible.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import re
 from array import array
@@ -30,7 +28,9 @@ from operator import add, eq, lt, ne
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ._io import ParseError, check_id, listed, named, parse_number, quoted, read_table, write_csv
+from ._io import (
+    ParseError, check_id, csv_cell, listed, named, parse_number, quoted, read_table, write_table,
+)
 from .model import DEFAULT_AGE_TOLERANCE, DEFAULT_ZERO_FLOOR, Asset
 
 CASHFLOWS_HEADER = ("asset_id", "period_start", "period_months", "amount")
@@ -489,13 +489,6 @@ def _apply_filters(
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _csv_cell(text: str) -> str:
-    """`text` as csv.writer writes it in a row of several fields."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="").writerow((text, ""))
-    return buffer.getvalue()[:-1]
-
-
 def write_cashflows_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> None:
     """One row per record, assets in id order: the canonical form that
     parse_cashflows reads a block at a time whenever the ids need no
@@ -519,17 +512,14 @@ def write_cashflows_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> Non
                 layout = (asset.starts, asset.months)
                 pieces = tuple(map(middle, asset.starts, asset.months))
             amount_text = {c: _cents_text(c) for c in set(asset.cents)}
-            cell = _csv_cell(asset.asset_id).replace("%", "%%")
+            cell = csv_cell(asset.asset_id).replace("%", "%%")
             rows = (cell + cell.join(pieces)) % tuple(map(amount_text.__getitem__, asset.cents))
             handle.write(rows)
 
 
 def write_assets_csv(path: str | Path, raw_assets: Iterable[RawAsset]) -> None:
-    rows = (
-        (a.asset_id, f"{a.dollar_age:.6f}")
-        for a in sorted(raw_assets, key=lambda a: a.asset_id)
-    )
-    write_csv(path, ASSETS_HEADER, rows)
+    rows = ((a.asset_id, a.dollar_age) for a in sorted(raw_assets, key=lambda a: a.asset_id))
+    write_table(path, ASSETS_HEADER, rows, ("", ".6f"))
 
 
 def write_filter_report_csv(path: str | Path, report: FilterReport) -> None:
@@ -537,4 +527,4 @@ def write_filter_report_csv(path: str | Path, report: FilterReport) -> None:
         (asset_id, "accepted", "") if reason is None else (asset_id, "rejected", reason.value)
         for asset_id, reason in report.reasons.items()
     )
-    write_csv(path, REPORT_HEADER, rows)
+    write_table(path, REPORT_HEADER, rows, ("", "", ""))

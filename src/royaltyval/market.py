@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._io import (
-    check_id, named, parse_number, read_table, record_header, record_rows, write_records,
+    check_id, named, parse_number, plain_number_text, read_table, record_header, record_rows,
+    write_records,
 )
 from .curves import build_surfaces
 from .model import (
@@ -269,8 +270,6 @@ def aggregate_plot_data(
 # ---------------------------------------------------------------------------
 
 QUOTES_HEADER = record_header(MarketQuote)
-COMPARISON_HEADER = record_header(ComparisonRow)
-PLOT_HEADER = record_header(PlotGroup)
 
 
 def parse_quotes(path: str | Path) -> list[MarketQuote]:
@@ -287,9 +286,8 @@ def parse_quotes(path: str | Path) -> list[MarketQuote]:
             # one check of the row's number texts, then plain conversion; a
             # row that fails either is read again, field by field, so that
             # parse_number words the error
-            texts = ltm + bid + ask + duration + age
             try:
-                if not texts.isascii() or "_" in texts:
+                if not plain_number_text(ltm + bid + ask + duration + age):
                     raise ValueError
                 numbers = (
                     float(ltm), float(bid) if bid else None, float(ask), int(duration), float(age)

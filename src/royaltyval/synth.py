@@ -151,11 +151,7 @@ def gen_asset(seed: int, group: GroupSpec, asset_id: str) -> RawAsset:
     sigma is zero), rounded to cents, then split uniformly across twelve
     monthly records with remainder cents on the last month.
     """
-    return _gen_asset(random.Random(seed), group, asset_id)
-
-
-def _gen_asset(rng: random.Random, group: GroupSpec, asset_id: str) -> RawAsset:
-    """gen_asset drawing from `rng`, seeded for this asset."""
+    rng = random.Random(seed)
     annual: list[int] = []
     for k in range(1, group.age_years + 1):
         eps = _normal(rng, group.noise_sigma) if group.noise_sigma > 0 else 0.0
@@ -177,16 +173,14 @@ def _gen_asset(rng: random.Random, group: GroupSpec, asset_id: str) -> RawAsset:
 
 
 def gen_population(spec: PopulationSpec) -> list[RawAsset]:
-    """All groups' assets, ids G<group>A<index>, each from its own stream:
-    one generator, seeded again for each asset, draws what a new one
-    seeded alike would."""
+    """All groups' assets, ids G<group>A<index>, each gen_asset on its own
+    stream."""
     assets = []
-    rng = random.Random()
     for gi, group in enumerate(spec.groups):
         try:
             for ai in range(group.count):
-                rng.seed(derive_seed(spec.seed, "asset", gi, ai))
-                assets.append(_gen_asset(rng, group, f"G{gi:02d}A{ai:03d}"))
+                seed = derive_seed(spec.seed, "asset", gi, ai)
+                assets.append(gen_asset(seed, group, f"G{gi:02d}A{ai:03d}"))
         except ValueError as exc:
             raise ValueError(f"groups[{gi}]: {exc}") from None
     return assets
@@ -241,12 +235,11 @@ def gen_quotes(
     surfaces = band_surfaces(assets, [a.dollar_age for a in assets], max_duration, min_cohort)
     tables = {t: multiplier_table(s, rate, s.depth) for t, s in surfaces.items()}
     quotes = []
-    rng = random.Random()
     for asset in assets:
         table = tables.get(round_half_up(asset.dollar_age))
         if table is None:
             continue
-        rng.seed(derive_seed(seed, "quote", asset.asset_id))
+        rng = random.Random(derive_seed(seed, "quote", asset.asset_id))
         duration = rng.randint(1, len(table.columns[0]))  # its depth, <= max_duration
         ltm = float(asset.amounts[-1])
         bid_mult = table.entry(duration, bid_level)

@@ -696,7 +696,8 @@ class TestCompare:
             ["Q1", "no surfaces available"],
             ["Q2", "no surfaces available"],
         ]
-        assert read_rows(tmp_path / "out" / "comparison.csv") == [list(market.COMPARISON_HEADER)]
+        header = [f.name for f in fields(ComparisonRow)]
+        assert read_rows(tmp_path / "out" / "comparison.csv") == [header]
 
     @pytest.mark.parametrize(
         "rows,message",

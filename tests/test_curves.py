@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from royaltyval._io import write_table
 from royaltyval.curves import (
+    SURFACE_HEADER,
+    SURFACE_SPECS,
     build_surface,
     build_surfaces,
     observed_share,
@@ -342,14 +345,9 @@ class TestSurfaceSerialization:
         assert surface_from_json_dict(surface_to_json_dict(surface)) == surface
 
     def test_csv_roundtrip_at_display_precision(self, tmp_path):
-        import csv
-
         surface = self._surface()
         path = tmp_path / "surface.csv"
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("base_age", "horizon", "level", "share", "cohort_size"))
-            writer.writerows(surface_csv_rows(surface))
+        write_table(path, SURFACE_HEADER, surface_csv_rows(surface), SURFACE_SPECS)
         loaded = parse_surface_csv(path)
         assert loaded.base_age == surface.base_age
         assert loaded.counts == {i: surface.counts[i] for i in surface.cell_horizons()}

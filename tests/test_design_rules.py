@@ -7,9 +7,11 @@ their values once, when built, so none is frozen or patched through
 `dataclasses.fields`, `asdict` or `replace`; every other module asks `_io`
 for them. Share surfaces are built in `curves` and, at the base ages that
 quotes read, in `market.band_surfaces`; every other module asks `market`.
-A table of records is written by `_io.write_records`; only `_io` and the
-row functions `market` keeps for its tests and benchmark call
-`record_rows`.
+Every CSV table is written by `_io.write_table`, a table of records
+through `_io.write_records`; only `_io` and the row functions `market`
+keeps for its tests and benchmark call `record_rows`. Only `_io` imports
+the csv module, and only it tests how a number's text is written. The
+rules hold in the package modules and in the study scripts.
 """
 
 import re
@@ -17,8 +19,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "royaltyval"
-MODULES = sorted(SRC.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "royaltyval").glob("*.py"))
+SOURCES = MODULES + sorted((ROOT / "scripts").glob("*.py"))
 
 # (pattern, the modules where it may appear)
 RULES = [
@@ -31,6 +34,9 @@ RULES = [
     ),
     pytest.param(r"\bbuild_surfaces\(", ("curves.py", "market.py"), id="one_surface_loop"),
     pytest.param(r"\brecord_rows\(", ("_io.py", "market.py"), id="one_record_writer"),
+    pytest.param(r"\bwrite_csv\b", (), id="one_table_writer"),
+    pytest.param(r"^\s*(import|from) csv\b|(?<![\w.])csv\.", ("_io.py",), id="csv_in_io"),
+    pytest.param(r"\bisascii\(", ("_io.py",), id="number_text_in_io"),
 ]
 
 
@@ -42,7 +48,7 @@ def test_the_package_has_its_modules():
 def test_rule_holds_in_every_module(pattern, allowed):
     found = [
         f"{path.name}:{number}: {line.strip()}"
-        for path in MODULES
+        for path in SOURCES
         if path.name not in allowed
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
         if re.search(pattern, line)

@@ -25,7 +25,6 @@ from conftest import (
     tagged,
 )
 from royaltyval import ingest
-from royaltyval._io import write_csv
 from royaltyval.ingest import (
     CASHFLOWS_HEADER,
     AnnualizeError,
@@ -605,6 +604,7 @@ class TestCashflowsWriterQuoting:
             RawAsset("a,b", 1.0, *columns(monthly_records(["1.00", "-2.05", "0.00"]))),
             RawAsset('say "hi"', 1.0, *columns(quarterly_records(["-0.07", "3.10"]))),
             RawAsset("plain", 1.0, *columns(monthly_records(["-120.00", "7.25"]))),
+            RawAsset("two\nlines", 1.0, *columns(monthly_records(["4.00"]))),
         ]
         write_cashflows_csv(tmp_path / "written.csv", assets)
         rows = [
@@ -612,10 +612,14 @@ class TestCashflowsWriterQuoting:
             for a in sorted(assets, key=lambda a: a.asset_id)
             for s, m, c in zip(a.starts, a.months, a.cents)
         ]
-        write_csv(tmp_path / "oracle.csv", CASHFLOWS_HEADER, rows)
+        with open(tmp_path / "oracle.csv", "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(CASHFLOWS_HEADER)
+            writer.writerows(rows)
         written = (tmp_path / "written.csv").read_bytes()
         assert written == (tmp_path / "oracle.csv").read_bytes()
         assert b'"a,b",2019-02,1,-2.05' in written and b'"say ""hi""",2019-04,3,3.10' in written
+        assert b'\n"two\nlines",2019-01,1,4.00\n' in written
 
 
 def per_row_cashflows_text(raw_assets) -> str:
@@ -624,8 +628,8 @@ def per_row_cashflows_text(raw_assets) -> str:
     lines = [",".join(CASHFLOWS_HEADER) + "\n"]
     for asset in sorted(raw_assets, key=lambda a: a.asset_id):
         buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="").writerow((asset.asset_id, ""))
-        cell = buffer.getvalue()[:-1]
+        csv.writer(buffer, lineterminator="\n").writerow((asset.asset_id, ""))
+        cell = buffer.getvalue()[:-2]
         for s, m, c in zip(asset.starts, asset.months, asset.cents):
             sign, whole, frac = "-" if c < 0 else "", abs(c) // 100, abs(c) % 100
             lines.append(f"{cell},{s // 12:04d}-{s % 12 + 1:02d},{m},{sign}{whole}.{frac:02d}\n")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from royaltyval._io import (
     ParseError,
+    csv_cell,
     json_object,
     listed,
     named,
@@ -19,10 +20,12 @@ from royaltyval._io import (
     record_header,
     record_rows,
     shown,
-    write_csv,
     write_json,
     write_records,
+    write_table,
 )
+from royaltyval.cli import MULTIPLIERS_HEADER
+from royaltyval.curves import SURFACE_HEADER, SURFACE_SPECS
 from royaltyval.market import ComparisonError, ComparisonRow, MarketQuote, PlotGroup
 
 HEADER = ("a", "b")
@@ -309,6 +312,63 @@ def records_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("records")
 
 
+def csv_writer_bytes(path, header, rows) -> bytes:
+    """The bytes csv.writer writes for `header` and the cell rows `rows`."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+# Ids holding every text the csv module quotes, and `%`, which the
+# cashflows writer escapes in its templates.
+IDS = st.text(st.sampled_from('Qa1 ,"\r\n%é'), max_size=6) | st.just('""')
+TABLES = [
+    pytest.param(("a", "b", "c"), ("", "", ""), st.tuples(IDS, IDS, IDS), id="strings"),
+    pytest.param(("asset_id", "dollar_age"), ("", ".6f"), st.tuples(IDS, MAYBE), id="assets"),
+    pytest.param(
+        SURFACE_HEADER, SURFACE_SPECS,
+        st.tuples(st.integers(0, 40), st.integers(1, 40), st.floats(), st.floats(), st.integers(0)),
+        id="surface",
+    ),
+    pytest.param(
+        MULTIPLIERS_HEADER, ("", "", "g", ".6f"),
+        st.tuples(st.integers(0, 40), st.integers(1, 40), st.floats(), NUMBERS),
+        id="multipliers",
+    ),
+]
+
+
+class TestWriteTable:
+    """write_table against the csv module over the formatted cells."""
+
+    @pytest.mark.parametrize("header,specs,rows", TABLES)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_are_csv_writer_over_formatted_cells(self, records_dir, header, specs, rows, data):
+        table = data.draw(st.lists(rows, max_size=8))
+        write_table(records_dir / "lines.csv", header, iter(table), specs)
+        cells = [["" if v is None else format(v, s) for v, s in zip(row, specs)] for row in table]
+        expected = csv_writer_bytes(records_dir / "cells.csv", header, cells)
+        assert (records_dir / "lines.csv").read_bytes() == expected
+
+    @given(asset_id=IDS)
+    @settings(max_examples=60, deadline=None)
+    def test_csv_cell_is_the_cell_of_the_id(self, records_dir, asset_id):
+        write_table(records_dir / "lines.csv", ("asset_id", "x"), [(asset_id, 1)], ("", ""))
+        text = (records_dir / "lines.csv").read_bytes().decode("utf-8")
+        assert text == f"asset_id,x\n{csv_cell(asset_id)},1\n"
+
+    def test_quoted_ids_and_specs(self, tmp_path):
+        rows = [("a,b", 1.5), ('say "hi"', 2), ("x\ny", None), ('""', 0.25), ("%s", 3.0)]
+        write_table(tmp_path / "t.csv", ("asset_id", "dollar_age"), rows, ("", ".6f"))
+        assert (tmp_path / "t.csv").read_text() == (
+            'asset_id,dollar_age\n"a,b",1.500000\n"say ""hi""",2.000000\n"x\ny",\n'
+            '"""""",0.250000\n%s,3.000000\n'
+        )
+
+
 class TestWriteRecords:
     """write_records against the csv module over record_rows' cells."""
 
@@ -318,8 +378,9 @@ class TestWriteRecords:
     def test_bytes_are_csv_writer_over_record_rows(self, records_dir, cls, spec, records, data):
         table = data.draw(st.lists(records, max_size=8))
         write_records(records_dir / "lines.csv", cls, table, spec)
-        write_csv(records_dir / "cells.csv", record_header(cls), record_rows(cls, table, spec))
-        assert (records_dir / "lines.csv").read_bytes() == (records_dir / "cells.csv").read_bytes()
+        cells = record_rows(cls, table, spec)
+        expected = csv_writer_bytes(records_dir / "cells.csv", record_header(cls), cells)
+        assert (records_dir / "lines.csv").read_bytes() == expected
 
     def test_cells_are_written_by_declared_type(self, tmp_path):
         rows = [

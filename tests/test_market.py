@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from royaltyval import market
+from royaltyval._io import record_header
 from royaltyval.market import (
     ComparisonRow,
     MarketQuote,
@@ -446,8 +447,8 @@ class TestSchema:
         "cls,header",
         [
             (MarketQuote, market.QUOTES_HEADER),
-            (ComparisonRow, market.COMPARISON_HEADER),
-            (PlotGroup, market.PLOT_HEADER),
+            (ComparisonRow, record_header(ComparisonRow)),
+            (PlotGroup, record_header(PlotGroup)),
         ],
     )
     def test_csv_header_is_the_field_names_in_order(self, cls, header):

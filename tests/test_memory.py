@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from royaltyval import market
-from royaltyval._io import record_dict, write_csv, write_json, write_records
+from royaltyval._io import record_dict, record_header, write_json, write_records, write_table
 from royaltyval.ingest import RawAsset, parse_cashflows, write_assets_csv, write_cashflows_csv
 from royaltyval.market import ComparisonRow, MarketQuote, band_surfaces
 from royaltyval.model import Asset
@@ -107,16 +107,18 @@ def test_table_writers_peak_one_row_at_a_time(tmp_path):
     list and its keys); writing 20,000 comparison rows, which are written
     as given, at most 4 KiB above 200. Both hold for write_records, the
     comparison rows at 4 KiB and the quotes, written as given, at 16 KiB,
-    and for write_csv over record_rows. A list of the cell tuples adds
-    about 7 MB for the quotes and 13 MB for the comparison rows."""
+    and for write_table over the string rows of record_rows at 4 KiB. A
+    list of the cell tuples adds about 7 MB for the quotes and 13 MB for
+    the comparison rows."""
     def write_quotes(records):
         return lambda: market.write_quotes_csv(tmp_path / "quotes.csv", records)
 
     def write_comparison(records):
-        rows = market.comparison_csv_rows(records)
-        return lambda: write_csv(tmp_path / "comparison.csv", market.COMPARISON_HEADER, rows)
+        rows, header = market.comparison_csv_rows(records), record_header(ComparisonRow)
+        specs = ("",) * len(header)
+        return lambda: write_table(tmp_path / "comparison.csv", header, rows, specs)
 
-    def write_table(cls, spec):
+    def write_records_of(cls, spec):
         return lambda records: lambda: write_records(tmp_path / "table.csv", cls, records, spec)
 
     def grown(write, few, many):
@@ -124,10 +126,10 @@ def test_table_writers_peak_one_row_at_a_time(tmp_path):
 
     few, many = quotes(200), quotes(20_000)
     assert grown(write_quotes, few, many) <= 16 * (len(many) - len(few)) + 16 * 1024
-    assert grown(write_table(MarketQuote, ""), few, many) <= 16 * 1024
+    assert grown(write_records_of(MarketQuote, ""), few, many) <= 16 * 1024
     few, many = comparison_rows(200), comparison_rows(20_000)
     assert grown(write_comparison, few, many) <= 4 * 1024
-    assert grown(write_table(ComparisonRow, ".6f"), few, many) <= 4 * 1024
+    assert grown(write_records_of(ComparisonRow, ".6f"), few, many) <= 4 * 1024
 
 
 def test_json_writer_peaks_one_piece_at_a_time(tmp_path):

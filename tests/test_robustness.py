@@ -18,9 +18,11 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from royaltyval._io import write_csv, write_json
+from royaltyval._io import write_json, write_table
 from royaltyval.cli import main
-from royaltyval.curves import SURFACE_HEADER, build_surface, surface_csv_rows, surface_to_json_dict
+from royaltyval.curves import (
+    SURFACE_HEADER, SURFACE_SPECS, build_surface, surface_csv_rows, surface_to_json_dict,
+)
 from royaltyval.ingest import build_dataset, write_assets_csv, write_cashflows_csv
 from royaltyval.market import write_quotes_csv
 from royaltyval.synth import PopulationSpec, gen_population, gen_quotes
@@ -69,7 +71,7 @@ def valid_inputs(tmp_path_factory) -> dict[str, bytes]:
     write_cashflows_csv(d / NAMES["cashflows"], population)
     write_assets_csv(d / NAMES["assets"], population)
     write_quotes_csv(d / NAMES["quotes"], gen_quotes(dataset, seed=4, max_duration=3))
-    write_csv(d / NAMES["surface_csv"], SURFACE_HEADER, surface_csv_rows(surface))
+    write_table(d / NAMES["surface_csv"], SURFACE_HEADER, surface_csv_rows(surface), SURFACE_SPECS)
     write_json(d / NAMES["surface_json"], surface_to_json_dict(surface))
     write_json(d / NAMES["config"], CONFIG)
     write_json(d / NAMES["spec"], SPEC)
