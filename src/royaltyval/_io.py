@@ -5,22 +5,22 @@ malformed input; read_table and read_json turn one raised in their block
 into ParseError naming the file and, for a table row, its 1-based line.
 The CLI reports it with exit status 1. Input files are UTF-8 and may start
 with a byte-order mark. Writers emit UTF-8 with ``\\n`` line ends and no
-timestamps, so equal inputs give equal bytes. Every CSV table is written by
-write_table; the cashflows rows, which ingest writes as joined templates,
-take their id cells from csv_cell. Only this module knows the CSV dialect,
-and plain_number_text is the one rule of how an input number is written.
+timestamps, so equal inputs give equal bytes on every Python from 3.10.
+Every CSV table is written by write_table; the cashflows rows, which ingest
+writes as joined templates, take their id cells from csv_cell, the one rule
+of how a cell is quoted. The csv module only reads. Only this module knows
+the CSV dialect, and plain_number_text is the one rule of how an input
+number is written.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
-from functools import cache
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
@@ -254,11 +254,12 @@ def read_json(path: str | Path) -> Iterator:
 
 
 def csv_cell(text: str) -> str:
-    """`text` as write_table writes it in a row of several fields: as it
-    is, or quoted when it holds a comma, a quote or a line break."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
-    return buffer.getvalue()[:-2]
+    """`text` as a cell of a CSV row: as it is, or in quotes with its quotes
+    doubled when it holds a comma, a quote, a carriage return or a line
+    break, so that read_table reads it back."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _cells(values: tuple, specs: tuple[str, ...]) -> list[str]:
@@ -274,12 +275,11 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable, specs: 
     A row's line is one str.format of its values. A row holding None, or
     whose line holds a quote, a carriage return, a line break or more
     commas than the separators between its cells, which covers every cell
-    the csv module would quote, is written by csv.writer from its cells.
+    that csv_cell quotes, is joined from its cells, each through csv_cell.
     """
     line, commas = ",".join(f"{{:{s}}}" for s in specs) + "\n", len(specs) - 1
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
+        handle.write(",".join(map(csv_cell, header)) + "\n")
         for values in rows:
             if None not in values:
                 text = line.format(*values)
@@ -287,7 +287,7 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable, specs: 
                         and '"' not in text and "\r" not in text):
                     handle.write(text)
                     continue
-            writer.writerow(_cells(values, specs))
+            handle.write(",".join(map(csv_cell, _cells(values, specs))) + "\n")
 
 
 def write_json(path: str | Path, payload) -> None:
@@ -326,7 +326,6 @@ def record_header(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
-@cache
 def _record_layout(cls, float_spec: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The field names of dataclass `cls` and the format spec of each field:
     `float_spec` for a float and "" for any other."""
@@ -341,10 +340,7 @@ def record_rows(cls, records: Iterable, float_spec: str) -> Iterator[tuple[str, 
     an int with str, a float with `float_spec` ("" writes repr's text) and
     a float that is None blank."""
     names, specs = _record_layout(cls, float_spec)
-    return (
-        tuple(map(format, values, specs)) if None not in values else tuple(_cells(values, specs))
-        for values in map(attrgetter(*names), records)
-    )
+    return (tuple(_cells(values, specs)) for values in map(attrgetter(*names), records))
 
 
 def write_records(path: str | Path, cls, records: Iterable, float_spec: str) -> None:

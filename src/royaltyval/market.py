@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -175,8 +176,7 @@ def compare(
     rows: list[ComparisonRow] = []
     errors: list[ComparisonError] = []
     for quote in quotes:
-        age = quote.dollar_age
-        t = math.floor(age + 0.5) if age >= 0 else round_half_up(age)
+        t = math.floor(quote.dollar_age + 0.5)
         # clamped with two compares: min(max(...)) costs more per quote
         t = low if t < low else high if t > high else t
         d = quote.duration_years
@@ -200,7 +200,7 @@ def compare(
         # positional, in field order: keywords cost this loop about a fifth
         rows.append(
             ComparisonRow(
-                quote.asset_id, d, age, bid_mult, ask_mult, m10, m50, m90,
+                quote.asset_id, d, quote.dollar_age, bid_mult, ask_mult, m10, m50, m90,
                 None if bid_mult is None else bid_mult - m10, ask_mult - m50,
             )
         )
@@ -241,11 +241,11 @@ def aggregate_plot_data(
         raise ValueError(f"axis must be 'duration' or 'dollar_age_bucket', got {axis!r}")
 
     def mean(values: list[float]) -> float:
-        # the plain sum where it is finite; scaled terms where it overflows
-        total = sum(values)
+        # summed left to right, as sum() did before 3.12; scaled terms where it overflows
+        total = reduce(add, values, 0.0)
         if math.isfinite(total):
             return total / len(values)
-        return sum(v / len(values) for v in values)
+        return reduce(add, (v / len(values) for v in values), 0.0)
 
     table = []
     for value in sorted(grouped):

@@ -1,6 +1,22 @@
+import contextlib
+import csv
+import io
+import json
 from decimal import Decimal
+from pathlib import Path
 
+from royaltyval.cli import main
 from royaltyval.ingest import RawAsset
+
+
+def csv_writer_line(cells) -> str:
+    """The line csv.writer writes for `cells`: the oracle of the package's
+    CSV cells. Its line end is "\\r\\n", so that it quotes a carriage return
+    on every Python, cut back to "\\n" for the row alone; a quoted "\\r\\n"
+    inside a cell stays."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+    return buffer.getvalue()[:-2] + "\n"
 
 
 def month(year, m):
@@ -50,7 +66,9 @@ def raw_monthly_asset(asset_id, amounts, dollar_age=None, start=month(2019, 1)):
 
 
 # The CLI command list of acceptance criterion C8; tests/test_golden.py runs
-# the same list and compares its outputs with the committed bytes.
+# the same list through run_c8 and compares its outputs with the committed
+# bytes. This module imports no test library, so that other interpreters
+# run it too.
 C8_SPEC = {
     "seed": 81,
     "groups": [
@@ -75,3 +93,20 @@ def c8_commands(spec_path, out):
         ["--out", f"{data}/json", "--format", "json", "multipliers", *inputs, "--age", "1", "--durations", "4"],
         ["--out", f"{data}/json", "--format", "json", "compare", *inputs, "--quotes", f"{data}/quotes.csv"],
     ]
+
+
+COMMANDS = {"synth", "validate", "curves", "multipliers", "value", "compare"}
+
+
+def run_c8(workdir: Path) -> dict[str, str]:
+    """Run the C8 commands with outputs in workdir/out; stdout per command."""
+    spec_path = workdir / "population.json"
+    spec_path.write_text(json.dumps(C8_SPEC))
+    stdouts = {}
+    for n, argv in enumerate(c8_commands(spec_path, workdir / "out"), start=1):
+        command = next(a for a in argv if a in COMMANDS)
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert main(argv) == 0, argv
+        stdouts[f"{n}-{command}.txt"] = buffer.getvalue()
+    return stdouts

@@ -1,6 +1,4 @@
-import csv
 import functools
-import io
 import itertools
 import math
 import re
@@ -17,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import (
     cents,
     columns,
+    csv_writer_line,
     month,
     monthly_records,
     quarterly_records,
@@ -605,6 +604,7 @@ class TestCashflowsWriterQuoting:
             RawAsset('say "hi"', 1.0, *columns(quarterly_records(["-0.07", "3.10"]))),
             RawAsset("plain", 1.0, *columns(monthly_records(["-120.00", "7.25"]))),
             RawAsset("two\nlines", 1.0, *columns(monthly_records(["4.00"]))),
+            RawAsset("x\ry", 1.0, *columns(monthly_records(["5.00"]))),
         ]
         write_cashflows_csv(tmp_path / "written.csv", assets)
         rows = [
@@ -612,14 +612,19 @@ class TestCashflowsWriterQuoting:
             for a in sorted(assets, key=lambda a: a.asset_id)
             for s, m, c in zip(a.starts, a.months, a.cents)
         ]
-        with open(tmp_path / "oracle.csv", "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(CASHFLOWS_HEADER)
-            writer.writerows(rows)
+        oracle = "".join(map(csv_writer_line, (CASHFLOWS_HEADER, *rows))).encode("utf-8")
         written = (tmp_path / "written.csv").read_bytes()
-        assert written == (tmp_path / "oracle.csv").read_bytes()
+        assert written == oracle
         assert b'"a,b",2019-02,1,-2.05' in written and b'"say ""hi""",2019-04,3,3.10' in written
         assert b'\n"two\nlines",2019-01,1,4.00\n' in written
+        assert b'\n"x\ry",2019-01,1,5.00\n' in written
+
+    def test_carriage_return_id_is_read_back_and_refused(self, tmp_path):
+        path = tmp_path / "cashflows.csv"
+        write_cashflows_csv(path, [RawAsset("x\ry", 1.0, *columns(monthly_records(["5.00"])))])
+        with pytest.raises(ParseError) as err:
+            parse_cashflows(path)
+        assert str(err.value) == f"{path}:line 2: asset_id must be printable, got 'x\\ry'"
 
 
 def per_row_cashflows_text(raw_assets) -> str:
@@ -627,9 +632,7 @@ def per_row_cashflows_text(raw_assets) -> str:
     record: the reference its joined texts must match byte for byte."""
     lines = [",".join(CASHFLOWS_HEADER) + "\n"]
     for asset in sorted(raw_assets, key=lambda a: a.asset_id):
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerow((asset.asset_id, ""))
-        cell = buffer.getvalue()[:-2]
+        cell = csv_writer_line((asset.asset_id, ""))[:-2]
         for s, m, c in zip(asset.starts, asset.months, asset.cents):
             sign, whole, frac = "-" if c < 0 else "", abs(c) // 100, abs(c) % 100
             lines.append(f"{cell},{s // 12:04d}-{s % 12 + 1:02d},{m},{sign}{whole}.{frac:02d}\n")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import csv_writer_line
 from royaltyval._io import (
     ParseError,
     csv_cell,
@@ -308,17 +309,14 @@ RECORD_TABLES = [
 
 @pytest.fixture(scope="module")
 def records_dir(tmp_path_factory):
-    """A directory whose two files each example writes anew."""
+    """A directory whose file each example writes anew."""
     return tmp_path_factory.mktemp("records")
 
 
-def csv_writer_bytes(path, header, rows) -> bytes:
-    """The bytes csv.writer writes for `header` and the cell rows `rows`."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path.read_bytes()
+def csv_writer_bytes(header, rows) -> bytes:
+    """The bytes csv.writer writes for `header` and the cell rows `rows`,
+    each row's line as csv_writer_line gives it."""
+    return "".join(map(csv_writer_line, (header, *rows))).encode("utf-8")
 
 
 # Ids holding every text the csv module quotes, and `%`, which the
@@ -350,8 +348,7 @@ class TestWriteTable:
         table = data.draw(st.lists(rows, max_size=8))
         write_table(records_dir / "lines.csv", header, iter(table), specs)
         cells = [["" if v is None else format(v, s) for v, s in zip(row, specs)] for row in table]
-        expected = csv_writer_bytes(records_dir / "cells.csv", header, cells)
-        assert (records_dir / "lines.csv").read_bytes() == expected
+        assert (records_dir / "lines.csv").read_bytes() == csv_writer_bytes(header, cells)
 
     @given(asset_id=IDS)
     @settings(max_examples=60, deadline=None)
@@ -368,6 +365,13 @@ class TestWriteTable:
             '"""""",0.250000\n%s,3.000000\n'
         )
 
+    def test_carriage_return_is_quoted_and_read_back(self, tmp_path):
+        assert csv_cell("x\ry") == '"x\ry"'
+        write_table(tmp_path / "t.csv", ("a", "b"), [("x\ry", 1)], ("", ""))
+        assert (tmp_path / "t.csv").read_bytes() == b'a,b\n"x\ry",1\n'
+        with read_table(tmp_path / "t.csv", ("a", "b")) as rows:
+            assert [list(row) for row in rows] == [["x\ry", "1"]]
+
 
 class TestWriteRecords:
     """write_records against the csv module over record_rows' cells."""
@@ -379,7 +383,7 @@ class TestWriteRecords:
         table = data.draw(st.lists(records, max_size=8))
         write_records(records_dir / "lines.csv", cls, table, spec)
         cells = record_rows(cls, table, spec)
-        expected = csv_writer_bytes(records_dir / "cells.csv", record_header(cls), cells)
+        expected = csv_writer_bytes(record_header(cls), cells)
         assert (records_dir / "lines.csv").read_bytes() == expected
 
     def test_cells_are_written_by_declared_type(self, tmp_path):

@@ -305,6 +305,14 @@ class TestAggregatePlotData:
         assert group.mean_ask_mult == pytest.approx(1.6e308, rel=1e-15)
         assert (group.mean_m10, group.mean_m50, group.mean_m90) == (1.0, 2.0, 3.0)
 
+    def test_means_add_left_to_right(self):
+        # from Python 3.12 sum() compensates: ten 0.1s add to 1.0, the scaled terms to 1.7e308
+        [group] = aggregate_plot_data([self._row(str(k), ask=0.1) for k in range(10)], "duration")
+        assert group.mean_ask_mult == 0.9999999999999999 / 10
+        rows = [self._row(str(k), ask=1.7e308) for k in range(10)]
+        [group] = aggregate_plot_data(rows, "duration")
+        assert group.mean_ask_mult == 1.6999999999999995e308
+
     def test_groups_by_dollar_age_bucket(self):
         rows = [self._row("A", age=1.6), self._row("B", age=2.4), self._row("C", age=4.0)]
         groups = aggregate_plot_data(rows, "dollar_age_bucket")
