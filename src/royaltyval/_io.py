@@ -6,11 +6,11 @@ into ParseError naming the file and, for a table row, its 1-based line.
 The CLI reports it with exit status 1. Input files are UTF-8 and may start
 with a byte-order mark. Writers emit UTF-8 with ``\\n`` line ends and no
 timestamps, so equal inputs give equal bytes on every Python from 3.10.
-Every CSV table is written by write_table; the cashflows rows, which ingest
-writes as joined templates, take their id cells from csv_cell, the one rule
-of how a cell is quoted. The csv module only reads. Only this module knows
-the CSV dialect, and plain_number_text is the one rule of how an input
-number is written.
+Every CSV table is written by write_table, and csv_cell is the one rule of
+how a cell is quoted; the csv module only reads. This module knows the CSV
+dialect, but ingest's _CANONICAL_ROWS, _add_block and write_cashflows_csv
+split and join the canonical cashflows rows at "," and "\\n" themselves.
+plain_number_text is the one rule of how an input number is written.
 """
 
 from __future__ import annotations

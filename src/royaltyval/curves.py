@@ -2,8 +2,8 @@
 
 For a base age t and horizon i, the observed share of an asset is its
 year-(t+i) revenue divided by its year-t revenue. The cohort at (t, i) is
-every asset old enough (dollar age at or above t+i) whose annual buckets
-exist at both years; surfaces store chosen percentiles of those cohorts.
+every asset that observed_years says is observed through year t+i;
+surfaces store chosen percentiles of those cohorts.
 """
 
 from __future__ import annotations
@@ -25,18 +25,19 @@ _SURFACE_KEYS = ("base_age", "levels", "counts", "cells")
 _CELL_KEYS = ("horizon", "level", "share")
 
 
-def observed_share(asset: Asset, base_age: int, horizon: int) -> float | None:
-    """Share of base-year revenue seen `horizon` years later, if observable.
+def observed_years(asset: Asset) -> int:
+    """The cohort rule: an asset is observed through year n = min(len(amounts),
+    floor(dollar age)), and a cohort at (t, h) reads it only when t + h <= n."""
+    return min(len(asset.amounts), math.floor(asset.dollar_age))
 
-    Absent (None) when the asset is too young (dollar age below
-    base_age + horizon) or its annual buckets do not reach that far.
-    """
+
+def observed_share(asset: Asset, base_age: int, horizon: int) -> float | None:
+    """Share of base-year revenue seen `horizon` years later, if observable:
+    absent (None) where observed_years says no cohort reads it."""
     if base_age < 1 or horizon < 1:
         raise ValueError("base_age and horizon must be >= 1")
     target = base_age + horizon
-    if asset.dollar_age < target:
-        return None
-    if len(asset.amounts) < target:
+    if target > observed_years(asset):
         return None
     try:
         return float(asset.amounts[target - 1]) / float(asset.amounts[base_age - 1])
@@ -106,20 +107,18 @@ def build_surfaces(
     level_tuple = tuple(float(p) for p in levels)
     ages = sorted(set(base_ages))
 
-    # An asset is observable through year n = min(len(amounts), floor(dollar
-    # age)), so its cohort at (t, i) takes amounts[t+i-1] / amounts[t-1] for
-    # t + i <= n: the float division observed_share does. No cohort reads a
-    # year before the first base age or past the last one's deepest horizon,
-    # so an asset counts for its n - skip years from year skip + 1, and only
-    # when n > skip + 1. As in observed_share, a base age below 1 is an error
-    # only once there is an asset to observe.
+    # The cohort at (t, i) divides amounts[t+i-1] by amounts[t-1], as
+    # observed_share does, for each asset with observed_years n >= t + i. No
+    # cohort reads before year skip + 1 or past year stop, so an asset counts
+    # for its n - skip years from year skip + 1 when n > skip + 1. A base age
+    # below 1 is an error, as in observed_share, only once there is an asset.
     skip = ages[0] - 1 if ages else 0
     stop = ages[-1] + max_horizon if ages else 0
     observed = []  # (n - skip, amounts) of each asset that counts
     for asset in dataset:
         if skip < 0:
             raise ValueError("base_age and horizon must be >= 1")
-        n = min(len(asset.amounts), math.floor(asset.dollar_age), stop)
+        n = min(observed_years(asset), stop)
         if n > skip + 1:
             observed.append((n - skip, asset.amounts))
 

@@ -361,6 +361,8 @@ def annualize(
     """
     if not starts:
         raise ValueError("no records")
+    if not set(months) <= {1, 3}:  # the periods _annual_sums steps through
+        raise ValueError(f"period_months must be 1 or 3, got {min(set(months) - {1, 3})}")
     _raise_gap(asset_id, starts, months)
     return _annual_sums(asset_id, starts, months, cents)
 
@@ -380,8 +382,9 @@ def _annual_sums(
             RejectReason.INSUFFICIENT_HISTORY,
             f"{named(asset_id)}: only {total_months} months of coverage",
         )
-    if total_months == len(months):  # every record one month: a year is 12 of them
-        bounds = range(0, 12 * complete_years + 1, 12)
+    if total_months == months[0] * len(months):  # periods of 1 or 3: all equal the first
+        step = 12 // months[0]
+        bounds = range(0, step * complete_years + 1, step)
     else:
         bounds = [bisect_left(starts, starts[0] + 12 * k) for k in range(complete_years + 1)]
     return tuple(Decimal(sum(cents[lo:hi])).scaleb(-2) for lo, hi in zip(bounds, bounds[1:]))

@@ -20,7 +20,7 @@ from ._io import (
     check_id, named, parse_number, plain_number_text, read_table, record_header, record_rows,
     write_records,
 )
-from .curves import build_surfaces
+from .curves import build_surfaces, observed_years
 from .model import (
     BAND_LEVELS, DEFAULT_MAX_DURATION, DEFAULT_MIN_BID_ASK_RATIO, Asset, MissingCellError,
     ShareSurface, multiplier_table,
@@ -133,13 +133,11 @@ def band_surfaces(
     """Band-level surfaces at the base ages compare reads for quotes of
     these dollar ages: each rounded half up, then clamped into 1..top.
 
-    An asset is observed for n = min(len(amounts), floor(dollar age))
-    years, and age t has cells when at least min_cohort assets have
-    n >= t + 1. That count only falls as t grows, so the ages with cells
-    are 1..top, top being the min_cohort-th largest n less one, and every
-    surface returned has depth >= 1.
+    Age t has cells when min_cohort assets have curves.observed_years above
+    t, so those ages are 1..top, top the min_cohort-th largest of them less
+    one, and every surface returned has depth >= 1.
     """
-    observed = sorted(min(len(a.amounts), math.floor(a.dollar_age)) for a in dataset)
+    observed = sorted(map(observed_years, dataset))
     top = observed[-min_cohort] - 1 if 0 < min_cohort <= len(observed) else 0
     ages = {min(max(t, 1), top) for t in set(map(round_half_up, dollar_ages))} if top > 0 else ()
     return build_surfaces(dataset, ages, BAND_LEVELS, max_horizon, min_cohort)

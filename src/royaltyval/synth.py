@@ -224,7 +224,7 @@ def gen_quotes(
     [1-noise, 1+noise]. The bands are market.band_surfaces at the assets'
     dollar ages, each asset reading the one at its rounded age before any
     clamping: an asset younger than half a year, or older than every age
-    with cells, finds none and is skipped.
+    with cells (curves.observed_years), finds none and is skipped.
     """
     if bid_level not in BAND_LEVELS or ask_level not in BAND_LEVELS:
         raise ValueError(f"bid/ask levels must be one of {BAND_LEVELS}")

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import platform
+import shutil
+import subprocess
 from decimal import Decimal
 from pathlib import Path
 
@@ -110,3 +113,20 @@ def run_c8(workdir: Path) -> dict[str, str]:
             assert main(argv) == 0, argv
         stdouts[f"{n}-{command}.txt"] = buffer.getvalue()
     return stdouts
+
+
+def other_pythons() -> list[str]:
+    """Each of python3.10 to python3.13 on PATH that runs and is not this
+    interpreter's version; a pyenv shim of a version not selected exits 127."""
+    found = []
+    for name in (f"python3.{minor}" for minor in range(10, 14)):
+        path = shutil.which(name)
+        if path is None:
+            continue
+        probe = subprocess.run(
+            [path, "-c", "import platform; print(platform.python_version())"],
+            capture_output=True, text=True,
+        )
+        if probe.returncode == 0 and probe.stdout.strip() != platform.python_version():
+            found.append(path)
+    return found

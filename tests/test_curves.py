@@ -13,13 +13,15 @@ from royaltyval.curves import (
     build_surface,
     build_surfaces,
     observed_share,
+    observed_years,
     parse_surface_csv,
     percentile,
     surface_csv_rows,
     surface_from_json_dict,
     surface_to_json_dict,
 )
-from royaltyval.model import Asset
+from royaltyval.market import band_surfaces
+from royaltyval.model import BAND_LEVELS, Asset
 
 
 def brute_force_percentile(values, level):
@@ -42,6 +44,12 @@ value_lists = st.lists(
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False), min_size=1, max_size=12
 )
 levels = st.floats(min_value=0.0, max_value=100.0)
+# (amounts, dollar age) of an asset, drawn apart, so that some series stop
+# short of their dollar age and others run past it
+asset_series = st.tuples(
+    st.lists(st.floats(min_value=0.5, max_value=100.0), min_size=1, max_size=9),
+    st.floats(min_value=0.5, max_value=11.0),
+)
 
 
 class TestObservedShare:
@@ -64,6 +72,32 @@ class TestObservedShare:
     def test_zero_base_year_is_a_value_error(self):
         with pytest.raises(ValueError, match="^A: no revenue in year 1$"):
             observed_share(asset("A", [0.0, 1.0, 1.0]), 1, 1)
+
+
+class TestObservedYears:
+    """observed_years is the one cohort rule: observed_share, build_surfaces
+    and band_surfaces all read an asset's years through it."""
+
+    @given(
+        series=st.lists(asset_series, min_size=1, max_size=8),
+        base_age=st.integers(min_value=1, max_value=10),
+        horizon=st.integers(min_value=1, max_value=10),
+        max_horizon=st.integers(min_value=1, max_value=4),
+        min_cohort=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_the_rule_holds_everywhere(self, series, base_age, horizon, max_horizon, min_cohort):
+        dataset = [asset(f"A{k}", amounts, age) for k, (amounts, age) in enumerate(series)]
+        for a in dataset:
+            absent = observed_share(a, base_age, horizon) is None
+            assert absent == (base_age + horizon > observed_years(a))
+        surfaces = band_surfaces(dataset, range(1, 12), max_horizon, min_cohort)
+        top = max(surfaces, default=0)
+        assert sorted(surfaces) == list(range(1, top + 1))
+        if top:
+            assert surfaces[top].depth >= 1
+        above = build_surfaces(dataset, (top + 1,), BAND_LEVELS, max_horizon, min_cohort)
+        assert above[top + 1].values == {}
 
 
 class TestPercentile:
@@ -236,21 +270,13 @@ class TestBuildSurfacesOracle:
 
     @given(
         data=st.data(),
-        series=st.lists(
-            st.tuples(
-                st.lists(st.floats(min_value=0.5, max_value=100.0), min_size=1, max_size=9),
-                st.floats(min_value=0.5, max_value=11.0),
-            ),
-            max_size=12,
-        ),
+        series=st.lists(asset_series, max_size=12),
         base_ages=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=5),
         max_horizon=st.integers(min_value=1, max_value=6),
         min_cohort=st.integers(min_value=1, max_value=4),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_per_cell_cohorts(self, data, series, base_ages, max_horizon, min_cohort):
-        # dollar ages are drawn apart from series lengths, so some series
-        # stop short of their dollar age and others run past it
         dataset = [
             asset(f"A{k:02d}", amounts, dollar_age)
             for k, (amounts, dollar_age) in enumerate(series)

@@ -7,6 +7,8 @@ their values once, when built, so none is frozen or patched through
 `dataclasses.fields`, `asdict` or `replace`; every other module asks `_io`
 for them. Share surfaces are built in `curves` and, at the base ages that
 quotes read, in `market.band_surfaces`; every other module asks `market`.
+`curves.observed_years` is the one cohort rule, the only place that floors
+a dollar age to the years of an asset a cohort reads.
 Every CSV table is written by `_io.write_table`, a table of records
 through `_io.write_records`; only `_io` and the row functions `market`
 keeps for its tests and benchmark call `record_rows`. Only `_io` imports
@@ -36,6 +38,7 @@ RULES = [
         id="fields_in_io",
     ),
     pytest.param(r"\bbuild_surfaces\(", ("curves.py", "market.py"), id="one_surface_loop"),
+    pytest.param(r"floor\(\w+\.dollar_age\)", ("curves.py",), id="one_cohort_rule"),
     pytest.param(r"\brecord_rows\(", ("_io.py", "market.py"), id="one_record_writer"),
     pytest.param(r"\bwrite_csv\b", (), id="one_table_writer"),
     pytest.param(r"^\s*(import|from) csv\b|(?<![\w.])csv\.", ("_io.py",), id="csv_in_io"),

@@ -12,14 +12,13 @@ to `python3.13` found on PATH runs the commands too, in a child process.
 
 import json
 import os
-import platform
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
 
-from conftest import run_c8
+from conftest import other_pythons, run_c8
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -53,23 +52,6 @@ from pathlib import Path
 from conftest import run_c8
 print(json.dumps(run_c8(Path(sys.argv[1]))))
 """
-
-
-def other_pythons() -> list[str]:
-    """Each of python3.10 to python3.13 on PATH that runs and is not this
-    interpreter's version; a pyenv shim of a version not selected exits 127."""
-    found = []
-    for name in (f"python3.{minor}" for minor in range(10, 14)):
-        path = shutil.which(name)
-        if path is None:
-            continue
-        probe = subprocess.run(
-            [path, "-c", "import platform; print(platform.python_version())"],
-            capture_output=True, text=True,
-        )
-        if probe.returncode == 0 and probe.stdout.strip() != platform.python_version():
-            found.append(path)
-    return found
 
 
 def test_c8_outputs_match_golden_bytes_on_other_pythons(tmp_path):

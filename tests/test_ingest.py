@@ -4,12 +4,13 @@ import math
 import re
 import tempfile
 from array import array
+from bisect import bisect_left
 from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -802,6 +803,23 @@ def test_annualize_matches_the_walk_on_unsorted_and_overlapping_columns(columns_
         assert err.value.reason is reason
 
 
+@given(period_columns(steps=st.just(0)))
+@settings(max_examples=150, deadline=None)
+def test_annual_bounds_equal_the_bisect_bounds(columns_):
+    """Gap-free columns of one period, monthly or quarterly, step 12 //
+    period records a year; mixed ones bisect the starts. Both take the
+    records that start in each twelve months, so the sums are the same."""
+    starts, months, _ = columns_
+    span = starts[-1] + months[-1] - starts[0]
+    assume(span >= 12)
+    cents = [1 << k for k in range(len(starts))]  # no two sets of records sum alike
+    bounds = [bisect_left(starts, starts[0] + 12 * k) for k in range(span // 12 + 1)]
+    expected = tuple(Decimal(sum(cents[lo:hi])).scaleb(-2) for lo, hi in zip(bounds, bounds[1:]))
+    with mock.patch.object(ingest, "bisect_left", wraps=bisect_left) as bisect:
+        assert ingest._annual_sums("A", starts, months, cents) == expected
+    assert bisect.called == (len(set(months)) > 1)
+
+
 @pytest.mark.parametrize(
     "starts,months,message",
     [
@@ -1074,6 +1092,10 @@ PARAMETER_GUARDS = [
         RawAsset, ("A", 1.0, (0,), (2,), (1,)), "period_months must be 1 or 3, got 2", id="period_2"
     ),
     pytest.param(annualize, ("A", (), (), ()), "no records", id="annualize_empty"),
+    pytest.param(
+        annualize, ("A", (0, 5, 10), (5, 5, 5), (1, 1, 1)), "period_months must be 1 or 3, got 5",
+        id="annualize_period_5",
+    ),
     pytest.param(
         functools.partial(build_dataset, zero_floor=-1), ([],), "zero_floor must be >= 0",
         id="floor_-1",
