@@ -2,14 +2,13 @@
 
 An asset's cashflows are three ``Sequence[int]`` columns of equal length,
 sorted by period start: ``starts`` (month index ``year * 12 + month - 1``),
-``months`` (the period length, 1 or 3) and ``cents``. The parsers give
-tuples of starts and months and an ``array('q')`` of cents, which every
-amount below 10**16 dollars fits. Amounts travel as integer cents through
-this module, so annual bucket sums conserve input revenue exactly; each
-bucket becomes a ``Decimal`` once, and conversion to binary floats happens
+``months`` (the period length, as ``_PERIODS`` allows) and ``cents``. The
+parsers give tuples of starts and months and an ``array('q')`` of cents,
+which every amount below 10**16 dollars fits. Amounts stay integer cents
+here, so annual bucket sums conserve input revenue exactly; each bucket
+becomes a ``Decimal`` once, and conversion to binary floats happens
 downstream where shares are formed. Filtering applies a fixed check order
-per asset and the first failing check wins, which keeps rejection reports
-reproducible.
+per asset and the first failing check wins, so rejection reports repeat.
 """
 
 from __future__ import annotations
@@ -45,18 +44,22 @@ _MAX_ID_CHARS = 256  # the longest id a canonical row holds
 _AMOUNT_RE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]{1,2}))?")
 _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
+_PERIODS = {"1": 1, "3": 3}  # period_months text -> months: the one rule of a record's period
+_PERIOD_RULE = f"period_months must be {' or '.join(_PERIODS)}"
+
 # Rows exactly as write_cashflows_csv writes them: an id of 1.._MAX_ID_CHARS
 # ASCII characters from '!' to '~' other than '"' and ',', a YYYY-MM month,
-# a period of 1 or 3, an amount of 1..MAX_AMOUNT_DIGITS digits with two
+# a period of _PERIODS, an amount of 1..MAX_AMOUNT_DIGITS digits with two
 # fraction digits, and LF line ends. The bounds keep every field below the
 # csv field limit and every amount below int()'s digit limit.
 _CANONICAL_ROWS = re.compile(
-    rf"(?:[!#-+\x2d-~]{{1,{_MAX_ID_CHARS}}},[0-9]{{4}}-(?:0[1-9]|1[0-2]),[13],"
+    rf"(?:[!#-+\x2d-~]{{1,{_MAX_ID_CHARS}}},[0-9]{{4}}-(?:0[1-9]|1[0-2]),(?:{'|'.join(_PERIODS)}),"
     rf"[0-9]{{1,{MAX_AMOUNT_DIGITS}}}\.[0-9]{{2}}\n)*"
 )
-_PERIODS = {"1": 1, "3": 3}
 _CANONICAL_HEADER = ",".join(CASHFLOWS_HEADER) + "\n"
-_MAX_CANONICAL_ROW = _MAX_ID_CHARS + len(",YYYY-MM,1,") + MAX_AMOUNT_DIGITS + len(".00\n")
+_MAX_CANONICAL_ROW = (
+    _MAX_ID_CHARS + max(map(len, _PERIODS)) + MAX_AMOUNT_DIGITS + len(",YYYY-MM,,.00\n")
+)
 _BLOCK_CHARS = 1 << 16
 
 # One asset's (starts, months, cents) columns.
@@ -94,6 +97,14 @@ def _cents_text(cents: int) -> str:
     return ("%d.%02d" if cents >= 0 else "-%d.%02d") % divmod(abs(cents), 100)
 
 
+def _check_periods(months: Sequence[int]) -> set[int]:
+    """set(months); ValueError naming the first period, in order, that _PERIODS lacks."""
+    periods = set(months)
+    if bad := periods.difference(_PERIODS.values()):
+        raise ValueError(f"{_PERIOD_RULE}, got {next(m for m in months if m in bad)}")
+    return periods
+
+
 @dataclass
 class RawAsset:
     """An unfiltered asset: dollar age plus its cashflow columns sorted by
@@ -115,12 +126,8 @@ class RawAsset:
             raise ValueError(f"{named(self.asset_id)}: cashflow columns differ in length")
         if not self.dollar_age > 0:
             raise ValueError(f"{named(self.asset_id)}: dollar_age must be > 0")
-        periods = set(months)
-        if not periods <= {1, 3}:
-            bad = next(m for m in months if m != 1 and m != 3)
-            raise ValueError(f"period_months must be 1 or 3, got {bad}")
         # one-month records overlap exactly where the starts fail to increase
-        if periods == {1} and all(map(lt, starts, islice(starts, 1, None))):
+        if _check_periods(months) == {1} and all(map(lt, starts, islice(starts, 1, None))):
             return
         later = starts[1:]
         overlap = next(compress(later, map(lt, later, map(add, starts, months))), None)
@@ -248,9 +255,7 @@ def _parse_rows(path: str | Path) -> dict[str, Columns]:
                 start = months_by_text[start_text] = int(m.group(1)) * 12 + month - 1
             months = _PERIODS.get(months_text)
             if months is None:
-                raise ValueError(
-                    f"unknown frequency {quoted(months_text)} (period_months must be 1 or 3)"
-                )
+                raise ValueError(f"unknown frequency {quoted(months_text)} ({_PERIOD_RULE})")
             m = _AMOUNT_RE.fullmatch(amount_text)
             if not m:
                 raise ValueError(
@@ -361,8 +366,7 @@ def annualize(
     """
     if not starts:
         raise ValueError("no records")
-    if not set(months) <= {1, 3}:  # the periods _annual_sums steps through
-        raise ValueError(f"period_months must be 1 or 3, got {min(set(months) - {1, 3})}")
+    _check_periods(months)  # the periods _annual_sums steps through
     _raise_gap(asset_id, starts, months)
     return _annual_sums(asset_id, starts, months, cents)
 
@@ -382,7 +386,7 @@ def _annual_sums(
             RejectReason.INSUFFICIENT_HISTORY,
             f"{named(asset_id)}: only {total_months} months of coverage",
         )
-    if total_months == months[0] * len(months):  # periods of 1 or 3: all equal the first
+    if total_months == months[0] * len(months):  # every period equals the first
         step = 12 // months[0]
         bounds = range(0, step * complete_years + 1, step)
     else:

@@ -150,14 +150,14 @@ def compare(
 ) -> tuple[list[ComparisonRow], list[ComparisonError]]:
     """Line each quote up against the model band at its age and duration.
 
-    The quote's dollar age is rounded to an integer base age, then clamped
-    into the range of ages that have surfaces; a hole inside that range or
-    a surface without enough horizons yields a row-level error rather than
-    failing the run. Each base age's table is built once, to its deepest
-    cell, and its band columns zipped into rows: an (m10, m50, m90) tuple
-    per duration, None where the surface lacks a band level. Columns are
-    prefix sums, so row d equals that of a table built to d. Rows and
-    errors come back sorted by asset_id.
+    The quote's dollar age is rounded half up to a base age, as in
+    band_surfaces, then clamped into the range of ages that have surfaces;
+    a hole inside that range or a surface without enough horizons yields a
+    row-level error rather than failing the run. Each base age's table is
+    built once, to its deepest cell, and its band columns zipped into rows:
+    an (m10, m50, m90) tuple per duration, None where the surface lacks a
+    band level. Columns are prefix sums, so row d equals that of a table
+    built to d. Rows and errors come back sorted by asset_id.
     """
     available = sorted(surfaces_by_age)
     bands = {}
@@ -174,7 +174,7 @@ def compare(
     rows: list[ComparisonRow] = []
     errors: list[ComparisonError] = []
     for quote in quotes:
-        t = math.floor(quote.dollar_age + 0.5)
+        t = round_half_up(quote.dollar_age)  # the rounding band_surfaces builds ages by
         # clamped with two compares: min(max(...)) costs more per quote
         t = low if t < low else high if t > high else t
         d = quote.duration_years

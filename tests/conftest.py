@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import platform
 import shutil
 import subprocess
@@ -116,17 +117,23 @@ def run_c8(workdir: Path) -> dict[str, str]:
 
 
 def other_pythons() -> list[str]:
-    """Each of python3.10 to python3.13 on PATH that runs and is not this
-    interpreter's version; a pyenv shim of a version not selected exits 127."""
+    """One interpreter for each of python3.10 to python3.13 that is not this
+    interpreter's version: the first that runs of the one on PATH and the
+    pyenv builds `$PYENV_ROOT/versions/3.1X.*/bin/python3.1X` (the root is
+    `~/.pyenv` by default). A pyenv shim of a version not selected exits 127,
+    so a build that pyenv has but does not select is found there."""
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
     found = []
-    for name in (f"python3.{minor}" for minor in range(10, 14)):
-        path = shutil.which(name)
-        if path is None:
-            continue
-        probe = subprocess.run(
-            [path, "-c", "import platform; print(platform.python_version())"],
-            capture_output=True, text=True,
-        )
-        if probe.returncode == 0 and probe.stdout.strip() != platform.python_version():
-            found.append(path)
+    for minor in range(10, 14):
+        name = f"python3.{minor}"
+        builds = sorted(map(str, pyenv.glob(f"versions/3.{minor}.*/bin/{name}")))
+        for path in filter(None, [shutil.which(name), *builds]):
+            probe = subprocess.run(
+                [path, "-c", "import platform; print(platform.python_version())"],
+                capture_output=True, text=True,
+            )
+            if probe.returncode == 0:
+                if probe.stdout.strip() != platform.python_version():
+                    found.append(path)
+                break
     return found

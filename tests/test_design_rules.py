@@ -8,7 +8,13 @@ their values once, when built, so none is frozen or patched through
 for them. Share surfaces are built in `curves` and, at the base ages that
 quotes read, in `market.band_surfaces`; every other module asks `market`.
 `curves.observed_years` is the one cohort rule, the only place that floors
-a dollar age to the years of an asset a cohort reads.
+a dollar age to the years of an asset a cohort reads, and
+`market.round_half_up` the one rounding of a dollar age to the base age a
+quote reads, in `band_surfaces` and in `compare` alike. `ingest._PERIODS`
+is the one statement of the periods a record may cover: the canonical row
+pattern, the row reader's message and the one check that `RawAsset` and
+`annualize` share all read it, so the two say the same for the same
+periods.
 Every CSV table is written by `_io.write_table`, a table of records
 through `_io.write_records`; only `_io` and the row functions `market`
 keeps for its tests and benchmark call `record_rows`. Only `_io` imports
@@ -23,6 +29,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from royaltyval.ingest import RawAsset, annualize
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "royaltyval").glob("*.py"))
@@ -39,6 +47,8 @@ RULES = [
     ),
     pytest.param(r"\bbuild_surfaces\(", ("curves.py", "market.py"), id="one_surface_loop"),
     pytest.param(r"floor\(\w+\.dollar_age\)", ("curves.py",), id="one_cohort_rule"),
+    pytest.param(r"dollar_age \+ 0\.5", (), id="one_base_age_rounding"),
+    pytest.param(r"\{1, 3\}|m != 1 and m != 3", (), id="one_period_rule"),
     pytest.param(r"\brecord_rows\(", ("_io.py", "market.py"), id="one_record_writer"),
     pytest.param(r"\bwrite_csv\b", (), id="one_table_writer"),
     pytest.param(r"^\s*(import|from) csv\b|(?<![\w.])csv\.", ("_io.py",), id="csv_in_io"),
@@ -64,3 +74,12 @@ def test_rule_holds_in_every_module(pattern, allowed):
         if re.search(pattern, line)
     ]
     assert found == []
+
+
+def test_raw_asset_and_annualize_name_the_same_period():
+    """Both name the first period, in record order, that is not allowed."""
+    message = "^period_months must be 1 or 3, got 5$"
+    with pytest.raises(ValueError, match=message):
+        RawAsset("A", 1.0, (0, 5), (5, 2), (1, 1))
+    with pytest.raises(ValueError, match=message):
+        annualize("A", (0, 5), (5, 2), (1, 1))

@@ -7,7 +7,8 @@ intended output change, rewrite the directory with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 
 The bytes do not depend on the Python version: every other `python3.10`
-to `python3.13` found on PATH runs the commands too, in a child process.
+to `python3.13` found on PATH or among the pyenv builds runs the commands
+too, in a child process.
 """
 
 import json
@@ -57,7 +58,7 @@ print(json.dumps(run_c8(Path(sys.argv[1]))))
 def test_c8_outputs_match_golden_bytes_on_other_pythons(tmp_path):
     pythons = other_pythons()
     if not pythons:
-        pytest.skip("no other python3.10 to python3.13 on PATH")
+        pytest.skip("no other python3.10 to python3.13 on PATH or under pyenv")
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
     for n, python in enumerate(pythons):

@@ -4,8 +4,8 @@ Each script's output files and stdout are pinned to the bytes in
 `tests/golden_scripts/<script>/`, with the `--out` directory written as
 `<out>` in `stdout.txt`. After an intended output change, rewrite them with
 `PYTHONPATH=src python tests/test_scripts.py` and review the diff. Every
-other `python3.10` to `python3.13` found on PATH runs the scripts too, and
-must write the same bytes.
+other `python3.10` to `python3.13` found on PATH or among the pyenv builds
+runs the scripts too, and must write the same bytes.
 """
 
 import os
@@ -77,7 +77,7 @@ def test_script_writes_its_tables(tmp_path, script, files, lines):
 def test_scripts_match_golden_bytes_on_other_pythons(tmp_path):
     pythons = other_pythons()
     if not pythons:
-        pytest.skip("no other python3.10 to python3.13 on PATH")
+        pytest.skip("no other python3.10 to python3.13 on PATH or under pyenv")
     for n, python in enumerate(pythons):
         for script in SCRIPTS:
             out = tmp_path / f"{n}-{Path(script).stem}"
