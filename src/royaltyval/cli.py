@@ -153,7 +153,11 @@ def _surface_for(args, cfg: Config, levels: tuple[float, ...]) -> ShareSurface:
         raise ValueError("--age must be >= 1")
     dataset, _ = _load_dataset(args, cfg)
     return curves.build_surface(
-        dataset, args.age, levels, max_horizon=cfg.max_duration, min_cohort=cfg.min_cohort
+        dataset,
+        args.age,
+        levels,
+        max_horizon=cfg.max_duration,
+        min_cohort=cfg.min_cohort,
     )
 
 

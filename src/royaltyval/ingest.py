@@ -2,13 +2,14 @@
 
 An asset's cashflows are three ``Sequence[int]`` columns of equal length,
 sorted by period start: ``starts`` (month index ``year * 12 + month - 1``),
-``months`` (the period length, as ``_PERIODS`` allows) and ``cents``. The
+``months`` (a period length that ``_PERIODS`` allows) and ``cents``. The
 parsers give tuples of starts and months and an ``array('q')`` of cents,
-which every amount below 10**16 dollars fits. Amounts stay integer cents
-here, so annual bucket sums conserve input revenue exactly; each bucket
-becomes a ``Decimal`` once, and conversion to binary floats happens
-downstream where shares are formed. Filtering applies a fixed check order
-per asset and the first failing check wins, so rejection reports repeat.
+which every amount below 10**16 dollars fits. Amounts travel as integer
+cents through this module, so annual bucket sums conserve input revenue
+exactly; each bucket becomes a ``Decimal`` once, and conversion to binary
+floats happens downstream where shares are formed. Filtering applies a
+fixed check order per asset and the first failing check wins, which keeps
+rejection reports reproducible.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ _MAX_ID_CHARS = 256  # the longest id a canonical row holds
 _AMOUNT_RE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]{1,2}))?")
 _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
-_PERIODS = {"1": 1, "3": 3}  # period_months text -> months: the one rule of a record's period
+# period_months text -> months: the one rule of a record's period. _annual_sums'
+# stepped bounds assume exactly these two periods, 1 and 3: each divides 12.
+_PERIODS = {"1": 1, "3": 3}
 _PERIOD_RULE = f"period_months must be {' or '.join(_PERIODS)}"
 
 # Rows exactly as write_cashflows_csv writes them: an id of 1.._MAX_ID_CHARS
@@ -386,7 +389,9 @@ def _annual_sums(
             RejectReason.INSUFFICIENT_HISTORY,
             f"{named(asset_id)}: only {total_months} months of coverage",
         )
-    if total_months == months[0] * len(months):  # every period equals the first
+    # periods are 1 or 3 (_PERIODS): the first is the least or the greatest, so the
+    # span (their sum) is months[0] * len(months) only when all equal the first
+    if total_months == months[0] * len(months):
         step = 12 // months[0]
         bounds = range(0, step * complete_years + 1, step)
     else:

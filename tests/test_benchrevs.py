@@ -87,13 +87,13 @@ def _in_git_work_tree() -> bool:
 
 
 @pytest.mark.skipif(not _in_git_work_tree(), reason="needs git and a git work tree")
-def test_one_pair_against_head_runs_both_trees(tmp_path):
-    argv = [sys.executable, str(ROOT / "tools" / "benchrevs.py"), "--against", "HEAD",
-            "--pairs", "1", "--workload", "synth_population", "--seconds", "1",
-            "--trees", str(tmp_path)]
-    run = subprocess.run(argv, capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    rows = [line.split() for line in run.stdout.splitlines()[1:]]
+def test_one_pair_against_head_runs_both_trees(tmp_path, monkeypatch, capsys):
+    # trees of their own, so a run in progress under .perfbench/trees keeps its trees
+    monkeypatch.setattr(benchrevs, "TREES", tmp_path)
+    argv = ["--against", "HEAD", "--pairs", "1", "--workload", "synth_population",
+            "--seconds", "1"]
+    assert benchrevs.main(argv) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert [row[:2] for row in rows] == [
         ["synth_population", name] for name in ("setup_s", "wall_s", "peak_rss_mb")
     ]

@@ -13,8 +13,7 @@ a dollar age to the years of an asset a cohort reads, and
 quote reads, in `band_surfaces` and in `compare` alike. `ingest._PERIODS`
 is the one statement of the periods a record may cover: the canonical row
 pattern, the row reader's message and the one check that `RawAsset` and
-`annualize` share all read it, so the two say the same for the same
-periods.
+`annualize` share all read it.
 Every CSV table is written by `_io.write_table`, a table of records
 through `_io.write_records`; only `_io` and the row functions `market`
 keeps for its tests and benchmark call `record_rows`. Only `_io` imports
@@ -29,8 +28,6 @@ import re
 from pathlib import Path
 
 import pytest
-
-from royaltyval.ingest import RawAsset, annualize
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "royaltyval").glob("*.py"))
@@ -74,12 +71,3 @@ def test_rule_holds_in_every_module(pattern, allowed):
         if re.search(pattern, line)
     ]
     assert found == []
-
-
-def test_raw_asset_and_annualize_name_the_same_period():
-    """Both name the first period, in record order, that is not allowed."""
-    message = "^period_months must be 1 or 3, got 5$"
-    with pytest.raises(ValueError, match=message):
-        RawAsset("A", 1.0, (0, 5), (5, 2), (1, 1))
-    with pytest.raises(ValueError, match=message):
-        annualize("A", (0, 5), (5, 2), (1, 1))

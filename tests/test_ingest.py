@@ -1091,10 +1091,19 @@ PARAMETER_GUARDS = [
     pytest.param(
         RawAsset, ("A", 1.0, (0,), (2,), (1,)), "period_months must be 1 or 3, got 2", id="period_2"
     ),
+    # the first period in record order that is not allowed, in both checks
+    pytest.param(
+        RawAsset, ("A", 1.0, (0, 5), (5, 2), (1, 1)), "period_months must be 1 or 3, got 5",
+        id="period_5_then_2",
+    ),
     pytest.param(annualize, ("A", (), (), ()), "no records", id="annualize_empty"),
     pytest.param(
         annualize, ("A", (0, 5, 10), (5, 5, 5), (1, 1, 1)), "period_months must be 1 or 3, got 5",
         id="annualize_period_5",
+    ),
+    pytest.param(
+        annualize, ("A", (0, 5), (5, 2), (1, 1)), "period_months must be 1 or 3, got 5",
+        id="annualize_period_5_then_2",
     ),
     pytest.param(
         functools.partial(build_dataset, zero_floor=-1), ([],), "zero_floor must be >= 0",

@@ -38,6 +38,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TREES = ROOT / ".perfbench" / "trees"
 SEED = 1
 
 
@@ -158,8 +159,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"],
                         help="measuring time per run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--save", metavar="LABEL", help="write BENCH_<LABEL>.json")
-    parser.add_argument("--trees", type=Path, default=ROOT / ".perfbench" / "trees",
-                        help="where the two trees are built")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -167,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--save takes letters, digits, '_', '.' and '-'")
 
     sha = _git("rev-parse", "--verify", f"{args.against}^{{commit}}").decode().strip()
-    trees = {"parent": args.trees / sha, "change": args.trees / "work"}
+    trees = {"parent": TREES / sha, "change": TREES / "work"}
     build_tree(trees["parent"], sha)
     build_tree(trees["change"], None)
 
