@@ -10,7 +10,8 @@ Every CSV table is written by write_table, and csv_cell is the one rule of
 how a cell is quoted; the csv module only reads. This module knows the CSV
 dialect, but ingest's _CANONICAL_ROWS, _add_block and write_cashflows_csv
 split and join the canonical cashflows rows at "," and "\\n" themselves.
-plain_number_text is the one rule of how an input number is written.
+plain_number_text is the one rule of how a number in a file or a flag is
+written, and shown the one form in which a message shows an input value.
 """
 
 from __future__ import annotations
@@ -54,23 +55,18 @@ def _cut(text: str, form) -> str:
     return f"{form(text[:_QUOTED_CHARS] + '…')} ({len(text)} characters)"
 
 
-def quoted(text: str) -> str:
-    """repr(text), the way a message shows a field of input. A text longer
-    than 40 characters shows its first 40 and its length, such as
-    ``'1111…' (5000 characters)``, so no field makes a long message."""
-    return _cut(text, repr)
+def shown(value) -> str:
+    """An input value, a field's text or a decoded JSON value, as a message
+    shows it: its repr. One longer than 40 characters shows its first 40
+    and its length, such as ``'1111…' (5000 characters)``, so no value
+    makes a long message."""
+    return _cut(value, repr) if isinstance(value, str) else _cut(repr(value), str)
 
 
 def named(asset_id: str) -> str:
     """An asset id as a message names it: as it is, or past 40 characters
-    cut the way quoted cuts a field, such as ``1111… (5000 characters)``."""
+    cut the way shown cuts a value, such as ``1111… (5000 characters)``."""
     return _cut(asset_id, str)
-
-
-def shown(value) -> str:
-    """A decoded JSON value as a message shows it: a string as quoted shows
-    it, any other value as its repr, cut the same way."""
-    return quoted(value) if isinstance(value, str) else _cut(repr(value), str)
 
 
 def listed(items: Sequence, form) -> str:
@@ -95,7 +91,7 @@ def check_id(asset_id: str) -> None:
     if not asset_id:
         raise ValueError("empty asset_id")
     if not asset_id.isprintable():
-        raise ValueError(f"asset_id must be printable, got {quoted(asset_id)}")
+        raise ValueError(f"asset_id must be printable, got {shown(asset_id)}")
 
 
 def plain_number_text(text: str) -> bool:
@@ -109,11 +105,11 @@ def parse_number(text: str, kind: type = float):
     """kind(text), float or int, for a number written in ASCII without
     underscores; other text is a ValueError naming it."""
     if not plain_number_text(text):
-        raise ValueError(f"bad number {quoted(text)} (ASCII digits only, no underscores)")
+        raise ValueError(f"bad number {shown(text)} (ASCII digits only, no underscores)")
     try:
         return kind(text)
     except ValueError:
-        raise ValueError(f"bad {'integer' if kind is int else 'number'} {quoted(text)}") from None
+        raise ValueError(f"bad {'integer' if kind is int else 'number'} {shown(text)}") from None
 
 
 def json_object(value, where: str, keys, required=()):
@@ -124,10 +120,10 @@ def json_object(value, where: str, keys, required=()):
         raise ValueError(f"{where} must be a JSON object")
     unknown = set(value) - set(keys)
     if unknown:
-        raise ValueError(f"{where}: unknown keys [{listed(sorted(unknown), quoted)}]")
+        raise ValueError(f"{where}: unknown keys [{listed(sorted(unknown), shown)}]")
     missing = set(required) - set(value)
     if missing:
-        raise ValueError(f"{where}: missing keys [{listed(sorted(missing), quoted)}]")
+        raise ValueError(f"{where}: missing keys [{listed(sorted(missing), shown)}]")
     return value
 
 
@@ -188,7 +184,7 @@ def read_table(path: str | Path, header: tuple[str, ...]) -> Iterator[Iterator[I
             if first is None:
                 raise ParseError("file is empty, expected a header row", line=1, path=path)
             if tuple(map(str.strip, first)) != header:
-                given = listed(first, quoted)
+                given = listed(first, shown)
                 raise ParseError(
                     f"bad header [{given}], expected {','.join(header)}", line=1, path=path
                 )

@@ -17,13 +17,14 @@ import gc
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 from . import model
 from ._io import (
-    int_field_names, json_number, json_object, read_json, record_dict, record_header, shown,
-    write_json, write_records, write_table,
+    int_field_names, json_number, json_object, parse_number, read_json, record_dict,
+    record_header, shown, write_json, write_records, write_table,
 )
 from .model import MissingCellError, MultiplierTable, ShareSurface, multiplier_table, price
 
@@ -49,9 +50,6 @@ class Config:
         if not self.percentile_levels:
             raise ValueError("percentile_levels must be non-empty")
         model.check_levels(self.percentile_levels)
-        # CSV outputs label levels with :g, which keeps six significant digits
-        if len({f"{p:g}" for p in self.percentile_levels}) != len(self.percentile_levels):
-            raise ValueError("percentile_levels must differ at six significant digits")
         if self.min_cohort < 1:
             raise ValueError("min_cohort must be >= 1")
         if self.max_duration < 1:
@@ -66,13 +64,13 @@ class Config:
 
 _INT_FIELDS = int_field_names(Config)
 
-# The flags that override a config value: flag -> (Config field, type, help).
+# The flags that override a config value: flag -> (Config field, help).
 _CONFIG_FLAGS = {
-    "--rate": ("rate", float, "discount rate"),
-    "--tolerance": ("dollar_age_tolerance", float, "dollar-age tolerance"),
-    "--min-cohort": ("min_cohort", int, "smallest cohort that gets cells"),
-    "--max-duration": ("max_duration", int, "longest horizon and quote duration"),
-    "--min-bid-ask-ratio": ("min_bid_ask_ratio", float, "lowest bid/ask kept"),
+    "--rate": ("rate", "discount rate"),
+    "--tolerance": ("dollar_age_tolerance", "dollar-age tolerance"),
+    "--min-cohort": ("min_cohort", "smallest cohort that gets cells"),
+    "--max-duration": ("max_duration", "longest horizon and quote duration"),
+    "--min-bid-ask-ratio": ("min_bid_ask_ratio", "lowest bid/ask kept"),
 }
 
 
@@ -85,12 +83,9 @@ def load_config_file(path: str | Path) -> dict:
                 try:
                     if not isinstance(value, list):
                         raise ValueError
-                    levels = tuple(sorted(float(json_number(key, p)) for p in value))
+                    data[key] = tuple(sorted(float(json_number(key, p)) for p in value))
                 except ValueError:
                     raise ValueError("percentile_levels must be a list of numbers") from None
-                if len(set(levels)) != len(levels):
-                    raise ValueError("percentile_levels must be unique")
-                data[key] = levels
             elif key == "output_format":
                 if not isinstance(value, str):
                     raise ValueError(f"output_format must be a string, got {shown(value)}")
@@ -106,7 +101,7 @@ def _resolve_config(args: argparse.Namespace) -> Config:
         overrides.update(load_config_file(args.config))
     if args.format is not None:
         overrides["output_format"] = args.format
-    for field, _, _ in _CONFIG_FLAGS.values():
+    for field, _ in _CONFIG_FLAGS.values():
         value = getattr(args, field, None)
         if value is not None:
             overrides[field] = value
@@ -332,14 +327,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_command(name, handler, help, config_flags, data=None):
         """A subcommand with the given config-override flags, plus the data
-        paths when `data` says whether they are required."""
+        paths when `data` says whether they are required. Its int and float
+        flags read their text by parse_number, as a usage error if it fails."""
         p = sub.add_parser(name, help=help)
+        for kind in (int, float):
+            p.register("type", kind, partial(parse_number, kind=kind))
         if data is not None:
             p.add_argument("--cashflows", required=data, help="cashflows.csv path")
             p.add_argument("--assets", required=data, help="assets.csv path")
         for flag in config_flags:
-            field, kind, flag_help = _CONFIG_FLAGS[flag]
+            field, flag_help = _CONFIG_FLAGS[flag]
             default = getattr(Config, field)
+            kind = int if field in _INT_FIELDS else float
             p.add_argument(flag, dest=field, type=kind, help=f"{flag_help} (default {default:g})")
         p.set_defaults(handler=handler)
         return p

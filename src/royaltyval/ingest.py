@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ._io import (
-    ParseError, check_id, csv_cell, listed, named, parse_number, quoted, read_table, write_table,
+    ParseError, check_id, csv_cell, listed, named, parse_number, read_table, shown, write_table,
 )
 from .model import DEFAULT_AGE_TOLERANCE, DEFAULT_ZERO_FLOOR, Asset
 
@@ -251,18 +251,18 @@ def _parse_rows(path: str | Path) -> dict[str, Columns]:
             if start is None:
                 m = _MONTH_RE.fullmatch(start_text)
                 if not m:
-                    raise ValueError(f"period_start must be YYYY-MM, got {quoted(start_text)}")
+                    raise ValueError(f"period_start must be YYYY-MM, got {shown(start_text)}")
                 month = int(m.group(2))
                 if not 1 <= month <= 12:
                     raise ValueError(f"month out of range: {month}")
                 start = months_by_text[start_text] = int(m.group(1)) * 12 + month - 1
             months = _PERIODS.get(months_text)
             if months is None:
-                raise ValueError(f"unknown frequency {quoted(months_text)} ({_PERIOD_RULE})")
+                raise ValueError(f"unknown frequency {shown(months_text)} ({_PERIOD_RULE})")
             m = _AMOUNT_RE.fullmatch(amount_text)
             if not m:
                 raise ValueError(
-                    f"bad amount {quoted(amount_text)} (decimal with <= 2 fraction digits)"
+                    f"bad amount {shown(amount_text)} (decimal with <= 2 fraction digits)"
                 )
             sign, whole, frac = m.groups()
             whole = whole.lstrip("0")
@@ -272,7 +272,7 @@ def _parse_rows(path: str | Path) -> dict[str, Columns]:
                 )
             cents = int(whole + (frac or "").ljust(2, "0"))
             if sign and cents:
-                raise ValueError(f"NEGATIVE_AMOUNT: amount {quoted(amount_text)} is negative")
+                raise ValueError(f"NEGATIVE_AMOUNT: amount {shown(amount_text)} is negative")
             key = (asset_id, start)
             if key in seen:
                 raise ValueError(f"duplicate record for {named(asset_id)} at {start_text}")
@@ -297,10 +297,10 @@ def parse_assets(path: str | Path) -> dict[str, float]:
             try:
                 age = parse_number(age_text)
             except ValueError:
-                raise ValueError(f"bad dollar_age {quoted(age_text)}") from None
+                raise ValueError(f"bad dollar_age {shown(age_text)}") from None
             if not (math.isfinite(age) and age > 0):
                 raise ValueError(
-                    f"dollar_age must be a positive finite number, got {quoted(age_text)}"
+                    f"dollar_age must be a positive finite number, got {shown(age_text)}"
                 )
             ages[asset_id] = age
         return ages

@@ -46,10 +46,13 @@ class MissingCellError(ValueError):
 
 
 def check_levels(levels: Sequence[float]) -> None:
-    """Raise ValueError for the first percentile level not strictly between 0 and 100."""
+    """Raise ValueError for the first level outside (0, 100), or for two that :g shows alike."""
     for p in levels:
         if not 0.0 < p < 100.0:
             raise ValueError(f"percentile level {p!r} outside (0, 100)")
+    # CSV outputs label levels with :g, which keeps six significant digits
+    if len({f"{p:g}" for p in levels}) != len(levels):
+        raise ValueError("percentile_levels must differ at six significant digits")
 
 
 def _is_finite(x: Amount) -> bool:

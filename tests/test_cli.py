@@ -518,6 +518,17 @@ class TestValue:
                 "share at (1, 10) must be finite and >= 0",
             ),
             ({"cells": [{"level": 10.0, "share": 1.0}]}, "cells[0]: missing keys ['horizon']"),
+            (
+                {
+                    "levels": [10.0, 10.0000001, 50.0, 90.0],
+                    "cells": [
+                        {"horizon": i, "level": p, "share": 1.0}
+                        for i in range(1, 11)
+                        for p in (10.0, 10.0000001, 50.0, 90.0)
+                    ],
+                },
+                "percentile_levels must differ at six significant digits",
+            ),
         ],
     )
     def test_malformed_surface_json_exits_one(self, tmp_path, capsys, change, message):
@@ -563,10 +574,16 @@ class TestValue:
                 SURFACE_CSV_HEADER + "1," + "1" * 5000 + ",10,1.0,5\n",
                 f"line 2: bad integer '{'1' * 40}…' (5000 characters)",
             ),
+            (
+                SURFACE_CSV_HEADER
+                + "".join(f"1,1,{p},1.0,5\n" for p in ("10", "10.0000001", "50", "90")),
+                " percentile_levels must differ at six significant digits",
+            ),
         ],
         ids=[
             "empty", "header", "fields", "number", "arabic_digit", "mixed_ages", "huge_horizon",
             "repeated_cell", "cohort_size_differs", "header_only", "integer", "integer_5000_digits",
+            "levels_alike_at_six_digits",
         ],
     )
     def test_malformed_surface_csv_exits_one(self, tmp_path, capsys, body, message):
@@ -1028,7 +1045,10 @@ class TestConfigPrecedence:
             ({"percentile_levels": [10, "50"]}, "percentile_levels must be a list of numbers"),
             ({"percentile_levels": 50}, "percentile_levels must be a list of numbers"),
             ({"output_format": 1}, "output_format must be a string, got 1"),
-            ({"percentile_levels": [50, 10, 50.0]}, "percentile_levels must be unique"),
+            (
+                {"percentile_levels": [50, 10, 50.0]},
+                "percentile_levels must differ at six significant digits",
+            ),
             ({"rate": float("inf")}, "rate must be finite, got inf"),
             ({"zero_floor": float("nan")}, "zero_floor must be finite, got nan"),
             ({"percentile_levels": ""}, "percentile_levels must be a list of numbers"),
@@ -1112,6 +1132,44 @@ def test_age_below_one_names_the_flag(tmp_path, capsys, command, age):
     )
     assert code == 1
     assert capsys.readouterr().err == "error: --age must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "command,flag,text",
+    [
+        (["value", "--ltm", "1", "--duration", "2"], "--ltm", "\u0665\u0660\u0660\u0660\u0660"),
+        (["value", "--ltm", "1", "--duration", "2"], "--duration", "\u0663"),
+        (["value", "--ltm", "1", "--duration", "2"], "--duration", "1_0"),
+        (["value", "--ltm", "1", "--duration", "2"], "--rate", "\u0660.\u0661"),
+        (["value", "--ltm", "1", "--duration", "2"], "--min-cohort", "\u0665"),
+        (["multipliers"], "--durations", "\u0663"),
+        (["curves", "--cashflows", "{cashflows}", "--assets", "{assets}"], "--age", "\u0663"),
+        (["synth", "--spec", "{spec}"], "--seed", "\u0663"),
+    ],
+    ids=["ltm", "duration", "duration_underscore", "rate", "min_cohort", "durations", "age", "seed"],
+)
+def test_number_flag_outside_the_number_rule_is_a_usage_error(
+    tmp_path, capsys, command, flag, text
+):
+    """A number flag reads its text by parse_number: text that float() or
+    int() would read but the rule refuses, non-ASCII digits or a `_`, exits
+    2 with argparse's usage error naming the flag."""
+    cashflows, assets = flat_population_files(tmp_path)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 1, "groups": [
+        {"count": 5, "annual_growth": 0.0, "noise_sigma": 0.0, "age_years": 4, "initial_revenue": 1.0},
+    ]}))
+    paths = {"cashflows": cashflows, "assets": assets, "spec": spec}
+    if command[0] in ("value", "multipliers"):
+        command = [*command, "--surface", str(write_flat_surface(tmp_path / "surface.json"))]
+    argv = ["--out", str(tmp_path / "out"), *(arg.format(**paths) for arg in command), flag, text]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    kind = "float" if flag in ("--ltm", "--rate") else "int"
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: invalid {kind} value: {text!r}\n"
+    )
 
 
 class TestHelp:

@@ -20,8 +20,12 @@ keeps for its tests and benchmark call `record_rows`. Only `_io` imports
 the csv module, and only to read: `csv_cell` is the one rule of how a cell
 is quoted, so no output byte depends on the csv writer of the Python
 version, and no module writes through a `StringIO`. Only `_io` tests how a
-number's text is written. The rules hold in the package modules and in the
-study scripts.
+number's text is written, and `_io.shown` is the one form in which a
+message shows an input value, so no module keeps a `quoted`.
+`model.check_levels` is the one level rule, the only place that asks
+levels to differ at six significant digits, for the config and for a
+surface read from either file format. The rules hold in the package
+modules and in the study scripts.
 """
 
 import re
@@ -50,6 +54,8 @@ RULES = [
     pytest.param(r"\bwrite_csv\b", (), id="one_table_writer"),
     pytest.param(r"^\s*(import|from) csv\b|(?<![\w.])csv\.", ("_io.py",), id="csv_in_io"),
     pytest.param(r"\bisascii\(", ("_io.py",), id="number_text_in_io"),
+    pytest.param(r"\bquoted\(", (), id="one_shown"),
+    pytest.param(r"significant digits", ("model.py",), id="one_level_rule"),
     pytest.param(
         r"\bStringIO\b|(?<![\w.])csv\.(?!reader\(|Error\b|field_size_limit\()", (),
         id="csv_only_reads",

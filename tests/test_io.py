@@ -15,7 +15,6 @@ from royaltyval._io import (
     listed,
     named,
     parse_number,
-    quoted,
     read_json,
     read_table,
     record_header,
@@ -203,11 +202,11 @@ class TestQuoted:
         "text", ["", "x", "A\nB", "it's", "7" * 40], ids=["empty", "x", "line_break", "quote", "40"]
     )
     def test_a_text_of_at_most_40_characters_is_its_repr(self, text):
-        assert quoted(text) == repr(text)
+        assert shown(text) == repr(text)
 
     def test_a_longer_text_shows_its_first_40_characters_and_its_length(self):
-        assert quoted("1" * 41) == f"'{'1' * 40}…' (41 characters)"
-        assert quoted("\n" * 5000) == "'" + "\\n" * 40 + "…' (5000 characters)"
+        assert shown("1" * 41) == f"'{'1' * 40}…' (41 characters)"
+        assert shown("\n" * 5000) == "'" + "\\n" * 40 + "…' (5000 characters)"
 
 
 class TestNamedShownListed:
@@ -216,7 +215,7 @@ class TestNamedShownListed:
         assert named("7" * 41) == f"{'7' * 40}… (41 characters)"
 
     def test_a_json_value_is_its_repr_cut_at_40_characters(self):
-        assert shown("x" * 41) == quoted("x" * 41)
+        assert shown("x" * 41) == f"'{'x' * 40}…' (41 characters)"
         assert [shown(v) for v in (None, True, 2.5, [1])] == ["None", "True", "2.5", "[1]"]
         assert shown([1] * 20) == f"{str([1] * 20)[:40]}… (60 characters)"
 

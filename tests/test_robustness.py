@@ -4,7 +4,8 @@ Each input file the CLI reads gets arbitrary bytes spliced into a valid
 copy, and the population spec and the config get one value swapped for an
 arbitrary JSON value. A Python traceback out of `main` fails the test, and
 so does an exit-1 message that is not one `error: ` line naming the
-changed file as `<path>:`.
+changed file as `<path>:`. A number flag given arbitrary text is a usage
+error, exit 2, exactly when `parse_number` refuses the text.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from royaltyval._io import write_json, write_table
+from royaltyval._io import parse_number, write_json, write_table
 from royaltyval.cli import main
 from royaltyval.curves import (
     SURFACE_HEADER, SURFACE_SPECS, build_surface, surface_csv_rows, surface_to_json_dict,
@@ -185,3 +186,46 @@ def test_dollar_age_and_tolerance(valid_inputs, dollar_age, tolerance):
     files.update((k, v) for k, v in valid_inputs.items() if k not in files)
     code, err, _ = run(files)
     assert code in (0, 2), err
+
+
+NUMBER_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet="0123456789_.+-eE \u0663\u0665nainf", max_size=8),
+)
+
+
+@pytest.mark.parametrize("flag,kind", [("--ltm", float), ("--duration", int)])
+@given(text=NUMBER_TEXT)
+@example(text="-1e5")
+@example(text="1_0")
+@example(text="\u0663")
+@example(text="7")
+@FUZZ
+def test_number_flag_text(valid_inputs, flag, kind, text):
+    """`value --surface S --ltm=T --duration 2`, and `--duration=T` read as
+    an int, exit 2 exactly when parse_number refuses T, with argparse's
+    usage error naming the flag; the one other exit 2 is a duration past
+    the surface's depth. The `=` form keeps a text such as `-1e5` from
+    being taken for an option."""
+    surface = valid_inputs["surface_json"]
+    depth = max(cell["horizon"] for cell in json.loads(surface)["cells"])
+    try:
+        parsed, refused = parse_number(text, kind), False
+    except ValueError:
+        parsed, refused = None, True
+    values = {"--ltm": "10", "--duration": "2", flag: text}
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        path = Path(tmp) / NAMES["surface_json"]
+        path.write_bytes(surface)
+        try:
+            code = main(["value", "--surface", str(path), *(f"{f}={v}" for f, v in values.items())])
+        except SystemExit as exc:
+            code = exc.code
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    past_depth = flag == "--duration" and not refused and parsed > depth
+    assert (code == 2) == (refused or past_depth), err
+    if refused:
+        assert err.endswith(f"error: argument {flag}: invalid {kind.__name__} value: {text!r}\n")
